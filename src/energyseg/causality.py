@@ -91,10 +91,10 @@ def _lagged_design(
     )
 
 
-def _ols_rss(design: np.ndarray, y: np.ndarray) -> tuple[float, int]:
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+def _ols_rss(design: np.ndarray, y: np.ndarray) -> float:
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
     resid = y - design @ coef
-    return float(resid @ resid), int(rank)
+    return float(resid @ resid)
 
 
 def granger_test_segments(
@@ -132,8 +132,8 @@ def granger_test_segments(
 
     if np.linalg.matrix_rank(unrestricted) < unrestricted.shape[1]:
         return _inconclusive()
-    rss_r, _ = _ols_rss(restricted, y_t)
-    rss_u, _ = _ols_rss(unrestricted, y_t)
+    rss_r = _ols_rss(restricted, y_t)
+    rss_u = _ols_rss(unrestricted, y_t)
     scale = float(y_t @ y_t) + 1.0
     if rss_u <= 1e-12 * scale:
         return _inconclusive()

@@ -72,7 +72,6 @@ class GlassoConfig:
     tol: float = 1e-6
     max_sweeps: int = 1000
     folds: int = 5
-    parallel: bool = False
     selection: str = "one_se"
 
     def __post_init__(self) -> None:

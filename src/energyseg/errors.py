@@ -131,8 +131,3 @@ class DimensionMismatch(NumericError):
 
 class InvalidDof(NumericError):
     pass
-
-
-class SingularDesign(NumericError):
-    """Collinear regression design; tests report this as inconclusive."""
-    pass

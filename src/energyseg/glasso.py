@@ -10,15 +10,24 @@ solution is all-zero) and λ_max/100, scored by 5-fold cross-validation.
 Neighborhood supports are then symmetrized (OR/AND) into an undirected
 graph.
 
-Each coordinate update maintains the full residual, so one sweep costs
-O(pN): p inner products against length-N columns and nothing quadratic.
+The solver comes in two forms with the same updates and stopping rule:
+
+* Residual form, used only by :func:`fit_neighborhood`. Each coordinate
+  update maintains the full residual, so one sweep costs O(pN): p inner
+  products against length-N columns and nothing quadratic.
+* Gram form ("covariance updates", Friedman, Hastie & Tibshirani 2010,
+  JSS 33(1), §2.2), used by :func:`cross_validate` and
+  :func:`graphical_lasso`. :func:`graphical_lasso` computes G = VᵀV once in
+  O(Np²); a fold's training Gram is G minus the held-out rows' Gram. Each
+  update maintains the gradient (Xᵀy − XᵀXβ)/N, so one sweep costs O(p²)
+  whatever N is, and the objective is read from the Gram in O(p).
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import copysign
+from operator import add, mul
 
 import numpy as np
 
@@ -102,7 +111,6 @@ class GlassoOptions:
     tol: float = 1e-6
     max_sweeps: int = 1000
     folds: int = 5
-    parallel: bool = False
     selection: str = "one_se"  # "min" | "one_se"
     seed: int = 0
 
@@ -118,12 +126,24 @@ def _check_finite(values: np.ndarray) -> None:
         raise NonFiniteValue("matrix contains NaN or infinite entries")
 
 
+def _grid_from_max(lam_max: float, s: int) -> LambdaGrid:
+    if lam_max <= 0.0:
+        raise DegenerateColumn(f"vertex {s} is orthogonal to every other column")
+    grid = np.geomspace(lam_max, lam_max / GRID_RATIO, GRID_SIZE)
+    return LambdaGrid(
+        lambda_max=lam_max,
+        lambda_min=lam_max / GRID_RATIO,
+        values=tuple(float(v) for v in grid),
+    )
+
+
 def lambda_grid(matrix: FeatureMatrix, s: int) -> LambdaGrid:
     """Penalty grid for vertex ``s``: λ_max = (1/N)·max_j |⟨Y_j, Y_s⟩|.
 
     The inner products are evaluated with the same memory layout and dot
-    calls as the solver's first sweep, so a fit at λ_max is all-zero
-    exactly, not merely within rounding.
+    calls as the residual-form solver's first sweep, so a
+    :func:`fit_neighborhood` at λ_max is all-zero exactly, not merely within
+    rounding.
     """
     values = matrix.values
     n, p = values.shape
@@ -135,14 +155,7 @@ def lambda_grid(matrix: FeatureMatrix, s: int) -> LambdaGrid:
     X = np.asfortranarray(values[:, others])
     r = values[:, s].astype(np.float64, copy=True)
     lam_max = max(abs(float(r @ X[:, k]) / n) for k in range(p - 1))
-    if lam_max <= 0.0:
-        raise DegenerateColumn(f"vertex {s} is orthogonal to every other column")
-    grid = np.geomspace(lam_max, lam_max / GRID_RATIO, GRID_SIZE)
-    return LambdaGrid(
-        lambda_max=lam_max,
-        lambda_min=lam_max / GRID_RATIO,
-        values=tuple(float(v) for v in grid),
-    )
+    return _grid_from_max(lam_max, s)
 
 
 def _objective(r: np.ndarray, beta: np.ndarray, lam: float, n: int) -> float:
@@ -157,7 +170,7 @@ def _coordinate_descent(
     max_sweeps: int,
     beta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Cyclic coordinate descent for (1/2N)‖y − Xβ‖² + λ‖β‖₁.
+    """Residual-form cyclic coordinate descent for (1/2N)‖y − Xβ‖² + λ‖β‖₁.
 
     Maintains the full residual across coordinate updates. A sweep's
     objective stall only counts as convergence once an in-place KKT check
@@ -209,7 +222,7 @@ def fit_neighborhood(
     max_sweeps: int = 1000,
     beta0: np.ndarray | None = None,
 ) -> NeighborhoodFit:
-    """Lasso regression of column ``s`` on all other columns."""
+    """Lasso regression of column ``s`` on all other columns (residual form)."""
     if not matrix.standardized:
         raise NotStandardized("fit_neighborhood requires a standardized matrix")
     values = matrix.values
@@ -235,6 +248,81 @@ def fit_neighborhood(
     )
 
 
+class _GramSystem:
+    """Sufficient statistics of regressing column ``s`` on the others.
+
+    Holds the rows of XᵀX/N, Xᵀy/N and yᵀy/N as Python floats for the
+    inner loop, taken from a Gram matrix over N rows.
+    """
+
+    def __init__(self, gram: np.ndarray, s: int, n: int) -> None:
+        others = [j for j in range(gram.shape[0]) if j != s]
+        self.rows = (gram[np.ix_(others, others)] / n).tolist()
+        self.nu = [row[j] for j, row in enumerate(self.rows)]
+        self.grad0 = (gram[others, s] / n).tolist()
+        self.yy = float(gram[s, s]) / n
+
+    def lambda_max(self) -> float:
+        """max_j |Xᵀy|_j/N from the numbers the first sweep reads."""
+        return max(map(abs, self.grad0))
+
+    def objective(self, beta: list[float], grad: list[float], lam: float) -> float:
+        """(yᵀy − βᵀXᵀy − N·βᵀgrad)/(2N) + λ‖β‖₁, with grad = (Xᵀy − XᵀXβ)/N."""
+        fit = sum(map(mul, beta, map(add, self.grad0, grad)))
+        return 0.5 * (self.yy - fit) + lam * sum(map(abs, beta))
+
+
+def _gram_descent(
+    system: _GramSystem,
+    lam: float,
+    tol: float,
+    max_sweeps: int,
+    beta0: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, int, bool, list[float]]:
+    """Gram-form cyclic coordinate descent (covariance updates).
+
+    Same updates, objective stall test and KKT gate as
+    :func:`_coordinate_descent`, but each update maintains the gradient
+    rather than the residual, so a sweep costs O(p²) and never touches the
+    data rows; the KKT gate reads that maintained gradient. At p ≈ 14 the
+    cost is interpreter overhead, so the loop runs on Python floats.
+    """
+    rows, nu = system.rows, system.nu
+    if beta0 is None or not beta0.any():
+        beta = [0.0] * len(nu)
+        grad = list(system.grad0)
+    else:
+        beta = beta0.tolist()
+        grad = [g0 - sum(map(mul, row, beta)) for g0, row in zip(system.grad0, rows)]
+    kkt_tol = 5.0 * tol
+
+    path: list[float] = []
+    prev_obj = obj = system.objective(beta, grad, lam)
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        for j, d in enumerate(nu):
+            if d == 0.0:
+                continue
+            old = beta[j]
+            new = soft_threshold(grad[j] + old * d, lam) / d
+            if new != old:
+                beta[j] = new
+                step = new - old
+                grad = [g - step * h for g, h in zip(grad, rows[j])]
+        obj = system.objective(beta, grad, lam)
+        path.append(obj)
+        if prev_obj - obj < tol * max(abs(prev_obj), 1e-300):
+            if all(
+                abs(g - copysign(lam, b)) <= kkt_tol if b else abs(g) <= lam + kkt_tol
+                for b, g in zip(beta, grad)
+            ):
+                converged = True
+                break
+        prev_obj = obj
+    return np.array(beta), obj, sweeps, converged, path
+
+
 def _fold_slices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     order = rng.permutation(n)
     sizes = np.full(folds, n // folds)
@@ -256,11 +344,15 @@ def cross_validate(
     max_sweeps: int = 1000,
     seed: int = 0,
     rule: str = "min",
+    gram: np.ndarray | None = None,
 ) -> CvResult:
     """K-fold prediction error along the penalty grid for vertex ``s``.
 
     Folds are a contiguous split of a seeded shuffle (the stream is derived
-    from (seed, s), so per-vertex results do not depend on scheduling).
+    from (seed, s), so per-vertex results do not depend on call order).
+    Each fold is fitted in Gram form on ``gram`` (VᵀV of the whole matrix,
+    computed here when not given) minus the held-out rows' Gram, and scored
+    on the held-out rows themselves.
     ``rule="min"`` picks the error-minimizing λ (exact ties break toward the
     larger λ); ``rule="one_se"`` picks the largest λ whose error is within
     one standard error of the minimum.
@@ -269,23 +361,21 @@ def cross_validate(
     n, p = values.shape
     if folds < 2 or folds > n:
         raise TooFewRows(f"need 2 <= folds <= {n}, got {folds}")
+    if gram is None:
+        gram = values.T @ values
     rng = np.random.default_rng([seed, s])
     fold_rows = _fold_slices(n, folds, rng)
     others = [j for j in range(p) if j != s]
 
     errors = np.zeros((len(grid.values), folds))
     for f, test_rows in enumerate(fold_rows):
-        mask = np.ones(n, dtype=bool)
-        mask[test_rows] = False
-        X_train = np.asfortranarray(values[np.ix_(mask, others)])
-        y_train = values[mask, s]
-        X_test = values[np.ix_(test_rows, others)]
-        y_test = values[test_rows, s]
+        test = values[test_rows]
+        train = _GramSystem(gram - test.T @ test, s, n - len(test_rows))
+        X_test = test[:, others]
+        y_test = test[:, s]
         beta = None
         for k, lam in enumerate(grid.values):
-            beta, _, _, _, _ = _coordinate_descent(
-                X_train, y_train, lam, tol, max_sweeps, beta0=beta
-            )
+            beta, _, _, _, _ = _gram_descent(train, lam, tol, max_sweeps, beta0=beta)
             resid = y_test - X_test @ beta
             errors[k, f] = float(resid @ resid) / len(test_rows)
 
@@ -308,19 +398,20 @@ def cross_validate(
 
 
 def _fit_vertex(
-    matrix: FeatureMatrix, s: int, options: GlassoOptions
+    matrix: FeatureMatrix, gram: np.ndarray, s: int, options: GlassoOptions
 ) -> tuple[NeighborhoodFit, float, str | None]:
+    n, p = matrix.values.shape
+    others = tuple(j for j in range(p) if j != s)
+    system = _GramSystem(gram, s, n)
     try:
-        grid = lambda_grid(matrix, s)
+        grid = _grid_from_max(system.lambda_max(), s)
     except DegenerateColumn:
-        p = matrix.values.shape[1]
-        others = tuple(j for j in range(p) if j != s)
         fit = NeighborhoodFit(
             vertex=s,
             others=others,
             beta=np.zeros(p - 1),
             lam=0.0,
-            loss=_objective(matrix.values[:, s], np.zeros(p - 1), 0.0, matrix.n_rows),
+            loss=0.5 * system.yy,
             iterations=0,
             converged=True,
         )
@@ -334,29 +425,25 @@ def _fit_vertex(
         max_sweeps=options.max_sweeps,
         seed=options.seed,
         rule=options.selection,
+        gram=gram,
     )
-    # warm-start down the grid to the selected λ for a well-conditioned fit
-    others = [j for j in range(matrix.values.shape[1]) if j != s]
-    X = np.asfortranarray(matrix.values[:, others])
-    y = matrix.values[:, s]
+    # warm-start down the grid to the selected λ for a well-conditioned fit;
+    # at index 0 this is a cold start at λ_max, whose solution is exactly zero
     beta = None
-    fit = None
-    for k in range(cv.best_index + 1):
-        lam = grid.values[k]
-        beta, loss, sweeps, converged, path = _coordinate_descent(
-            X, y, lam, options.tol, options.max_sweeps, beta0=beta
+    for lam in grid.values[: cv.best_index + 1]:
+        beta, loss, sweeps, converged, path = _gram_descent(
+            system, lam, options.tol, options.max_sweeps, beta0=beta
         )
-        if k == cv.best_index:
-            fit = NeighborhoodFit(
-                vertex=s,
-                others=tuple(others),
-                beta=beta,
-                lam=lam,
-                loss=loss,
-                iterations=sweeps,
-                converged=converged,
-                objective_path=tuple(path),
-            )
+    fit = NeighborhoodFit(
+        vertex=s,
+        others=others,
+        beta=beta,
+        lam=cv.best_lambda,
+        loss=loss,
+        iterations=sweeps,
+        converged=converged,
+        objective_path=tuple(path),
+    )
     return fit, cv.best_lambda, None
 
 
@@ -366,15 +453,14 @@ def graphical_lasso(matrix: FeatureMatrix, options: GlassoOptions | None = None)
     if not matrix.standardized:
         matrix = standardize(matrix)
     _check_finite(matrix.values)
-    p = matrix.values.shape[1]
+    n, p = matrix.values.shape
     if p < 2:
         raise TooFewRows(f"need at least 2 columns, got {p}")
+    if n < 2:
+        raise TooFewRows(f"need at least 2 rows, got {n}")
 
-    if options.parallel and p > 2:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda s: _fit_vertex(matrix, s, options), range(p)))
-    else:
-        results = [_fit_vertex(matrix, s, options) for s in range(p)]
+    gram = matrix.values.T @ matrix.values
+    results = [_fit_vertex(matrix, gram, s, options) for s in range(p)]
 
     fits = [r[0] for r in results]
     lambdas = tuple(r[1] for r in results)

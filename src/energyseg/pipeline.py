@@ -400,7 +400,6 @@ def run_glasso(
             tol=config.glasso.tol,
             max_sweeps=config.glasso.max_sweeps,
             folds=config.glasso.folds,
-            parallel=config.glasso.parallel,
             selection=config.glasso.selection,
             seed=config.seed,
         )

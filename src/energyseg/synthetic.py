@@ -26,7 +26,6 @@ import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
 
 from .errors import InvalidConfig
 from .records import RESOURCES, DatasetTable, OccupantRecord, compute_points
@@ -109,6 +108,9 @@ def _lag1(arr: np.ndarray) -> np.ndarray:
 
 def _ar1(rng: np.random.Generator, n: int, phi: float, std: float) -> np.ndarray:
     """Stationary AR(1) path with marginal standard deviation ``std``."""
+    # deferred: scipy.signal is slow to import and only synthesis needs it
+    from scipy.signal import lfilter, lfiltic
+
     if std == 0.0:
         return np.zeros(n)
     innov_std = std * np.sqrt(1.0 - phi * phi)

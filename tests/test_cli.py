@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +273,14 @@ class TestReport:
         assert main(["synth", "--config", str(cfg), "--seed", "4", "--out", str(with_flag)]) == 0
         assert main(["synth", "--days", "3", "--seed", "4", "--out", str(direct)]) == 0
         assert (with_flag / "dataset.csv").read_bytes() == (direct / "dataset.csv").read_bytes()
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal costs about a second to import and only synthesis needs it
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, energyseg.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

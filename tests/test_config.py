@@ -100,6 +100,12 @@ class TestSerialization:
         with pytest.raises(InvalidConfig):
             load_config(str(path))
 
+    def test_removed_parallel_key_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"glasso": {"parallel": False}}))
+        with pytest.raises(InvalidConfig, match=r"unknown glasso option\(s\): \['parallel'\]"):
+            load_config(str(path))
+
     def test_invalid_value_in_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"glasso": {"symmetrization": "XOR"}}))

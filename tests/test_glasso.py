@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import chain_sample, fm, kkt_violation, std_fm
 
+import energyseg.glasso as glasso_mod
 from energyseg.errors import (
     DegenerateColumn,
     NonFiniteValue,
@@ -252,12 +255,6 @@ class TestGraphicalLasso:
         empty = sum(not graphical_lasso(noise_matrix(seed)).edges for seed in range(10))
         assert empty >= 8
 
-    def test_parallel_matches_serial(self):
-        matrix = chain_matrix(85, n=400)
-        serial = graphical_lasso(matrix, GlassoOptions(parallel=False))
-        parallel = graphical_lasso(matrix, GlassoOptions(parallel=True))
-        assert graph_to_dict(serial) == graph_to_dict(parallel)
-
     def test_and_subset_of_or(self):
         matrix = chain_matrix(86, n=300)
         g_or = graphical_lasso(matrix, GlassoOptions(symmetrization="OR"))
@@ -311,11 +308,67 @@ class TestGraphicalLasso:
         assert all(len(row) == 4 for row in rows)
         assert [(r[0], r[1]) for r in rows] == [(e["a"], e["b"]) for e in blob["edges"]]
 
+    def test_matches_residual_form_at_selected_lambda(self):
+        matrix = chain_matrix(85, n=400)
+        tol = 1e-10
+        graph = graphical_lasso(matrix, GlassoOptions(tol=tol))
+        for fit in graph.per_vertex_fits:
+            direct = fit_neighborhood(matrix, fit.vertex, fit.lam, tol=tol)
+            assert np.abs(fit.beta - direct.beta).max() <= 1e-6
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             GlassoOptions(symmetrization="XOR")
         with pytest.raises(ValueError):
             GlassoOptions(selection="best")
+
+
+
+def _graph_and_cv(matrix, options):
+    """graphical_lasso, plus each vertex's grid and CV result as seen by cross_validate."""
+    seen = {}
+    original = glasso_mod.cross_validate
+
+    def spy(matrix, s, grid, **kwargs):
+        cv = original(matrix, s, grid, **kwargs)
+        seen[s] = (grid, cv)
+        return cv
+
+    glasso_mod.cross_validate = spy
+    try:
+        graph = graphical_lasso(matrix, options)
+    finally:
+        glasso_mod.cross_validate = original
+    return graph, seen
+
+
+class TestGramPathProperties:
+    """Invariants of the Gram-form solver that graphical_lasso runs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(20, 300),
+        p=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        mixed=st.booleans(),
+    )
+    def test_kkt_and_exact_zero_at_lambda_max(self, n, p, seed, mixed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, p))
+        if mixed:
+            raw = raw @ rng.standard_normal((p, p))
+        matrix = std_fm(raw, [f"v{j}" for j in range(p)])
+        options = GlassoOptions()
+        graph, seen = _graph_and_cv(matrix, options)
+        assert len(seen) == p  # one CV per non-degenerate vertex
+        for fit in graph.per_vertex_fits:
+            if fit.converged:
+                viol = kkt_violation(matrix.values, fit.vertex, fit.others, fit.beta, fit.lam)
+                assert viol <= 10 * options.tol
+            grid, cv = seen[fit.vertex]
+            if fit.lam == grid.lambda_max:
+                assert cv.best_index == 0
+                assert np.all(fit.beta == 0.0)
 
 
 def _edge_tuples(graph):
