@@ -126,6 +126,25 @@ def _check_finite(values: np.ndarray) -> None:
         raise NonFiniteValue("matrix contains NaN or infinite entries")
 
 
+# Rows per block when gathering design columns; a block's source rows stay
+# in cache while every destination column is written.
+_GATHER_ROWS = 2048
+
+
+def _design(values: np.ndarray, others: list[int]) -> np.ndarray:
+    """Column-major copy of ``values[:, others]``, gathered in row blocks.
+
+    A single fancy-indexed transpose of a tall matrix streams the whole
+    source once per output column when it exceeds the cache; row blocks keep
+    the copy at one pass over memory, so its cost stays linear in N.
+    """
+    n = values.shape[0]
+    X = np.empty((n, len(others)), dtype=values.dtype, order="F")
+    for start in range(0, n, _GATHER_ROWS):
+        X[start : start + _GATHER_ROWS] = values[start : start + _GATHER_ROWS, others]
+    return X
+
+
 def _grid_from_max(lam_max: float, s: int) -> LambdaGrid:
     if lam_max <= 0.0:
         raise DegenerateColumn(f"vertex {s} is orthogonal to every other column")
@@ -152,7 +171,7 @@ def lambda_grid(matrix: FeatureMatrix, s: int) -> LambdaGrid:
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
     others = [j for j in range(p) if j != s]
-    X = np.asfortranarray(values[:, others])
+    X = _design(values, others)
     r = values[:, s].astype(np.float64, copy=True)
     lam_max = max(abs(float(r @ X[:, k]) / n) for k in range(p - 1))
     return _grid_from_max(lam_max, s)
@@ -231,7 +250,7 @@ def fit_neighborhood(
         raise ValueError(f"lambda must be positive, got {lam}")
     p = values.shape[1]
     others = tuple(j for j in range(p) if j != s)
-    X = np.asfortranarray(values[:, list(others)])
+    X = _design(values, list(others))
     y = values[:, s]
     beta, loss, sweeps, converged, path = _coordinate_descent(
         X, y, lam, tol, max_sweeps, beta0
