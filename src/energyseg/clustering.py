@@ -11,6 +11,7 @@ nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -46,10 +47,32 @@ class ClusterModel:
 
 
 @dataclass
-class KMeansParams:
+class ClusteringConfig:
+    """Settings of the segment stage's PCA and k-means; the ``clustering`` config section.
+
+    :func:`minibatch_kmeans` and :func:`elbow_curve` read ``batch_size``,
+    ``max_iters`` and ``n_init``.
+    """
+
+    k: Any = 3  # cluster count, or "auto" for the elbow suggestion
+    k_range: tuple[int, int] = (1, 6)
+    pca_variance: float | None = 0.9
+    pca_dim: int | None = None
     batch_size: int = 256
     max_iters: int = 200
     n_init: int = 10
+
+    def __post_init__(self) -> None:
+        k_lo, k_hi = self.k_range
+        self.k_range = (int(k_lo), int(k_hi))
+        if self.k != "auto":
+            self.k = int(self.k)
+            if self.k < 1:
+                raise InvalidConfig(f"k must be >= 1 or 'auto', got {self.k}")
+        if self.pca_variance is not None and not 0.0 < self.pca_variance <= 1.0:
+            raise InvalidConfig(f"pca_variance must be in (0, 1], got {self.pca_variance}")
+        if self.batch_size < 1 or self.max_iters < 1 or self.n_init < 1:
+            raise InvalidConfig("batch_size, max_iters and n_init must be >= 1")
 
 
 def _as_values(matrix) -> np.ndarray:
@@ -139,13 +162,13 @@ def _kmeans_pp(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _run_minibatch(
-    values: np.ndarray, k: int, params: KMeansParams, rng: np.random.Generator
+    values: np.ndarray, k: int, config: ClusteringConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, float]:
     n = values.shape[0]
-    batch_size = min(params.batch_size, n)
+    batch_size = min(config.batch_size, n)
     centroids = _kmeans_pp(values, k, rng)
     counts = np.zeros(k)
-    for _ in range(params.max_iters):
+    for _ in range(config.max_iters):
         batch_idx = rng.choice(n, size=batch_size, replace=False)
         batch = values[batch_idx]
         nearest = np.argmin(_squared_distances(batch, centroids), axis=1)
@@ -163,11 +186,11 @@ def _run_minibatch(
 
 
 def minibatch_kmeans(
-    matrix, k: int, params: KMeansParams | None = None, seed: int = 0
+    matrix, k: int, config: ClusteringConfig | None = None, seed: int = 0
 ) -> ClusterModel:
     """Best-of-``n_init`` mini-batch k-means with a final full assignment pass."""
     values = _as_values(matrix)
-    params = params or KMeansParams()
+    config = config or ClusteringConfig()
     n = values.shape[0]
     if k < 1 or k > n:
         raise KTooLarge(f"need 1 <= k <= {n}, got {k}")
@@ -176,9 +199,9 @@ def minibatch_kmeans(
     canonical = values[order]
 
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for restart in range(params.n_init):
+    for restart in range(config.n_init):
         rng = np.random.default_rng([seed, restart])
-        centroids, assignments, inertia = _run_minibatch(canonical, k, params, rng)
+        centroids, assignments, inertia = _run_minibatch(canonical, k, config, rng)
         if best is None or inertia < best[2]:
             best = (centroids, assignments, inertia)
 
@@ -194,8 +217,18 @@ def minibatch_kmeans(
     )
 
 
+def elbow_k(ks: list[int], inertias: np.ndarray) -> int:
+    """The k at the argmax of the inertia curve's discrete second difference.
+
+    ``ks`` are consecutive cluster counts, at least three, and ``inertias``
+    their inertias in the same order.
+    """
+    second_diff = inertias[:-2] - 2.0 * inertias[1:-1] + inertias[2:]
+    return ks[1 + int(np.argmax(second_diff))]
+
+
 def elbow_curve(
-    matrix, k_range: tuple[int, int], params: KMeansParams | None = None, seed: int = 0
+    matrix, k_range: tuple[int, int], config: ClusteringConfig | None = None, seed: int = 0
 ) -> tuple[np.ndarray, int]:
     """Inertia per k plus the second-difference elbow suggestion."""
     values = _as_values(matrix)
@@ -206,11 +239,9 @@ def elbow_curve(
     if len(ks) < 3:
         raise RangeTooNarrow(f"need at least 3 k values, got {len(ks)}")
     inertias = np.array(
-        [minibatch_kmeans(values, k, params, seed).inertia for k in ks]
+        [minibatch_kmeans(values, k, config, seed).inertia for k in ks]
     )
-    second_diff = inertias[:-2] - 2.0 * inertias[1:-1] + inertias[2:]
-    suggested = ks[1 + int(np.argmax(second_diff))]
-    return inertias, suggested
+    return inertias, elbow_k(ks, inertias)
 
 
 def silhouette(matrix, assignments) -> tuple[float, np.ndarray]:

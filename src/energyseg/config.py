@@ -3,6 +3,11 @@
 A run is described by one JSON document; CLI flags override individual
 fields and the effective configuration is echoed into the output directory,
 so any artifact can be regenerated from its config alone.
+
+Each stage module owns its one config type (``synthetic.GeneratorConfig``,
+``glasso.GlassoConfig``, ``clustering.ClusteringConfig``); this module
+assembles them, plus the feature, segmentation and causality sections, into
+:class:`PipelineConfig`.
 """
 
 from __future__ import annotations
@@ -11,8 +16,11 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
+from .clustering import ClusteringConfig
 from .errors import InvalidConfig
 from .features import ALL_FEATURES, DEFAULT_CLUSTERING_FEATURES, DEFAULT_GRAPH_FEATURES
+from .glasso import GlassoConfig
+from .synthetic import GeneratorConfig
 
 OUTPUT_ROOT_ENV = "ENERGYSEG_OUTPUT_ROOT"
 
@@ -36,19 +44,6 @@ def _from_mapping(cls, data: dict[str, Any], context: str):
 
 
 @dataclass
-class SynthConfig:
-    players_per_class: tuple[int, int, int] = (2, 2, 2)
-    n_days: int = 7
-    booster: float = 1.0
-    clamp_points_at_zero: bool = False
-    weather_noise: float = 1.0
-    behavior_jitter: float = 0.07
-
-    def __post_init__(self) -> None:
-        self.players_per_class = tuple(int(c) for c in self.players_per_class)
-
-
-@dataclass
 class FeatureConfig:
     clustering_features: tuple[str, ...] = DEFAULT_CLUSTERING_FEATURES
     graph_features: tuple[str, ...] = DEFAULT_GRAPH_FEATURES
@@ -64,45 +59,6 @@ class FeatureConfig:
         for gran in (self.clustering_granularity, self.graph_granularity):
             if gran not in ("daily", "minute"):
                 raise InvalidConfig(f"granularity must be daily or minute, got {gran!r}")
-
-
-@dataclass
-class GlassoConfig:
-    symmetrization: str = "OR"
-    tol: float = 1e-6
-    max_sweeps: int = 1000
-    folds: int = 5
-    selection: str = "one_se"
-
-    def __post_init__(self) -> None:
-        if self.symmetrization not in ("OR", "AND"):
-            raise InvalidConfig(f"symmetrization must be OR or AND, got {self.symmetrization!r}")
-        if self.selection not in ("min", "one_se"):
-            raise InvalidConfig(f"selection must be min or one_se, got {self.selection!r}")
-        if self.tol <= 0 or self.max_sweeps < 1 or self.folds < 2:
-            raise InvalidConfig("tol must be > 0, max_sweeps >= 1, folds >= 2")
-
-
-@dataclass
-class ClusteringConfig:
-    k: Any = 3  # cluster count, or "auto" for the elbow suggestion
-    k_range: tuple[int, int] = (1, 6)
-    pca_variance: float | None = 0.9
-    pca_dim: int | None = None
-    batch_size: int = 256
-    max_iters: int = 200
-    n_init: int = 10
-
-    def __post_init__(self) -> None:
-        self.k_range = (int(self.k_range[0]), int(self.k_range[1]))
-        if self.k != "auto":
-            self.k = int(self.k)
-            if self.k < 1:
-                raise InvalidConfig(f"k must be >= 1 or 'auto', got {self.k}")
-        if self.pca_variance is not None and not 0.0 < self.pca_variance <= 1.0:
-            raise InvalidConfig(f"pca_variance must be in (0, 1], got {self.pca_variance}")
-        if self.batch_size < 1 or self.max_iters < 1 or self.n_init < 1:
-            raise InvalidConfig("batch_size, max_iters and n_init must be >= 1")
 
 
 @dataclass
@@ -134,8 +90,7 @@ class PipelineConfig:
     input: str | None = None
     output_dir: str | None = None
     seed: int = 0
-    standardize: bool = True
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    synth: GeneratorConfig = field(default_factory=GeneratorConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     glasso: GlassoConfig = field(default_factory=GlassoConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
@@ -151,7 +106,7 @@ class PipelineConfig:
             raise InvalidConfig(f"config root must be an object, got {type(data).__name__}")
         data = dict(data)
         sections = {
-            "synth": SynthConfig,
+            "synth": GeneratorConfig,
             "features": FeatureConfig,
             "glasso": GlassoConfig,
             "clustering": ClusteringConfig,
@@ -166,7 +121,7 @@ class PipelineConfig:
                     raise InvalidConfig(f"section {name!r} must be an object")
                 try:
                     kwargs[name] = _from_mapping(section_cls, raw, name)
-                except TypeError as exc:
+                except (TypeError, ValueError) as exc:
                     raise InvalidConfig(f"bad {name} section: {exc}") from None
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known

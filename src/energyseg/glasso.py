@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DegenerateColumn,
+    InvalidConfig,
     NonFiniteValue,
     NotStandardized,
     TooFewRows,
@@ -106,19 +107,22 @@ class GraphEstimate:
 
 
 @dataclass
-class GlassoOptions:
+class GlassoConfig:
+    """Settings for :func:`graphical_lasso`; the ``glasso`` config section."""
+
     symmetrization: str = "OR"  # "OR" | "AND"
     tol: float = 1e-6
     max_sweeps: int = 1000
     folds: int = 5
     selection: str = "one_se"  # "min" | "one_se"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.symmetrization not in ("OR", "AND"):
-            raise ValueError(f"symmetrization must be OR or AND, got {self.symmetrization!r}")
+            raise InvalidConfig(f"symmetrization must be OR or AND, got {self.symmetrization!r}")
         if self.selection not in ("min", "one_se"):
-            raise ValueError(f"selection must be min or one_se, got {self.selection!r}")
+            raise InvalidConfig(f"selection must be min or one_se, got {self.selection!r}")
+        if self.tol <= 0 or self.max_sweeps < 1 or self.folds < 2:
+            raise InvalidConfig("tol must be > 0, max_sweeps >= 1, folds >= 2")
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -417,7 +421,7 @@ def cross_validate(
 
 
 def _fit_vertex(
-    matrix: FeatureMatrix, gram: np.ndarray, s: int, options: GlassoOptions
+    matrix: FeatureMatrix, gram: np.ndarray, s: int, config: GlassoConfig, seed: int
 ) -> tuple[NeighborhoodFit, float, str | None]:
     n, p = matrix.values.shape
     others = tuple(j for j in range(p) if j != s)
@@ -439,11 +443,11 @@ def _fit_vertex(
         matrix,
         s,
         grid,
-        folds=options.folds,
-        tol=options.tol,
-        max_sweeps=options.max_sweeps,
-        seed=options.seed,
-        rule=options.selection,
+        folds=config.folds,
+        tol=config.tol,
+        max_sweeps=config.max_sweeps,
+        seed=seed,
+        rule=config.selection,
         gram=gram,
     )
     # warm-start down the grid to the selected λ for a well-conditioned fit;
@@ -451,7 +455,7 @@ def _fit_vertex(
     beta = None
     for lam in grid.values[: cv.best_index + 1]:
         beta, loss, sweeps, converged, path = _gram_descent(
-            system, lam, options.tol, options.max_sweeps, beta0=beta
+            system, lam, config.tol, config.max_sweeps, beta0=beta
         )
     fit = NeighborhoodFit(
         vertex=s,
@@ -466,9 +470,14 @@ def _fit_vertex(
     return fit, cv.best_lambda, None
 
 
-def graphical_lasso(matrix: FeatureMatrix, options: GlassoOptions | None = None) -> GraphEstimate:
-    """Estimate the dependency graph over the matrix's columns."""
-    options = options or GlassoOptions()
+def graphical_lasso(
+    matrix: FeatureMatrix, config: GlassoConfig | None = None, seed: int = 0
+) -> GraphEstimate:
+    """Estimate the dependency graph over the matrix's columns.
+
+    ``seed`` derives each vertex's cross-validation fold shuffle.
+    """
+    config = config or GlassoConfig()
     if not matrix.standardized:
         matrix = standardize(matrix)
     _check_finite(matrix.values)
@@ -479,7 +488,7 @@ def graphical_lasso(matrix: FeatureMatrix, options: GlassoOptions | None = None)
         raise TooFewRows(f"need at least 2 rows, got {n}")
 
     gram = matrix.values.T @ matrix.values
-    results = [_fit_vertex(matrix, gram, s, options) for s in range(p)]
+    results = [_fit_vertex(matrix, gram, s, config, seed) for s in range(p)]
 
     fits = [r[0] for r in results]
     lambdas = tuple(r[1] for r in results)
@@ -495,7 +504,7 @@ def graphical_lasso(matrix: FeatureMatrix, options: GlassoOptions | None = None)
     for a in range(p):
         for b in range(a + 1, p):
             ab, ba = coef[a, b], coef[b, a]
-            if options.symmetrization == "OR":
+            if config.symmetrization == "OR":
                 present = ab != 0.0 or ba != 0.0
                 strength = ab if abs(ab) >= abs(ba) else ba
             else:
@@ -510,8 +519,8 @@ def graphical_lasso(matrix: FeatureMatrix, options: GlassoOptions | None = None)
         per_vertex_fits=fits,
         partial_correlations=partial,
         lambda_per_vertex=lambdas,
-        symmetrization=options.symmetrization,
-        seed=options.seed,
+        symmetrization=config.symmetrization,
+        seed=seed,
         warnings=notes,
     )
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping
 
 from .errors import EmptyTable, MissingColumn, NonPositiveBaseline, ParseError
 
@@ -34,8 +34,6 @@ RESOURCES: tuple[ResourceKind, ...] = (
     ResourceKind.FAN,
     ResourceKind.AC,
 )
-
-_RESOURCE_INDEX = {r: i for i, r in enumerate(RESOURCES)}
 
 FLAG_NAMES: tuple[str, ...] = (
     "is_weekend",
@@ -62,8 +60,7 @@ class OccupantRecord:
     """One per-minute observation of a single player.
 
     ``statuses``, ``usage_today`` and ``baselines`` are indexed in
-    ``RESOURCES`` order; use :meth:`status` / :meth:`usage` / :meth:`baseline`
-    to address them by :class:`ResourceKind`.
+    ``RESOURCES`` order.
     """
 
     timestamp: datetime
@@ -84,15 +81,6 @@ class OccupantRecord:
     is_break: int
     is_midterm: int
     is_final: int
-
-    def status(self, resource: ResourceKind) -> int:
-        return self.statuses[_RESOURCE_INDEX[resource]]
-
-    def usage(self, resource: ResourceKind) -> float:
-        return self.usage_today[_RESOURCE_INDEX[resource]]
-
-    def baseline(self, resource: ResourceKind) -> float:
-        return self.baselines[_RESOURCE_INDEX[resource]]
 
     def day_key(self) -> str:
         return self.timestamp.date().isoformat()
@@ -119,25 +107,6 @@ class DatasetTable:
         for rec in self.records:
             seen.setdefault(rec.player_id, None)
         return list(seen)
-
-    def iter_player_days(self) -> Iterator[tuple[str, str, list[OccupantRecord]]]:
-        """Yield (player_id, day, records) groups in table order."""
-        group: list[OccupantRecord] = []
-        key: tuple[str, str] | None = None
-        for rec in self.records:
-            rec_key = (rec.player_id, rec.day_key())
-            if rec_key != key:
-                if group:
-                    yield key[0], key[1], group
-                group = []
-                key = rec_key
-            group.append(rec)
-        if group:
-            yield key[0], key[1], group
-
-    def filter(self, predicate) -> "DatasetTable":
-        """New table with records passing ``predicate``; order preserved."""
-        return DatasetTable([r for r in self.records if predicate(r)])
 
 
 def compute_points(baseline: float, usage: float, booster: float = 1.0,

