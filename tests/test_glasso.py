@@ -12,6 +12,7 @@ from helpers import chain_sample, fm, kkt_violation, std_fm
 import energyseg.glasso as glasso_mod
 from energyseg.errors import (
     DegenerateColumn,
+    InvalidConfig,
     NonFiniteValue,
     NotStandardized,
     TooFewRows,
@@ -315,6 +316,12 @@ class TestGraphicalLasso:
         for fit in graph.per_vertex_fits:
             direct = fit_neighborhood(matrix, fit.vertex, fit.lam, tol=tol)
             assert np.abs(fit.beta - direct.beta).max() <= 1e-6
+
+    def test_options_validation(self):
+        with pytest.raises(InvalidConfig):
+            GlassoConfig(symmetrization="XOR")
+        with pytest.raises(InvalidConfig):
+            GlassoConfig(selection="best")
 
 
 
