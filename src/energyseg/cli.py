@@ -72,7 +72,7 @@ def effective_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge the config file (if any) with command-line overrides."""
     config = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)  # replace() re-runs validation
     if getattr(args, "input", None):
         config.input = args.input
     if args.out:

@@ -65,6 +65,8 @@ class ClusteringConfig:
     def __post_init__(self) -> None:
         k_lo, k_hi = self.k_range
         self.k_range = (int(k_lo), int(k_hi))
+        if self.k_range[0] > self.k_range[1]:
+            raise InvalidConfig(f"k_range must be [low, high] with low <= high, got {self.k_range}")
         if self.k != "auto":
             self.k = int(self.k)
             if self.k < 1:

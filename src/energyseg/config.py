@@ -97,6 +97,10 @@ class PipelineConfig:
     segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
     causality: CausalityConfig = field(default_factory=CausalityConfig)
 
+    def __post_init__(self) -> None:
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed!r}")
+
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 

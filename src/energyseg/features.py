@@ -100,39 +100,20 @@ class FeatureMatrix:
             raise UnknownFeatureName(f"no column named {name!r}") from None
 
 
-def raw_columns(table: DatasetTable) -> dict[str, np.ndarray]:
-    """Columnar view of a table's per-minute fields (cached on the table)."""
-    cache = table._column_cache
-    if "player_id" in cache:
-        return cache
-    n = len(table.records)
-    cols: dict[str, list] = {name: [] for name in MINUTE_FEATURES}
-    players: list[str] = []
-    days: list[str] = []
-    for rec in table.records:
-        players.append(rec.player_id)
-        days.append(rec.day_key())
-        for i, r in enumerate(RESOURCES):
-            cols[f"status_{r.value}"].append(rec.statuses[i])
-        cols["humidity"].append(rec.humidity)
-        cols["temperature"].append(rec.temperature)
-        cols["solar_radiation"].append(rec.solar_radiation)
-        for name in FLAG_NAMES:
-            cols[name].append(getattr(rec, name))
-        cols["portal_visits"].append(rec.portal_visits)
-        cols["points_total"].append(rec.points_total)
-        cols["rank"].append(rec.rank)
-    cache["player_id"] = players
-    cache["day"] = days
-    for name, values in cols.items():
-        cache[name] = np.asarray(values, dtype=np.float64)
-    # contiguous (player, day) group start offsets; table is sorted
-    starts = [0]
-    for i in range(1, n):
-        if players[i] != players[i - 1] or days[i] != days[i - 1]:
-            starts.append(i)
-    cache["_group_starts"] = np.asarray(starts, dtype=np.intp)
-    return cache
+def raw_columns(table: DatasetTable) -> dict:
+    """Columnar view of a table's per-minute fields, as float64 arrays.
+
+    Also holds each row's ``player_id`` and ISO ``day`` (lists) and
+    ``_group_starts``, the start offset of each (player, day) run of rows.
+    """
+    cols: dict = {name: table.columns[name].astype(np.float64) for name in MINUTE_FEATURES}
+    day_keys, day_codes = table.day_codes()
+    cols["player_id"] = table.row_players()
+    cols["day"] = [day_keys[c] for c in day_codes.tolist()]
+    # the table is sorted, so each (player, day) is one contiguous run
+    new_run = (np.diff(table.player_codes) != 0) | (np.diff(day_codes) != 0)
+    cols["_group_starts"] = np.concatenate(([0], np.flatnonzero(new_run) + 1)).astype(np.intp)
+    return cols
 
 
 def _group_slices(cache: dict) -> list[slice]:
@@ -142,18 +123,14 @@ def _group_slices(cache: dict) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
 
 
-def _daily_pooled(cache: dict, slices: list[slice]) -> dict[str, np.ndarray]:
+def _daily_pooled(cache: dict, starts: np.ndarray, counts: np.ndarray) -> dict[str, np.ndarray]:
     pooled: dict[str, np.ndarray] = {}
     for r in RESOURCES:
         status = cache[f"status_{r.value}"]
-        switches = np.empty(len(slices))
-        usage_pct = np.empty(len(slices))
-        for g, sl in enumerate(slices):
-            day_status = status[sl]
-            switches[g] = np.count_nonzero(np.diff(day_status)) if day_status.size > 1 else 0.0
-            usage_pct[g] = day_status.mean()
-        pooled[f"switch_freq_{r.value}"] = switches
-        pooled[f"usage_pct_{r.value}"] = usage_pct
+        switches_before = np.concatenate(([0], np.cumsum(np.diff(status) != 0)))  # up to each row
+        switches = switches_before[starts + counts - 1] - switches_before[starts]
+        pooled[f"switch_freq_{r.value}"] = switches.astype(np.float64)
+        pooled[f"usage_pct_{r.value}"] = np.add.reduceat(status, starts) / counts
     return pooled
 
 
@@ -163,15 +140,15 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
     Daily granularity yields one row per (player, day); minute granularity
     one row per record. Column order follows ``spec.features``.
     """
-    if not table.records:
+    if not len(table):
         raise EmptyTable("cannot pool features from an empty table")
     cache = raw_columns(table)
     slices = _group_slices(cache)
     need_pooled = any(f in DAILY_POOLED_FEATURES for f in spec.features)
-    pooled = _daily_pooled(cache, slices) if need_pooled else {}
+    counts = np.asarray([sl.stop - sl.start for sl in slices])
+    pooled = _daily_pooled(cache, cache["_group_starts"], counts) if need_pooled else {}
 
     if spec.granularity == "daily":
-        counts = np.asarray([sl.stop - sl.start for sl in slices], dtype=np.float64)
         columns = []
         for name in spec.features:
             if name in DAILY_POOLED_FEATURES:
@@ -183,14 +160,10 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
         row_players = tuple(cache["player_id"][sl.start] for sl in slices)
         row_days = tuple(cache["day"][sl.start] for sl in slices)
     else:
-        n = len(table.records)
         columns = []
         for name in spec.features:
             if name in DAILY_POOLED_FEATURES:
-                broadcast = np.empty(n)
-                for g, sl in enumerate(slices):
-                    broadcast[sl] = pooled[name][g]
-                columns.append(broadcast)
+                columns.append(np.repeat(pooled[name], counts))
             else:
                 columns.append(cache[name])
         row_players = tuple(cache["player_id"])

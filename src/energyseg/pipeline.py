@@ -137,7 +137,7 @@ def run_synth(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, Stage
         table = generate_synthetic(config.synth, config.seed)
         emit_csv(table, os.path.join(out_dir, DATASET_FILE))
         stage.summary = {
-            "players": len(table.players()),
+            "players": len(table.player_ids),
             "days": config.synth.n_days,
             "records": len(table),
         }
@@ -149,12 +149,12 @@ def run_ingest(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, Stag
     """Validate an input CSV and write its normalized copy plus a summary."""
     with _stage("ingest", config) as (stage, table):
         emit_csv(table, os.path.join(out_dir, DATASET_FILE))
-        days = sorted({rec.day_key() for rec in table.records})
         stage.summary = {
             "records": len(table),
-            "players": len(table.players()),
-            "days": len(days),
+            "players": len(table.player_ids),
+            "days": len(table.day_codes()[0]),
             "dropped_rows": table.dropped_rows,
+            "dropped_by_reason": table.dropped_by_reason,
         }
         _write_json(os.path.join(out_dir, "ingest.json"), stage.summary)
         stage.files = [DATASET_FILE, "ingest.json"]

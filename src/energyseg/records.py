@@ -10,13 +10,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from enum import Enum
-from typing import Mapping
+from itertools import islice
+from operator import attrgetter, itemgetter
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import EmptyTable, MissingColumn, NonPositiveBaseline, ParseError
-
-SCHEMA_VERSION = 1
 
 
 class ResourceKind(Enum):
@@ -45,14 +47,43 @@ FLAG_NAMES: tuple[str, ...] = (
     "is_final",
 )
 
+STATUS_COLUMNS = tuple(f"status_{r.value}" for r in RESOURCES)
+USAGE_COLUMNS = tuple(f"usage_{r.value}" for r in RESOURCES)
+BASELINE_COLUMNS = tuple(f"baseline_{r.value}" for r in RESOURCES)
+
 CSV_COLUMNS: tuple[str, ...] = (
     ("timestamp", "player_id")
-    + tuple(f"status_{r.value}" for r in RESOURCES)
-    + tuple(f"usage_{r.value}" for r in RESOURCES)
-    + tuple(f"baseline_{r.value}" for r in RESOURCES)
+    + STATUS_COLUMNS
+    + USAGE_COLUMNS
+    + BASELINE_COLUMNS
     + ("points_total", "rank", "portal_visits", "humidity", "temperature", "solar_radiation")
     + FLAG_NAMES
 )
+
+# every CSV field but timestamp and player_id: one array each in a table
+FIELD_COLUMNS: tuple[str, ...] = CSV_COLUMNS[2:]
+INT_COLUMNS: frozenset[str] = frozenset(
+    STATUS_COLUMNS + ("rank", "portal_visits") + FLAG_NAMES
+)
+
+# Why ingest leaves a row out. A row is counted once, under the first reason
+# in this order that applies to it.
+DROP_REASONS: tuple[str, ...] = (
+    "unparsable",  # a cell is missing or does not parse as its type
+    "timestamp_offset",  # the timestamp carries a UTC offset
+    "non_finite",  # nan or inf in a float field
+    "bad_binary",  # a status or flag other than 0/1
+    "usage_out_of_range",  # usage outside [0, minutes elapsed that day]
+    "non_positive_baseline",
+    "bad_rank",  # rank below 1
+    "negative_portal_visits",
+    "duplicate_key",  # same player and timestamp as an earlier row
+    "timestamp_truncated",  # its seconds truncate onto an earlier row's minute
+)
+
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+_BLOCK_ROWS = 8192  # rows parsed or written per block, bounding the Python objects held
 
 
 @dataclass(slots=True, frozen=True)
@@ -82,31 +113,88 @@ class OccupantRecord:
     is_midterm: int
     is_final: int
 
-    def day_key(self) -> str:
-        return self.timestamp.date().isoformat()
+
+# OccupantRecord's fields after the resource tuples, in CSV order
+_RECORD_SCALARS = attrgetter(*FIELD_COLUMNS[12:])
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetTable:
-    """Ordered, deduplicated collection of occupant records.
+    """Per-minute occupant rows, stored by column.
 
-    Records are sorted by (player_id, timestamp) and unique on that pair.
+    Rows are sorted by (player, timestamp). ``player_ids`` is sorted and
+    ``player_codes`` indexes it per row; ``timestamps`` are
+    ``datetime64[m]``; ``columns`` holds one array per ``FIELD_COLUMNS``
+    name, int64 for those in ``INT_COLUMNS`` and float64 for the rest.
+    ``dropped_by_reason`` counts the rows ingest left out, per
+    ``DROP_REASONS`` entry.
     """
 
-    records: list[OccupantRecord]
-    schema_version: int = SCHEMA_VERSION
-    dropped_rows: int = 0
-    # populated lazily by features.raw_columns()
-    _column_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    player_ids: tuple[str, ...]
+    player_codes: np.ndarray
+    timestamps: np.ndarray
+    columns: dict[str, np.ndarray]
+    dropped_by_reason: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(DROP_REASONS, 0)
+    )
+
+    @classmethod
+    def from_records(cls, rows: Iterable[OccupantRecord]) -> "DatasetTable":
+        """A table of ``rows``, stably sorted by (player, timestamp)."""
+        rows = sorted(rows, key=lambda r: (r.player_id, r.timestamp))
+        player_ids = tuple(sorted({r.player_id for r in rows}))
+        code = {p: i for i, p in enumerate(player_ids)}
+        values = list(
+            zip(*((*r.statuses, *r.usage_today, *r.baselines, *_RECORD_SCALARS(r)) for r in rows))
+        ) or [()] * len(FIELD_COLUMNS)
+        return cls(
+            player_ids=player_ids,
+            player_codes=np.array([code[r.player_id] for r in rows], dtype=np.intp),
+            timestamps=np.array([r.timestamp for r in rows], dtype="datetime64[m]"),
+            columns={
+                name: np.array(col, dtype=np.int64 if name in INT_COLUMNS else np.float64)
+                for name, col in zip(FIELD_COLUMNS, values)
+            },
+        )
+
+    @property
+    def records(self) -> list[OccupantRecord]:
+        """The rows as :class:`OccupantRecord` objects, built on each access."""
+        cols = [self.columns[name].tolist() for name in FIELD_COLUMNS]
+        return [
+            OccupantRecord(ts, player, tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12]), *v[12:])
+            for ts, player, *v in zip(self.timestamps.tolist(), self.row_players(), *cols)
+        ]
+
+    @property
+    def dropped_rows(self) -> int:
+        return sum(self.dropped_by_reason.values())
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.timestamps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DatasetTable):
+            return NotImplemented
+        return (
+            self.player_ids == other.player_ids
+            and np.array_equal(self.player_codes, other.player_codes)
+            and np.array_equal(self.timestamps, other.timestamps)
+            and all(np.array_equal(self.columns[n], other.columns[n]) for n in FIELD_COLUMNS)
+            and self.dropped_by_reason == other.dropped_by_reason
+        )
 
     def players(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.player_id, None)
-        return list(seen)
+        return list(self.player_ids)
+
+    def row_players(self, rows: slice = slice(None)) -> list[str]:
+        """The player id of each row, or of each row in ``rows``."""
+        return np.asarray(self.player_ids, dtype=object)[self.player_codes[rows]].tolist()
+
+    def day_codes(self) -> tuple[list[str], np.ndarray]:
+        """The ISO dates present, sorted, and each row's index into them."""
+        days, codes = np.unique(self.timestamps.astype("datetime64[D]"), return_inverse=True)
+        return [str(d) for d in days], codes
 
 
 def compute_points(baseline: float, usage: float, booster: float = 1.0,
@@ -125,51 +213,35 @@ def compute_points(baseline: float, usage: float, booster: float = 1.0,
     return points
 
 
-def _parse_timestamp(raw: str) -> datetime:
+class _TimestampOffset(ValueError):
+    pass
+
+
+def _epoch_microseconds(raw: str) -> int:
     ts = datetime.fromisoformat(raw)
-    return ts.replace(second=0, microsecond=0)
+    if ts.tzinfo is not None:
+        raise _TimestampOffset(raw)
+    return (ts - _EPOCH) // _MICROSECOND
 
 
-def _parse_binary(raw: str) -> int:
-    value = int(raw)
-    if value not in (0, 1):
-        raise ValueError(f"expected 0/1, got {raw!r}")
-    return value
+def _parse_cells(cells, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The cells passed through ``convert``, and a mask of the cells it rejects.
 
-
-def _record_from_row(row: Mapping[str, str]) -> OccupantRecord:
-    timestamp = _parse_timestamp(row["timestamp"])
-    statuses = tuple(_parse_binary(row[f"status_{r.value}"]) for r in RESOURCES)
-    usage = tuple(float(row[f"usage_{r.value}"]) for r in RESOURCES)
-    baselines = tuple(float(row[f"baseline_{r.value}"]) for r in RESOURCES)
-    minutes_elapsed = timestamp.hour * 60 + timestamp.minute + 1
-    for u in usage:
-        if u < 0 or u > minutes_elapsed:
-            raise ValueError(f"usage {u} outside [0, {minutes_elapsed}]")
-    for b in baselines:
-        if b <= 0:
-            raise ValueError(f"baseline {b} not positive")
-    rank = int(row["rank"])
-    if rank < 1:
-        raise ValueError(f"rank {rank} < 1")
-    portal_visits = int(row["portal_visits"])
-    if portal_visits < 0:
-        raise ValueError(f"portal_visits {portal_visits} < 0")
-    flags = {name: _parse_binary(row[name]) for name in FLAG_NAMES}
-    return OccupantRecord(
-        timestamp=timestamp,
-        player_id=row["player_id"],
-        statuses=statuses,
-        usage_today=usage,
-        baselines=baselines,
-        points_total=float(row["points_total"]),
-        rank=rank,
-        portal_visits=portal_visits,
-        humidity=float(row["humidity"]),
-        temperature=float(row["temperature"]),
-        solar_radiation=float(row["solar_radiation"]),
-        **flags,
-    )
+    The mask holds 1 for a cell that does not parse and 2 for a timestamp
+    with a UTC offset.
+    """
+    try:
+        return np.fromiter(map(convert, cells), dtype, len(cells)), np.zeros(len(cells), np.int8)
+    except (ValueError, OverflowError):
+        values, rejected = np.zeros(len(cells), dtype), np.zeros(len(cells), np.int8)
+        for i, cell in enumerate(cells):
+            try:
+                values[i] = convert(cell)
+            except _TimestampOffset:
+                rejected[i] = 2
+            except (ValueError, OverflowError):
+                rejected[i] = 1
+        return values, rejected
 
 
 def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
@@ -183,84 +255,118 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
         Optional mapping from canonical column names to the header names used
         in the source file. Identity for the canonical schema.
 
-    Malformed rows are skipped and counted in ``dropped_rows``; duplicate
-    (player, timestamp) rows keep the first occurrence. Raises
-    :class:`MissingColumn` when a required header is absent and
-    :class:`ParseError` when more than half the data rows are malformed.
+    Malformed rows are skipped and counted in ``dropped_by_reason`` (see
+    ``DROP_REASONS``); duplicate (player, minute) rows keep the first
+    occurrence in the file. Raises :class:`MissingColumn` when a required
+    header is absent and :class:`ParseError` when more than half the data
+    rows are dropped.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return ingest_csv(handle, schema)
-    if isinstance(source, io.RawIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
+    if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8")
 
-    reader = csv.DictReader(source)
-    header = reader.fieldnames or []
-    mapping = {name: (schema or {}).get(name, name) for name in CSV_COLUMNS}
-    missing = [src for src in mapping.values() if src not in header]
+    reader = csv.reader(source)
+    header = next(reader, [])
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    sources = [(schema or {}).get(name, name) for name in CSV_COLUMNS]
+    missing = [src for src in sources if src not in position]
     if missing:
         raise MissingColumn(f"missing columns in header: {missing}")
+    index = [position[src] for src in sources]
+    pick = itemgetter(*index)
+    width = max(index) + 1
+    blank = ("",) * len(index)  # a short row: every cell fails to parse
 
-    records: dict[tuple[str, datetime], OccupantRecord] = {}
-    dropped = 0
-    total = 0
-    for raw_row in reader:
-        total += 1
-        try:
-            row = {canonical: raw_row[src] for canonical, src in mapping.items()}
-            rec = _record_from_row(row)
-        except (ValueError, TypeError, KeyError):
-            dropped += 1
-            continue
-        key = (rec.player_id, rec.timestamp)
-        if key in records:
-            dropped += 1
-            continue
-        records[key] = rec
+    player_index: dict[str, int] = {}
+    converters = [
+        (_epoch_microseconds, np.int64),
+        (lambda p: player_index.setdefault(p, len(player_index)), np.intp),
+    ] + [(int, np.int64) if name in INT_COLUMNS else (float, np.float64) for name in FIELD_COLUMNS]
+    blocks = []
+    while chunk := list(islice(reader, _BLOCK_ROWS)):
+        cells = [pick(row) if len(row) >= width else blank for row in chunk if row]
+        if cells:
+            blocks.append([_parse_cells(col, *conv) for col, conv in zip(zip(*cells), converters)])
+    blocks = blocks or [[_parse_cells((), *conv) for conv in converters]]
+    values, rejected = zip(*(map(np.concatenate, zip(*column)) for column in zip(*blocks)))
+    del blocks  # frees the per-block arrays before the kept rows are copied out
+    stamps, player, *fields = values
+    minutes, sub_minute = np.divmod(stamps, 60_000_000)
+    columns = dict(zip(FIELD_COLUMNS, fields))
+
+    # first failed rule per row, in DROP_REASONS order; len(DROP_REASONS) = kept
+    floats = [columns[name] for name in FIELD_COLUMNS if name not in INT_COLUMNS]
+    elapsed = minutes % 1440 + 1
+    checks = (
+        np.logical_or.reduce([r == 1 for r in rejected]),
+        rejected[0] == 2,
+        np.logical_or.reduce([~np.isfinite(col) for col in floats]),
+        np.logical_or.reduce(
+            [(columns[n] != 0) & (columns[n] != 1) for n in STATUS_COLUMNS + FLAG_NAMES]
+        ),
+        np.logical_or.reduce([(columns[n] < 0) | (columns[n] > elapsed) for n in USAGE_COLUMNS]),
+        np.logical_or.reduce([columns[n] <= 0 for n in BASELINE_COLUMNS]),
+        columns["rank"] < 1,
+        columns["portal_visits"] < 0,
+    )
+    kept_code = len(DROP_REASONS)
+    reason = np.select(checks, list(range(len(checks))), default=kept_code)
+
+    # stable sort of the valid rows by (player, minute): the first in the file
+    # of each key is kept, and a later one is a duplicate when its timestamp
+    # is the same instant, a truncation onto that minute otherwise
+    names = sorted(player_index)
+    name_order = np.argsort([player_index[name] for name in names])  # code -> position
+    valid = np.flatnonzero(reason == kept_code)
+    rows = valid[np.lexsort((minutes[valid], name_order[player[valid]]))]  # a stable sort
+    row_player = name_order[player[rows]]
+    repeat = np.zeros(len(rows), bool)
+    repeat[1:] = (row_player[1:] == row_player[:-1]) & (minutes[rows[1:]] == minutes[rows[:-1]])
+    first = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(rows))))
+    same_instant = sub_minute[rows] == sub_minute[rows[first]]
+    reason[rows[repeat & same_instant]] = DROP_REASONS.index("duplicate_key")
+    reason[rows[repeat & ~same_instant]] = DROP_REASONS.index("timestamp_truncated")
+    kept = rows[~repeat]
+
+    total = len(reason)
+    dropped = total - len(kept)
     if total > 0 and dropped > total / 2:
         raise ParseError(f"{dropped} of {total} rows malformed")
-
-    ordered = sorted(records.values(), key=lambda r: (r.player_id, r.timestamp))
-    return DatasetTable(ordered, dropped_rows=dropped)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _record_to_row(rec: OccupantRecord) -> list[str]:
-    row = [rec.timestamp.isoformat(timespec="minutes"), rec.player_id]
-    row += [str(s) for s in rec.statuses]
-    row += [_format_value(u) for u in rec.usage_today]
-    row += [_format_value(b) for b in rec.baselines]
-    row += [
-        _format_value(rec.points_total),
-        str(rec.rank),
-        str(rec.portal_visits),
-        _format_value(rec.humidity),
-        _format_value(rec.temperature),
-        _format_value(rec.solar_radiation),
-    ]
-    row += [str(getattr(rec, name)) for name in FLAG_NAMES]
-    return row
+    counts = np.bincount(reason, minlength=kept_code + 1)
+    present, player_codes = np.unique(row_player[~repeat], return_inverse=True)
+    return DatasetTable(
+        player_ids=tuple(names[i] for i in present),
+        player_codes=player_codes.astype(np.intp),
+        timestamps=minutes[kept].astype("datetime64[m]"),
+        columns={name: col[kept] for name, col in columns.items()},
+        dropped_by_reason=dict(zip(DROP_REASONS, counts[:kept_code].tolist())),
+    )
 
 
 def emit_csv(table: DatasetTable, sink) -> None:
-    """Write ``table`` in the canonical CSV schema (round-trips ingest_csv)."""
+    """Write ``table`` in the canonical CSV schema (round-trips ingest_csv).
+
+    Float cells are the ``repr`` of Python floats, int cells their ``str``.
+    """
     if isinstance(sink, (str, bytes)):
         with open(sink, "w", encoding="utf-8", newline="") as handle:
             emit_csv(table, handle)
             return
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in table.records:
-        writer.writerow(_record_to_row(rec))
+    for start in range(0, len(table), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        writer.writerows(
+            zip(
+                np.datetime_as_string(table.timestamps[rows], unit="m").tolist(),
+                table.row_players(rows),
+                *(table.columns[name][rows].tolist() for name in FIELD_COLUMNS),
+            )
+        )
 
 
 def require_nonempty(table: DatasetTable) -> None:
-    if not table.records:
+    if not len(table):
         raise EmptyTable("dataset contains no records")

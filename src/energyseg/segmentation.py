@@ -27,7 +27,7 @@ from .errors import (
     TooFewRows,
     ZeroMatrix,
 )
-from .features import FeatureMatrix, raw_columns
+from .features import FeatureMatrix
 from .records import DatasetTable
 
 
@@ -91,27 +91,24 @@ def assign_classes(
 
     Ties in the band counts resolve toward the more efficient class.
     """
-    if not table.records:
+    if not len(table):
         raise EmptyTable("cannot assign classes on an empty table")
-    cache = raw_columns(table)
-    ranks = cache["rank"]
-    if not np.isfinite(ranks).all() or (ranks < 1).any():
+    ranks = table.columns["rank"]
+    if (ranks < 1).any():
         raise MissingRank("every record needs a rank >= 1")
     bands = make_rank_bands(int(ranks.min()), int(ranks.max()), invert_rank)
 
     # vectorized band id per record: 2=High, 1=Medium, 0=Low
-    r = ranks.astype(np.int64)
-    if invert_rank:
-        r = bands.rank_min + bands.rank_max - r
+    r = bands.rank_min + bands.rank_max - ranks if invert_rank else ranks
     band = np.where(r <= bands.boundaries[0], 2, np.where(r <= bands.boundaries[1], 1, 0))
 
-    players = np.asarray(cache["player_id"])
+    counts = np.bincount(
+        table.player_codes * 3 + band, minlength=3 * len(table.player_ids)
+    ).reshape(-1, 3)
     result: dict[str, ClassLabel] = {}
-    for player in dict.fromkeys(cache["player_id"]):
-        counts = np.bincount(band[players == player], minlength=3)
+    for player, (low, medium, high) in zip(table.player_ids, counts.tolist()):
         # argmax with ties toward the more efficient class
-        best = max((counts[2], 2), (counts[1], 1), (counts[0], 0))[1]
-        result[player] = ClassLabel(best)
+        result[player] = ClassLabel(max((high, 2), (medium, 1), (low, 0))[1])
     return result, bands
 
 

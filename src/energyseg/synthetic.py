@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .records import RESOURCES, DatasetTable, OccupantRecord, compute_points
+from .records import FLAG_NAMES, FIELD_COLUMNS, RESOURCES, DatasetTable, compute_points
 
 MINUTES_PER_DAY = 1440
 
@@ -329,17 +329,20 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> DatasetTable:
     statuses = np.empty((n_players, 4, T), dtype=np.int8)
     baselines = np.empty((n_players, 4))
     portal = np.empty((n_players, T), dtype=np.int64)
-    for i, (_, class_name) in enumerate(roster):
+    # rows are sorted by player id; each player's stream is seeded by its roster index
+    order = sorted(range(n_players), key=lambda i: roster[i][0])
+    for row, i in enumerate(order):
+        class_name = roster[i][1]
         rng = np.random.default_rng([seed, 1 + i])
         jm = 1.0 + config.behavior_jitter * (2.0 * rng.random() - 1.0)
-        baselines[i] = np.asarray(_BASE_BASELINES) * (
+        baselines[row] = np.asarray(_BASE_BASELINES) * (
             1.0 + _BASELINE_JITTER * (2.0 * rng.random(4) - 1.0)
         )
         if class_name == "low":
-            statuses[i] = _simulate_low(z_lag, w_lag, cal, exam_lag, jm, rng)
+            statuses[row] = _simulate_low(z_lag, w_lag, cal, exam_lag, jm, rng)
         else:
-            statuses[i] = _simulate_presence(class_name, z_lag, cal, exam_lag, jm, rng)
-        portal[i] = (rng.random(T) < _PORTAL_RATES[class_name] / MINUTES_PER_DAY).astype(np.int64)
+            statuses[row] = _simulate_presence(class_name, z_lag, cal, exam_lag, jm, rng)
+        portal[row] = (rng.random(T) < _PORTAL_RATES[class_name] / MINUTES_PER_DAY).astype(np.int64)
 
     # per-day usage, points via the proportional under-usage formula, ranks
     per_day = statuses.reshape(n_players, 4, n_days, MINUTES_PER_DAY)
@@ -367,111 +370,25 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> DatasetTable:
         col = prior_total[:, d]
         ranks[:, d] = 1 + (col[None, :] > col[:, None] + 0.0).sum(axis=1)
 
-    # table rows must come out sorted by (player_id, timestamp)
-    order = sorted(range(n_players), key=lambda i: roster[i][0])
-    roster = [roster[i] for i in order]
-    statuses = statuses[order]
-    baselines = baselines[order]
-    portal = portal[order]
-    usage_cum = usage_cum[order]
-    prior_total = prior_total[order]
-    ranks = ranks[order]
-
-    day_dates = [_START_DATE + dt.timedelta(days=d) for d in range(n_days)]
-    day_keys = [d.isoformat() for d in day_dates]
-    minute_ts = [
-        dt.time(m // 60, m % 60) for m in range(MINUTES_PER_DAY)
-    ]
-
-    records: list[OccupantRecord] = []
-    flag_arrays = (
-        cal.weekend,
-        cal.morning,
-        cal.afternoon,
-        cal.evening,
-        cal.is_break,
-        cal.midterm,
-        cal.final,
+    # rows run by player, then minute, so each array flattens in row order
+    columns = {}
+    for r, resource in enumerate(RESOURCES):
+        columns[f"status_{resource.value}"] = statuses[:, r, :].reshape(-1).astype(np.int64)
+        columns[f"usage_{resource.value}"] = usage_cum[:, r].reshape(-1).astype(np.float64)
+        columns[f"baseline_{resource.value}"] = np.repeat(baselines[:, r], T)
+    columns["points_total"] = np.repeat(prior_total.reshape(-1), MINUTES_PER_DAY)
+    columns["rank"] = np.repeat(ranks.reshape(-1), MINUTES_PER_DAY)
+    columns["portal_visits"] = portal.reshape(-1)
+    columns["humidity"] = np.tile(humidity, n_players)
+    columns["temperature"] = np.tile(temperature, n_players)
+    columns["solar_radiation"] = np.tile(solar, n_players)
+    flags = (cal.weekend, cal.morning, cal.afternoon, cal.evening, cal.is_break, cal.midterm, cal.final)
+    for name, values in zip(FLAG_NAMES, flags):
+        columns[name] = np.tile(values.astype(np.int64), n_players)
+    start = np.datetime64(_START_DATE, "m")
+    return DatasetTable(
+        player_ids=tuple(roster[i][0] for i in order),
+        player_codes=np.repeat(np.arange(n_players), T),
+        timestamps=np.tile(start + np.arange(T), n_players),
+        columns={name: columns[name] for name in FIELD_COLUMNS},
     )
-    for i, (player_id, _) in enumerate(roster):
-        base_i = tuple(float(b) for b in baselines[i])
-        for d in range(n_days):
-            date_d = day_dates[d]
-            rank_d = int(ranks[i, d])
-            total_d = float(prior_total[i, d])
-            off = d * MINUTES_PER_DAY
-            for m in range(MINUTES_PER_DAY):
-                t = off + m
-                records.append(
-                    OccupantRecord(
-                        timestamp=dt.datetime.combine(date_d, minute_ts[m]),
-                        player_id=player_id,
-                        statuses=(
-                            int(statuses[i, 0, t]),
-                            int(statuses[i, 1, t]),
-                            int(statuses[i, 2, t]),
-                            int(statuses[i, 3, t]),
-                        ),
-                        usage_today=(
-                            float(usage_cum[i, 0, d, m]),
-                            float(usage_cum[i, 1, d, m]),
-                            float(usage_cum[i, 2, d, m]),
-                            float(usage_cum[i, 3, d, m]),
-                        ),
-                        baselines=base_i,
-                        points_total=total_d,
-                        rank=rank_d,
-                        portal_visits=int(portal[i, t]),
-                        humidity=float(humidity[t]),
-                        temperature=float(temperature[t]),
-                        solar_radiation=float(solar[t]),
-                        is_weekend=int(cal.weekend[t]),
-                        is_morning=int(cal.morning[t]),
-                        is_afternoon=int(cal.afternoon[t]),
-                        is_evening=int(cal.evening[t]),
-                        is_break=int(cal.is_break[t]),
-                        is_midterm=int(cal.midterm[t]),
-                        is_final=int(cal.final[t]),
-                    )
-                )
-
-    table = DatasetTable(records=records)
-    _preseed_columns(table, roster, config, statuses, portal, humidity, temperature, solar,
-                     flag_arrays, prior_total, ranks, day_keys)
-    return table
-
-
-def _preseed_columns(table, roster, config, statuses, portal, humidity, temperature, solar,
-                     flag_arrays, prior_total, ranks, day_keys):
-    """Fill the table's column cache from the simulation arrays.
-
-    The cache layout matches features.raw_columns; seeding it here avoids a
-    per-record reconstruction pass for large generated tables.
-    """
-    from .records import FLAG_NAMES
-
-    n_players = len(roster)
-    n_days = config.n_days
-    T = n_days * MINUTES_PER_DAY
-    cache = table._column_cache
-
-    players: list[str] = []
-    days: list[str] = []
-    for player_id, _ in roster:
-        players.extend([player_id] * T)
-        for key in day_keys:
-            days.extend([key] * MINUTES_PER_DAY)
-    cache["player_id"] = players
-    cache["day"] = days
-
-    for r_idx, r in enumerate(RESOURCES):
-        cache[f"status_{r.value}"] = statuses[:, r_idx, :].reshape(-1).astype(np.float64)
-    cache["humidity"] = np.tile(humidity, n_players)
-    cache["temperature"] = np.tile(temperature, n_players)
-    cache["solar_radiation"] = np.tile(solar, n_players)
-    for name, arr in zip(FLAG_NAMES, flag_arrays):
-        cache[name] = np.tile(arr.astype(np.float64), n_players)
-    cache["portal_visits"] = portal.reshape(-1).astype(np.float64)
-    cache["points_total"] = np.repeat(prior_total.reshape(-1), MINUTES_PER_DAY)
-    cache["rank"] = np.repeat(ranks.reshape(-1), MINUTES_PER_DAY).astype(np.float64)
-    cache["_group_starts"] = np.arange(0, n_players * T, MINUTES_PER_DAY, dtype=np.intp)

@@ -48,8 +48,7 @@ def make_record(player_id: str = "p1", minute: int = 0, day: int = 0, **override
 
 
 def make_table(records) -> DatasetTable:
-    ordered = sorted(records, key=lambda r: (r.player_id, r.timestamp))
-    return DatasetTable(records=list(ordered))
+    return DatasetTable.from_records(records)
 
 
 def table_to_csv(table: DatasetTable) -> str:

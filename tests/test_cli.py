@@ -53,6 +53,11 @@ class TestSynth:
         assert "[synth]" in captured.err
         assert "InvalidConfig" in captured.err
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path), "--seed", "-1", "--days", "1"])
+        assert rc == 2
+        assert "InvalidConfig" in capsys.readouterr().err
+
     def test_row_count_six_players_thirty_days(self, tmp_path):
         assert (
             main(
@@ -83,6 +88,22 @@ class TestIngest:
         assert stats["records"] == 6 * 7 * 1440
         assert stats["players"] == 6
         assert stats["dropped_rows"] == 0
+
+    def test_drop_reasons_in_ingest_json(self, tmp_path, dataset_csv):
+        lines = dataset_csv.read_text().split("\n")[:11]
+        cells = lines[1].split(",")
+        cells[CSV_COLUMNS.index("humidity")] = "nan"
+        lines += [lines[1], ",".join(cells)]
+        source = tmp_path / "bad.csv"
+        source.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ingest"
+        assert main(["ingest", "--input", str(source), "--out", str(out)]) == 0
+        stats = json.loads((out / "ingest.json").read_text())
+        assert stats["records"] == 10
+        assert stats["dropped_rows"] == 2
+        assert stats["dropped_by_reason"]["duplicate_key"] == 1
+        assert stats["dropped_by_reason"]["non_finite"] == 1
+        assert sum(stats["dropped_by_reason"].values()) == 2
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["ingest", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])

@@ -122,6 +122,8 @@ class TestSerialization:
             {"segmentation": {"bucket_edges": ["q"]}},
             {"synth": {"n_days": 0}},
             {"synth": {"players_per_class": [1, 2]}},
+            {"seed": "x"},
+            {"clustering": {"k_range": [5, 2]}},
         ],
     )
     def test_malformed_value_rejected_at_load(self, tmp_path, data):

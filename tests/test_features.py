@@ -147,7 +147,7 @@ class TestPoolFeatures:
         from energyseg.records import DatasetTable
 
         with pytest.raises(EmptyTable):
-            pool_features(DatasetTable(records=[]), FeatureSpec(("usage_pct_fan",)))
+            pool_features(DatasetTable.from_records([]), FeatureSpec(("usage_pct_fan",)))
 
 
 class TestStandardize:

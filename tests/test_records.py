@@ -1,11 +1,14 @@
 """Schema, ingestion, serialization, and the points formula."""
 
+import datetime as dt
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_record, make_table, table_to_csv
+from helpers import BASE_DATE, make_record, make_table, table_to_csv
 
 from energyseg.errors import (
     DataSizeError,
@@ -18,7 +21,9 @@ from energyseg.errors import (
 )
 from energyseg.records import (
     CSV_COLUMNS,
+    DROP_REASONS,
     DatasetTable,
+    OccupantRecord,
     compute_points,
     emit_csv,
     ingest_csv,
@@ -137,6 +142,9 @@ class TestIngest:
             ("is_weekend", "2"),
             ("baseline_ac", "-1.0"),
             ("timestamp", "not-a-time"),
+            ("humidity", "nan"),
+            ("temperature", "inf"),
+            ("timestamp", "2018-09-03T00:02+02:00"),  # offset among naive timestamps
         ],
     )
     def test_invalid_field_values_drop_the_row(self, column, value):
@@ -146,6 +154,37 @@ class TestIngest:
         table = ingest_csv(io.StringIO("\n".join(lines) + "\n"))
         assert len(table) == 3
         assert table.dropped_rows == 1
+
+    def test_drop_reasons_counted(self):
+        good = small_records() + [make_record("d", m) for m in range(20)]
+        lines = table_to_csv(make_table(good)).strip().split("\n")
+        a0, a1 = lines[1], lines[2]
+        bad = table_to_csv(make_table([make_record("c", 2, rank=3)])).strip().split("\n")[1]
+        corrupt = {
+            "unparsable": [("rank", "x")],
+            "timestamp_offset": [("timestamp", "2018-09-03T00:02+00:00")],
+            "non_finite": [("rank", "0"), ("humidity", "nan")],  # first rule wins
+            "bad_binary": [("status_fan", "2")],
+            "usage_out_of_range": [("usage_fan", "-1.0")],
+            "non_positive_baseline": [("baseline_fan", "0.0")],
+            "bad_rank": [("rank", "0")],
+            "negative_portal_visits": [("portal_visits", "-1")],
+        }
+        for cells in corrupt.values():
+            line = bad
+            for column, value in cells:
+                line = corrupt_cell(line, column, value)
+            lines.append(line)
+        lines.append(corrupt_cell(a0, "timestamp", "2018-09-03 00:00"))  # same instant
+        lines.append(corrupt_cell(a1, "timestamp", "2018-09-03T00:01:30"))
+        lines.append("2018-09-03T00:03,c")  # short row
+        table = ingest_csv(io.StringIO("\n".join(lines) + "\n"))
+        expected = dict.fromkeys(DROP_REASONS, 1)
+        expected["unparsable"] = 2
+        assert table.dropped_by_reason == expected
+        assert table.dropped_rows == len(DROP_REASONS) + 1
+        assert len(table) == len(good)
+        assert table.records == make_table(good).records
 
     def test_parse_error_when_majority_malformed(self):
         lines = small_csv().strip().split("\n")[:2]  # header + one valid row
@@ -208,8 +247,60 @@ class TestEmit:
 class TestRequireNonempty:
     def test_empty_raises(self):
         with pytest.raises(EmptyTable):
-            require_nonempty(DatasetTable(records=[]))
+            require_nonempty(DatasetTable.from_records([]))
         assert issubclass(EmptyTable, DataSizeError)
 
     def test_nonempty_passes(self):
         require_nonempty(make_table(small_records()))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+binary = st.integers(0, 1)
+
+
+@st.composite
+def occupant_records(draw):
+    """A valid record: every field inside the range ingest accepts."""
+    minute = draw(st.integers(0, 3 * 1440 - 1))
+    elapsed = minute % 1440 + 1
+    usage = st.floats(0.0, float(elapsed))
+    baseline = st.floats(0.0, 1e300, exclude_min=True)
+    return OccupantRecord(
+        timestamp=dt.datetime.combine(BASE_DATE, dt.time()) + dt.timedelta(minutes=minute),
+        player_id=draw(st.text(alphabet='ab,"\u00e9 ', max_size=3)),
+        statuses=tuple(draw(st.tuples(binary, binary, binary, binary))),
+        usage_today=tuple(draw(st.tuples(usage, usage, usage, usage))),
+        baselines=tuple(draw(st.tuples(baseline, baseline, baseline, baseline))),
+        points_total=draw(finite),
+        rank=draw(st.integers(1, 2**62)),
+        portal_visits=draw(st.integers(0, 2**62)),
+        humidity=draw(finite),
+        temperature=draw(finite),
+        solar_radiation=draw(finite),
+        **{name: draw(binary) for name in CSV_COLUMNS[-7:]},
+    )
+
+
+tables = st.lists(
+    occupant_records(), min_size=1, max_size=30, unique_by=lambda r: (r.player_id, r.timestamp)
+).map(make_table)
+
+
+class TestRoundTripProperties:
+    @settings(deadline=None, derandomize=True)
+    @given(tables)
+    def test_emit_ingest_emit_byte_identical(self, table):
+        text = table_to_csv(table)
+        again = ingest_csv(io.StringIO(text))
+        assert again.dropped_rows == 0
+        assert again == table
+        assert table_to_csv(again) == text
+
+    @settings(deadline=None, derandomize=True)
+    @given(tables, st.randoms(use_true_random=False))
+    def test_row_order_of_the_file_does_not_matter(self, table, rnd):
+        header, *rows = table_to_csv(table).strip("\n").split("\n")
+        rnd.shuffle(rows)
+        shuffled = ingest_csv(io.StringIO("\n".join([header] + rows) + "\n"))
+        assert shuffled == ingest_csv(io.StringIO(table_to_csv(table)))
+        assert table_to_csv(shuffled) == table_to_csv(table)

@@ -113,14 +113,14 @@ class TestAssignClasses:
 
     def test_record_order_invariance(self):
         records = anchor_records() + ranked_records("mixed", [25] * 3 + [5] * 4)
-        forward = assign_classes(DatasetTable(records=list(records)))[0]
-        backward = assign_classes(DatasetTable(records=list(reversed(records))))[0]
+        forward = assign_classes(DatasetTable.from_records(list(records)))[0]
+        backward = assign_classes(DatasetTable.from_records(list(reversed(records))))[0]
         assert forward == backward
 
     def test_duplication_invariance(self):
         records = anchor_records() + ranked_records("mixed", [25] * 3 + [5] * 4)
-        once = assign_classes(DatasetTable(records=list(records)))[0]
-        twice = assign_classes(DatasetTable(records=records + records))[0]
+        once = assign_classes(DatasetTable.from_records(list(records)))[0]
+        twice = assign_classes(DatasetTable.from_records(records + records))[0]
         assert once == twice
 
     def test_missing_rank(self):
@@ -130,7 +130,7 @@ class TestAssignClasses:
 
     def test_empty_table(self):
         with pytest.raises(EmptyTable):
-            assign_classes(DatasetTable(records=[]))
+            assign_classes(DatasetTable.from_records([]))
 
 
 class TestCorrelationMatrix:
