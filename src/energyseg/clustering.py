@@ -1,6 +1,6 @@
 """Dimensionality reduction and cluster validation.
 
-PCA via SVD, mini-batch k-means with k-means++ seeding, the elbow heuristic
+PCA via SVD, Lloyd k-means with k-means++ seeding, the elbow heuristic
 (second-difference argmax of the inertia curve), and silhouette scores.
 
 All seeded operations first sort samples into a canonical row order and then
@@ -44,21 +44,22 @@ class ClusterModel:
     assignments: np.ndarray  # N ints in [0, k)
     inertia: float
     seed: int
+    iterations: int  # Lloyd steps of the winning init
+    converged: bool  # its assignments repeated within max_iters steps
 
 
 @dataclass
 class ClusteringConfig:
     """Settings of the segment stage's PCA and k-means; the ``clustering`` config section.
 
-    :func:`minibatch_kmeans` and :func:`elbow_curve` read ``batch_size``,
-    ``max_iters`` and ``n_init``.
+    :func:`minibatch_kmeans` and :func:`elbow_curve` read ``max_iters`` and
+    ``n_init``.
     """
 
     k: Any = 3  # cluster count, or "auto" for the elbow suggestion
     k_range: tuple[int, int] = (1, 6)
     pca_variance: float | None = 0.9
     pca_dim: int | None = None
-    batch_size: int = 256
     max_iters: int = 200
     n_init: int = 10
 
@@ -73,8 +74,8 @@ class ClusteringConfig:
                 raise InvalidConfig(f"k must be >= 1 or 'auto', got {self.k}")
         if self.pca_variance is not None and not 0.0 < self.pca_variance <= 1.0:
             raise InvalidConfig(f"pca_variance must be in (0, 1], got {self.pca_variance}")
-        if self.batch_size < 1 or self.max_iters < 1 or self.n_init < 1:
-            raise InvalidConfig("batch_size, max_iters and n_init must be >= 1")
+        if self.max_iters < 1 or self.n_init < 1:
+            raise InvalidConfig("max_iters and n_init must be >= 1")
 
 
 def _as_values(matrix) -> np.ndarray:
@@ -163,34 +164,34 @@ def _kmeans_pp(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _run_minibatch(
-    values: np.ndarray, k: int, config: ClusteringConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
-    n = values.shape[0]
-    batch_size = min(config.batch_size, n)
+def _run_lloyd(
+    values: np.ndarray, k: int, max_iters: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
+    """Lloyd steps from k-means++ seeds until the assignments repeat."""
     centroids = _kmeans_pp(values, k, rng)
-    counts = np.zeros(k)
-    for _ in range(config.max_iters):
-        batch_idx = rng.choice(n, size=batch_size, replace=False)
-        batch = values[batch_idx]
-        nearest = np.argmin(_squared_distances(batch, centroids), axis=1)
-        for c in np.unique(nearest):
-            members = batch[nearest == c]
-            m = len(members)
-            # running-mean update: equivalent to m sequential steps with
-            # per-centroid learning rate 1/(count seen so far)
-            counts[c] += m
-            centroids[c] += (members.sum(axis=0) - m * centroids[c]) / counts[c]
     sq = _squared_distances(values, centroids)
     assignments = np.argmin(sq, axis=1)
-    inertia = float(sq[np.arange(n), assignments].sum())
-    return centroids, assignments, inertia
+    for iterations in range(1, max_iters + 1):
+        for c in range(k):
+            members = values[assignments == c]
+            m = len(members)
+            if m:  # an empty cluster keeps its centroid
+                # the members' mean, formed as a step from the old centroid
+                centroids[c] += (members.sum(axis=0) - m * centroids[c]) / m
+        sq = _squared_distances(values, centroids)
+        nearest = np.argmin(sq, axis=1)
+        converged = bool(np.array_equal(nearest, assignments))
+        assignments = nearest
+        if converged:
+            break
+    inertia = float(sq[np.arange(len(values)), assignments].sum())
+    return centroids, assignments, inertia, iterations, converged
 
 
 def minibatch_kmeans(
     matrix, k: int, config: ClusteringConfig | None = None, seed: int = 0
 ) -> ClusterModel:
-    """Best-of-``n_init`` mini-batch k-means with a final full assignment pass."""
+    """Best-of-``n_init`` Lloyd k-means (named for the mini-batch solver it replaced)."""
     values = _as_values(matrix)
     config = config or ClusteringConfig()
     n = values.shape[0]
@@ -200,14 +201,14 @@ def minibatch_kmeans(
     order = _canonical_order(values)
     canonical = values[order]
 
-    best: tuple[np.ndarray, np.ndarray, float] | None = None
+    best = None
     for restart in range(config.n_init):
         rng = np.random.default_rng([seed, restart])
-        centroids, assignments, inertia = _run_minibatch(canonical, k, config, rng)
-        if best is None or inertia < best[2]:
-            best = (centroids, assignments, inertia)
+        fit = _run_lloyd(canonical, k, config.max_iters, rng)
+        if best is None or fit[2] < best[2]:
+            best = fit
 
-    centroids, canonical_assignments, inertia = best
+    centroids, canonical_assignments, inertia, iterations, converged = best
     assignments = np.empty(n, dtype=np.int64)
     assignments[order] = canonical_assignments
     return ClusterModel(
@@ -216,6 +217,8 @@ def minibatch_kmeans(
         assignments=assignments,
         inertia=inertia,
         seed=seed,
+        iterations=iterations,
+        converged=converged,
     )
 
 
@@ -246,41 +249,44 @@ def elbow_curve(
     return inertias, elbow_k(ks, inertias)
 
 
+SILHOUETTE_BLOCK_DOUBLES = 2**20  # size of each distance buffer
+
+
 def silhouette(matrix, assignments) -> tuple[float, np.ndarray]:
     """Mean and per-sample silhouette s = (b − a)/max(a, b).
 
     Distances are exact Euclidean computed from coordinate differences (no
-    Gram shortcut), matching a brute-force oracle to full precision.
-    Singleton-cluster samples score 0.
+    Gram shortcut), matching a brute-force oracle to full precision. They
+    are summed per cluster a row block at a time, in buffers of at most
+    ``SILHOUETTE_BLOCK_DOUBLES``. Singleton-cluster samples score 0.
     """
     values = _as_values(matrix)
-    labels = np.asarray(assignments)
-    n = values.shape[0]
+    n, d = values.shape
     if n < 3:
         raise TooFewRows(f"need at least 3 samples, got {n}")
-    unique = np.unique(labels)
+    unique, labels = np.unique(np.asarray(assignments), return_inverse=True)
     if len(unique) < 2:
         raise SingleCluster("silhouette needs at least two clusters")
 
-    cluster_rows = {int(c): np.flatnonzero(labels == c) for c in unique}
-    per_sample = np.zeros(n)
-    block = max(1, int(2**22 // max(1, n * values.shape[1])))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = values[start:stop, None, :] - values[None, :, :]
-        dist = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-        for i_local, i in enumerate(range(start, stop)):
-            own = int(labels[i])
-            own_rows = cluster_rows[own]
-            if len(own_rows) == 1:
-                per_sample[i] = 0.0
-                continue
-            a = dist[i_local, own_rows].sum() / (len(own_rows) - 1)
-            b = np.inf
-            for c, rows in cluster_rows.items():
-                if c == own:
-                    continue
-                b = min(b, dist[i_local, rows].mean())
-            denom = max(a, b)
-            per_sample[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    onehot = (labels[:, None] == np.arange(len(unique))).astype(np.float64)
+    sums = np.empty((n, len(unique)))  # distance sum from each row to each cluster
+    rows = min(n, max(1, SILHOUETTE_BLOCK_DOUBLES // n))
+    dist, diff = np.empty((2, rows, n))
+    for start in range(0, n, rows):
+        block, scratch = dist[: n - start], diff[: n - start]
+        block.fill(0.0)
+        for j in range(d):
+            np.subtract(values[start : start + rows, j, None], values[:, j], out=scratch)
+            block += np.square(scratch, out=scratch)
+        sums[start : start + rows] = np.sqrt(block, out=block) @ onehot
+
+    at = np.arange(n)
+    counts = np.bincount(labels)
+    own = counts[labels]
+    a = sums[at, labels] / np.maximum(own - 1, 1)
+    mean_to = sums / counts
+    mean_to[at, labels] = np.inf
+    b = mean_to.min(axis=1)
+    denom = np.maximum(a, b)
+    per_sample = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0.0))
     return float(per_sample.mean()), per_sample

@@ -40,6 +40,9 @@ from .segmentation import ClassLabel
 from .synthetic import generate_synthetic
 
 DATASET_FILE = "dataset.csv"
+# Above this many clustering rows the segment stage computes the silhouette
+# of the chosen k only; 60k minute rows would cost ~3.6e9 distances per k.
+SILHOUETTE_ALL_K_MAX_ROWS = 20_000
 
 
 def resolve_output_dir(explicit: str | None, config: PipelineConfig, command: str) -> str:
@@ -226,25 +229,10 @@ def run_segment(
         files.append("pca.json")
 
         # -- elbow curve + silhouettes over the configured k range -----------
+        n_rows = scores.shape[0]
         k_lo, k_hi = cl_cfg.k_range
-        k_hi = min(k_hi, scores.shape[0])
-        ks = list(range(k_lo, k_hi + 1))
+        ks = list(range(k_lo, min(k_hi, n_rows) + 1))
         models = {k: clustering_mod.minibatch_kmeans(scores, k, cl_cfg, config.seed) for k in ks}
-        silhouettes: dict[int, float | None] = {}
-        for k, model in models.items():
-            if len(np.unique(model.assignments)) >= 2 and scores.shape[0] >= 3:
-                silhouettes[k], _ = clustering_mod.silhouette(scores, model.assignments)
-            else:
-                silhouettes[k] = None
-        _write_csv(
-            os.path.join(out_dir, "elbow.csv"),
-            ("k", "inertia", "silhouette"),
-            [
-                (k, models[k].inertia, "" if silhouettes[k] is None else silhouettes[k])
-                for k in ks
-            ],
-        )
-        files.append("elbow.csv")
         suggested_k = None
         if len(ks) >= 3:
             suggested_k = clustering_mod.elbow_k(ks, np.array([models[k].inertia for k in ks]))
@@ -252,8 +240,33 @@ def run_segment(
         k = suggested_k if cl_cfg.k == "auto" else int(cl_cfg.k)
         if k is None:
             raise InvalidConfig("k='auto' needs a k_range spanning at least 3 values")
-        model = models.get(k) or clustering_mod.minibatch_kmeans(scores, k, cl_cfg, config.seed)
-        mean_sil = silhouettes.get(k)
+        if k not in models:
+            models[k] = clustering_mod.minibatch_kmeans(scores, k, cl_cfg, config.seed)
+        model = models[k]
+        for fit in models.values():
+            if not fit.converged:
+                stage.warnings.append(
+                    f"k-means with k={fit.k} stopped at max_iters={cl_cfg.max_iters} "
+                    "before its assignments settled"
+                )
+
+        silhouette_ks = sorted(models)
+        if n_rows > SILHOUETTE_ALL_K_MAX_ROWS:
+            silhouette_ks = [k]
+            stage.warnings.append(
+                f"{n_rows} clustering rows exceed {SILHOUETTE_ALL_K_MAX_ROWS}: "
+                f"silhouette computed for the chosen k={k} only"
+            )
+        silhouettes: dict[int, float] = {}
+        for sk in silhouette_ks:
+            if len(np.unique(models[sk].assignments)) >= 2 and n_rows >= 3:
+                silhouettes[sk], _ = clustering_mod.silhouette(scores, models[sk].assignments)
+        _write_csv(
+            os.path.join(out_dir, "elbow.csv"),
+            ("k", "inertia", "silhouette"),
+            [(ek, models[ek].inertia, silhouettes.get(ek, "")) for ek in ks],
+        )
+        files.append("elbow.csv")
         _write_json(
             os.path.join(out_dir, "clusters.json"),
             {
@@ -262,6 +275,8 @@ def run_segment(
                 "assignments": model.assignments,
                 "inertia": model.inertia,
                 "seed": model.seed,
+                "iterations": model.iterations,
+                "converged": model.converged,
             },
         )
         files.append("clusters.json")
@@ -369,7 +384,7 @@ def run_segment(
             "k": model.k,
             "suggested_k": suggested_k,
             "inertia": model.inertia,
-            "silhouette": mean_sil,
+            "silhouette": silhouettes.get(k),
             "class_counts": class_counts,
             "labelling": labelling_summary,
             "pca_dim": int(pca.components.shape[0]),

@@ -13,7 +13,8 @@ import pytest
 
 from energyseg.cli import main
 from energyseg.config import PipelineConfig, load_config
-from energyseg.pipeline import run_causality
+from energyseg import pipeline
+from energyseg.pipeline import run_causality, run_segment
 from energyseg.records import CSV_COLUMNS
 from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
@@ -181,6 +182,35 @@ class TestSegment:
         suggested = ks[1 + int(np.argmax(second_diff))]
         clusters = json.loads((out / "clusters.json").read_text())
         assert clusters["k"] == suggested
+
+    def test_chosen_k_outside_range_gets_silhouette(self, tmp_path, dataset_csv):
+        config = PipelineConfig(input=str(dataset_csv))
+        config.clustering.k_range = (1, 3)
+        config.clustering.k = 4
+        stage = run_segment(config, str(tmp_path))
+        assert [int(r["k"]) for r in read_rows(tmp_path / "elbow.csv")] == [1, 2, 3]
+        assert stage.summary["k"] == 4
+        assert -1.0 <= stage.summary["silhouette"] <= 1.0
+
+    def test_silhouette_of_chosen_k_only_above_row_limit(
+        self, tmp_path, dataset_csv, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "SILHOUETTE_ALL_K_MAX_ROWS", 41)
+        stage = run_segment(PipelineConfig(input=str(dataset_csv)), str(tmp_path))
+        cells = {int(r["k"]): r["silhouette"] for r in read_rows(tmp_path / "elbow.csv")}
+        assert [k for k, cell in cells.items() if cell] == [3]
+        assert float(cells[3]) == stage.summary["silhouette"]
+        assert any("42 clustering rows exceed 41" in w for w in stage.warnings)
+
+    def test_kmeans_cap_is_reported(self, tmp_path, dataset_csv):
+        config = PipelineConfig(input=str(dataset_csv))
+        config.clustering.max_iters = 1
+        stage = run_segment(config, str(tmp_path))
+        clusters = json.loads((tmp_path / "clusters.json").read_text())
+        assert clusters["iterations"] == 1
+        capped = [w for w in stage.warnings if "stopped at max_iters=1" in w]
+        assert len(capped) >= 1
+        assert ("k-means with k=3 stopped" in " ".join(capped)) == (not clusters["converged"])
 
     def test_unknown_feature_exit_code(self, tmp_path, dataset_csv, capsys):
         cfg = tmp_path / "bad.json"

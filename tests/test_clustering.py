@@ -1,12 +1,16 @@
-"""PCA, mini-batch k-means, elbow heuristic, and silhouette scores."""
+"""PCA, Lloyd k-means, elbow heuristic, and silhouette scores."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_silhouette, gaussian_blobs
 
+from energyseg import clustering
 from energyseg.clustering import (
     ClusteringConfig,
     elbow_curve,
@@ -158,12 +162,58 @@ class TestMinibatchKmeans:
             np.asarray(shuffled.assignments), np.asarray(base.assignments)[perm]
         )
 
-    def test_batch_size_clamped_to_n(self):
+    def test_diagnostics(self):
         rng = np.random.default_rng(62)
-        data = rng.standard_normal((20, 3))
-        model = minibatch_kmeans(data, k=2, config=ClusteringConfig(batch_size=10_000), seed=0)
-        assert model.k == 2
-        assert len(model.assignments) == 20
+        data, _ = gaussian_blobs(rng, [(0, 0), (8, 0), (0, 8)], 30)
+        model = minibatch_kmeans(data, k=3, seed=0)
+        assert model.converged
+        assert 1 <= model.iterations < ClusteringConfig().max_iters
+
+    def test_cap_reached_is_reported(self):
+        rng = np.random.default_rng(62)
+        data = rng.standard_normal((200, 2))
+        model = minibatch_kmeans(data, k=6, config=ClusteringConfig(max_iters=1), seed=0)
+        assert model.iterations == 1
+        assert not model.converged
+
+
+# small integer coordinates make duplicate rows and distance ties common
+grids = st.integers(2, 40).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=n, max_size=n
+        )
+    )
+).map(lambda rows: np.array(rows, dtype=np.float64) / 2.0)
+
+
+class TestKmeansProperties:
+    @settings(deadline=None, derandomize=True)
+    @given(grids, st.integers(1, 6), st.integers(0, 3))
+    def test_converged_fit_is_a_fixed_point(self, data, k, seed):
+        assume(k <= len(data))
+        model = minibatch_kmeans(data, k=k, seed=seed)
+        assume(model.converged)
+        centroids = np.asarray(model.centroids)
+        for c in range(k):
+            members = data[model.assignments == c]
+            if len(members):
+                assert np.allclose(centroids[c], members.mean(axis=0), rtol=0.0, atol=1e-12)
+        dists = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        chosen = dists[np.arange(len(data)), model.assignments]
+        assert np.all(chosen <= dists.min(axis=1) + 1e-12)
+
+    @settings(deadline=None, derandomize=True)
+    @given(grids, st.integers(1, 6), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_row_permutation_permutes_assignments_only(self, data, k, seed, rnd):
+        assume(k <= len(data))
+        perm = np.array(rnd.sample(range(len(data)), len(data)))
+        base = minibatch_kmeans(data, k=k, seed=seed)
+        shuffled = minibatch_kmeans(data[perm], k=k, seed=seed)
+        assert np.array_equal(shuffled.assignments, base.assignments[perm])
+        assert np.array_equal(shuffled.centroids, base.centroids)
+        assert shuffled.inertia == base.inertia
+        assert (shuffled.iterations, shuffled.converged) == (base.iterations, base.converged)
 
 
 class TestElbow:
@@ -240,6 +290,31 @@ class TestSilhouette:
             silhouette(rng.standard_normal((10, 2)), np.zeros(10, dtype=int))
         with pytest.raises(TooFewRows):
             silhouette(rng.standard_normal((2, 2)), np.array([0, 1]))
+
+
+@st.composite
+def labelled_grids(draw):
+    """Grid points with labels that include a singleton cluster when drawn."""
+    data = draw(grids.filter(lambda values: len(values) >= 3))
+    n = len(data)
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, n - 1))] = 9
+    return data, labels
+
+
+class TestSilhouetteProperties:
+    @settings(deadline=None, derandomize=True)
+    @given(labelled_grids(), st.integers(1, 400))
+    def test_streamed_matches_brute_force(self, case, block_doubles):
+        data, labels = case
+        assume(len(np.unique(labels)) >= 2)
+        # a small block budget sends each case through several row blocks
+        with mock.patch.object(clustering, "SILHOUETTE_BLOCK_DOUBLES", block_doubles):
+            mean_s, per = silhouette(data, labels)
+        oracle = brute_silhouette(data, labels)
+        assert np.abs(per - oracle).max() <= 1e-10
+        assert abs(mean_s - oracle.mean()) <= 1e-10
 
 
 class TestGeneratorAgreement:

@@ -53,7 +53,7 @@ class TestValidation:
             lambda: GlassoConfig(selection="bogus"),
             lambda: ClusteringConfig(k=0),
             lambda: ClusteringConfig(pca_variance=1.5),
-            lambda: ClusteringConfig(batch_size=0),
+            lambda: ClusteringConfig(max_iters=0),
             lambda: CausalityConfig(lag=0),
             lambda: CausalityConfig(alpha=1.5),
             lambda: FeatureConfig(clustering_features=("foo",)),
@@ -103,6 +103,14 @@ class TestSerialization:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"glasso": {"parallel": False}}))
         with pytest.raises(InvalidConfig, match=r"unknown glasso option\(s\): \['parallel'\]"):
+            load_config(str(path))
+
+    def test_removed_batch_size_key_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"clustering": {"batch_size": 256}}))
+        with pytest.raises(
+            InvalidConfig, match=r"unknown clustering option\(s\): \['batch_size'\]"
+        ):
             load_config(str(path))
 
     def test_invalid_value_in_file(self, tmp_path):
