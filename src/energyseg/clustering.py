@@ -22,6 +22,7 @@ from .errors import (
     RangeTooNarrow,
     SingleCluster,
     TooFewRows,
+    require_int,
 )
 from .features import FeatureMatrix
 
@@ -66,16 +67,20 @@ class ClusteringConfig:
     def __post_init__(self) -> None:
         k_lo, k_hi = self.k_range
         self.k_range = (int(k_lo), int(k_hi))
-        if self.k_range[0] > self.k_range[1]:
-            raise InvalidConfig(f"k_range must be [low, high] with low <= high, got {self.k_range}")
+        if not 1 <= self.k_range[0] <= self.k_range[1]:
+            raise InvalidConfig(
+                f"k_range must be [low, high] with 1 <= low <= high, got {self.k_range}"
+            )
         if self.k != "auto":
             self.k = int(self.k)
             if self.k < 1:
                 raise InvalidConfig(f"k must be >= 1 or 'auto', got {self.k}")
         if self.pca_variance is not None and not 0.0 < self.pca_variance <= 1.0:
             raise InvalidConfig(f"pca_variance must be in (0, 1], got {self.pca_variance}")
-        if self.max_iters < 1 or self.n_init < 1:
-            raise InvalidConfig("max_iters and n_init must be >= 1")
+        if self.pca_dim is not None:
+            require_int("pca_dim", self.pca_dim, 1)
+        require_int("max_iters", self.max_iters, 1)
+        require_int("n_init", self.n_init, 1)
 
 
 def _as_values(matrix) -> np.ndarray:

@@ -17,8 +17,13 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .clustering import ClusteringConfig
-from .errors import InvalidConfig
-from .features import ALL_FEATURES, DEFAULT_CLUSTERING_FEATURES, DEFAULT_GRAPH_FEATURES
+from .errors import InvalidConfig, require_int
+from .features import (
+    ALL_FEATURES,
+    DEFAULT_CLUSTERING_FEATURES,
+    DEFAULT_GRAPH_FEATURES,
+    MINUTE_FEATURES,
+)
 from .glasso import GlassoConfig
 from .synthetic import GeneratorConfig
 
@@ -79,8 +84,10 @@ class CausalityConfig:
 
     def __post_init__(self) -> None:
         self.pairs = tuple((str(a), str(b)) for a, b in self.pairs)
-        if self.lag < 1:
-            raise InvalidConfig(f"lag must be >= 1, got {self.lag}")
+        unknown = sorted({name for pair in self.pairs for name in pair} - set(MINUTE_FEATURES))
+        if unknown:
+            raise InvalidConfig(f"causality pairs name unknown or non-minute feature(s): {unknown}")
+        require_int("lag", self.lag, 1)
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfig(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -98,8 +105,11 @@ class PipelineConfig:
     causality: CausalityConfig = field(default_factory=CausalityConfig)
 
     def __post_init__(self) -> None:
-        if type(self.seed) is not int or self.seed < 0:
-            raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed!r}")
+        require_int("seed", self.seed, 0)
+        for name in ("input", "output_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise InvalidConfig(f"{name} must be a string or null, got {value!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

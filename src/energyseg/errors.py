@@ -43,6 +43,12 @@ class InvalidConfig(ConfigError):
     pass
 
 
+def require_int(name: str, value: object, minimum: int) -> None:
+    """Raise :class:`InvalidConfig` unless ``value`` is an int, not a bool, >= ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 # -- schema family ---------------------------------------------------------
 
 class MissingColumn(SchemaError):

@@ -37,6 +37,7 @@ from .errors import (
     NonFiniteValue,
     NotStandardized,
     TooFewRows,
+    require_int,
 )
 from .features import FeatureMatrix, standardize
 
@@ -121,8 +122,10 @@ class GlassoConfig:
             raise InvalidConfig(f"symmetrization must be OR or AND, got {self.symmetrization!r}")
         if self.selection not in ("min", "one_se"):
             raise InvalidConfig(f"selection must be min or one_se, got {self.selection!r}")
-        if self.tol <= 0 or self.max_sweeps < 1 or self.folds < 2:
-            raise InvalidConfig("tol must be > 0, max_sweeps >= 1, folds >= 2")
+        if self.tol <= 0:
+            raise InvalidConfig(f"tol must be > 0, got {self.tol}")
+        require_int("max_sweeps", self.max_sweeps, 1)
+        require_int("folds", self.folds, 2)
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -527,20 +530,12 @@ def graphical_lasso(
 
 def graph_to_dict(graph: GraphEstimate) -> dict:
     """JSON-ready representation of a :class:`GraphEstimate`."""
-    edges = []
-    for a, b in graph.edges:
-        weight = float(graph.partial_correlations[a, b])
-        edges.append(
-            {
-                "a": graph.vertex_names[a],
-                "b": graph.vertex_names[b],
-                "weight": abs(weight),
-                "sign": 1 if weight >= 0 else -1,
-            }
-        )
     return {
         "vertices": list(graph.vertex_names),
-        "edges": edges,
+        "edges": [
+            {"a": a, "b": b, "weight": weight, "sign": sign}
+            for a, b, weight, sign in edges_to_csv_rows(graph)
+        ],
         "lambda_per_vertex": [float(v) for v in graph.lambda_per_vertex],
         "symmetrization": graph.symmetrization,
         "seed": graph.seed,

@@ -212,10 +212,7 @@ def run_segment(
         )
         matrix = standardize(pool_features(table, spec))
 
-        if cl_cfg.pca_dim is not None:
-            pca = clustering_mod.pca_fit(matrix, dim=cl_cfg.pca_dim)
-        else:
-            pca = clustering_mod.pca_fit(matrix, variance=cl_cfg.pca_variance)
+        pca = clustering_mod.pca_fit(matrix, dim=cl_cfg.pca_dim, variance=cl_cfg.pca_variance)
         scores = clustering_mod.pca_transform(pca, matrix.values)
         _write_json(
             os.path.join(out_dir, "pca.json"),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, require_int
 from .records import FLAG_NAMES, FIELD_COLUMNS, RESOURCES, DatasetTable, compute_points
 
 MINUTES_PER_DAY = 1440
@@ -68,8 +68,7 @@ class GeneratorConfig:
             raise InvalidConfig(f"players_per_class must be 3 nonnegative counts, got {counts}")
         if sum(counts) == 0:
             raise InvalidConfig("at least one player is required")
-        if self.n_days <= 0:
-            raise InvalidConfig(f"n_days must be positive, got {self.n_days}")
+        require_int("n_days", self.n_days, 1)
         if self.booster <= 0:
             raise InvalidConfig(f"booster must be positive, got {self.booster}")
         if self.weather_noise < 0 or self.behavior_jitter < 0:
@@ -107,17 +106,16 @@ def _lag1(arr: np.ndarray) -> np.ndarray:
 
 
 def _ar1(rng: np.random.Generator, n: int, phi: float, std: float) -> np.ndarray:
-    """Stationary AR(1) path with marginal standard deviation ``std``."""
-    # deferred: scipy.signal is slow to import and only synthesis needs it
-    from scipy.signal import lfilter, lfiltic
-
+    """Stationary AR(1) path x_t = eps_t + phi * x_{t-1}, marginal standard deviation ``std``."""
     if std == 0.0:
         return np.zeros(n)
     innov_std = std * np.sqrt(1.0 - phi * phi)
-    x0 = std * rng.standard_normal()
+    x = std * rng.standard_normal()
     eps = innov_std * rng.standard_normal(n)
-    zi = lfiltic([1.0], [1.0, -phi], [x0])
-    path, _ = lfilter([1.0], [1.0, -phi], eps, zi=zi)
+    path = np.empty(n)
+    for t, e in enumerate(eps.tolist()):
+        x = e + phi * x
+        path[t] = x
     return path
 
 

@@ -365,11 +365,22 @@ class TestReport:
 
 
 def test_cli_import_skips_scipy_signal():
-    # scipy.signal costs about a second to import and only synthesis needs it
+    # scipy.signal takes about a second and ~47 MB to import and nothing uses
+    # it: neither the CLI import nor synthesis may load it
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, energyseg.cli; print('scipy.signal' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    probes = (
+        "import sys, energyseg.cli",
+        "import sys\n"
+        "from energyseg.synthetic import GeneratorConfig, generate_synthetic\n"
+        "generate_synthetic(GeneratorConfig(players_per_class=(1, 0, 0), n_days=1), seed=0)",
     )
-    assert out.stdout.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for probe in probes:
+        out = subprocess.run(
+            [sys.executable, "-c", probe + "\nprint('scipy.signal' in sys.modules)"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False", probe

@@ -132,6 +132,18 @@ class TestSerialization:
             {"synth": {"players_per_class": [1, 2]}},
             {"seed": "x"},
             {"clustering": {"k_range": [5, 2]}},
+            {"synth": {"n_days": 1.5}},
+            {"glasso": {"folds": 2.5}},
+            {"glasso": {"max_sweeps": 2.5}},
+            {"clustering": {"max_iters": 2.5}},
+            {"clustering": {"n_init": 2.5}},
+            {"clustering": {"pca_dim": 2.5}},
+            {"causality": {"lag": 1.5}},
+            {"input": 5},
+            {"output_dir": 5},
+            {"clustering": {"k_range": [0, 3]}},
+            {"causality": {"pairs": [["switch_freq_fan", "status_fan"]]}},
+            {"causality": {"pairs": [["humidty", "status_fan"]]}},
         ],
     )
     def test_malformed_value_rejected_at_load(self, tmp_path, data):

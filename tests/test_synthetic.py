@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter, lfiltic
 
 from helpers import table_to_csv
 
@@ -11,7 +12,9 @@ from energyseg.errors import InvalidConfig
 from energyseg.records import compute_points, ingest_csv
 from energyseg.features import raw_columns
 from energyseg.synthetic import (
+    MINUTES_PER_DAY,
     GeneratorConfig,
+    _ar1,
     generate_synthetic,
     latent_class_name,
     player_roster,
@@ -215,3 +218,26 @@ class TestLatentStructure:
                 assert corr > 0.3, f"{player}: corr={corr:.3f}"
             elif latent_class_name(player) == "high":
                 assert abs(corr) < 0.1, f"{player}: corr={corr:.3f}"
+
+
+def lfilter_ar1(rng, n, phi, std):
+    """``_ar1``'s draws, filtered by scipy's direct-form IIR filter."""
+    if std == 0.0:
+        return np.zeros(n)
+    x0 = std * rng.standard_normal()
+    eps = std * np.sqrt(1.0 - phi * phi) * rng.standard_normal(n)
+    path, _ = lfilter([1.0], [1.0, -phi], eps, zi=lfiltic([1.0], [1.0, -phi], [x0]))
+    return path
+
+
+class TestWeather:
+    # the generator's two weather paths (humidity, temperature) and a silent one
+    @pytest.mark.parametrize("phi,std", [(0.97, 12.0), (0.95, 1.0), (0.97, 0.0), (0.95, 0.0)])
+    @pytest.mark.parametrize("n_days", [1, 2, 31])
+    def test_ar1_matches_lfilter_exactly(self, phi, std, n_days):
+        n = n_days * MINUTES_PER_DAY
+        for seed in range(5):
+            rng, oracle_rng = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
+            assert np.array_equal(_ar1(rng, n, phi, std), lfilter_ar1(oracle_rng, n, phi, std))
+            # later weather draws start from the same generator state
+            assert rng.random() == oracle_rng.random()
