@@ -23,6 +23,7 @@ from .errors import (
     SingleCluster,
     TooFewRows,
     require_int,
+    require_number,
 )
 from .features import FeatureMatrix
 
@@ -65,18 +66,16 @@ class ClusteringConfig:
     n_init: int = 10
 
     def __post_init__(self) -> None:
+        self.k_range = tuple(self.k_range)
         k_lo, k_hi = self.k_range
-        self.k_range = (int(k_lo), int(k_hi))
-        if not 1 <= self.k_range[0] <= self.k_range[1]:
-            raise InvalidConfig(
-                f"k_range must be [low, high] with 1 <= low <= high, got {self.k_range}"
-            )
+        require_int("k_range low", k_lo, 1)
+        require_int("k_range high", k_hi, k_lo)
         if self.k != "auto":
-            self.k = int(self.k)
-            if self.k < 1:
-                raise InvalidConfig(f"k must be >= 1 or 'auto', got {self.k}")
-        if self.pca_variance is not None and not 0.0 < self.pca_variance <= 1.0:
-            raise InvalidConfig(f"pca_variance must be in (0, 1], got {self.pca_variance}")
+            require_int("k", self.k, 1)
+        if self.pca_variance is not None:
+            require_number("pca_variance", self.pca_variance)
+            if not 0.0 < self.pca_variance <= 1.0:
+                raise InvalidConfig(f"pca_variance must be in (0, 1], got {self.pca_variance}")
         if self.pca_dim is not None:
             require_int("pca_dim", self.pca_dim, 1)
         require_int("max_iters", self.max_iters, 1)

@@ -13,11 +13,11 @@ assembles them, plus the feature, segmentation and causality sections, into
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any
 
 from .clustering import ClusteringConfig
-from .errors import InvalidConfig, require_int
+from .errors import InvalidConfig, require_bool, require_int, require_number
 from .features import (
     ALL_FEATURES,
     DEFAULT_CLUSTERING_FEATURES,
@@ -64,6 +64,17 @@ class FeatureConfig:
         for gran in (self.clustering_granularity, self.graph_granularity):
             if gran not in ("daily", "minute"):
                 raise InvalidConfig(f"granularity must be daily or minute, got {gran!r}")
+        if not self.clustering_features:
+            raise InvalidConfig("clustering_features must name at least 1 feature")
+        if len(self.graph_features) < 2:
+            raise InvalidConfig(
+                f"graph_features must name at least 2 features, got {list(self.graph_features)}"
+            )
+        if self.clustering_granularity == "minute" and self.graph_granularity == "daily":
+            raise InvalidConfig(
+                "minute clustering needs a minute graph: a daily graph row spans "
+                "minutes of several clusters"
+            )
 
 
 @dataclass
@@ -72,7 +83,14 @@ class SegmentationConfig:
     bucket_edges: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
     def __post_init__(self) -> None:
-        self.bucket_edges = tuple(float(e) for e in self.bucket_edges)
+        require_bool("invert_rank", self.invert_rank)
+        for edge in self.bucket_edges:
+            require_number("bucket_edges entry", edge)
+        self.bucket_edges = edges = tuple(float(e) for e in self.bucket_edges)
+        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+            raise InvalidConfig(
+                f"bucket_edges must be at least 2 strictly increasing numbers, got {list(edges)}"
+            )
 
 
 @dataclass
@@ -88,6 +106,7 @@ class CausalityConfig:
         if unknown:
             raise InvalidConfig(f"causality pairs name unknown or non-minute feature(s): {unknown}")
         require_int("lag", self.lag, 1)
+        require_bool("first_difference", self.first_difference)
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfig(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -119,17 +138,10 @@ class PipelineConfig:
         if not isinstance(data, dict):
             raise InvalidConfig(f"config root must be an object, got {type(data).__name__}")
         data = dict(data)
-        sections = {
-            "synth": GeneratorConfig,
-            "features": FeatureConfig,
-            "glasso": GlassoConfig,
-            "clustering": ClusteringConfig,
-            "segmentation": SegmentationConfig,
-            "causality": CausalityConfig,
-        }
         kwargs: dict[str, Any] = {}
-        for name, section_cls in sections.items():
-            if name in data:
+        for section in fields(cls):
+            name, section_cls = section.name, section.default_factory
+            if section_cls is not MISSING and name in data:
                 raw = data.pop(name)
                 if not isinstance(raw, dict):
                     raise InvalidConfig(f"section {name!r} must be an object")

@@ -6,6 +6,8 @@ CLI exit code so batch callers can branch on failure class.
 
 from __future__ import annotations
 
+import math
+
 
 class AnalysisError(Exception):
     """Base class for all toolkit errors."""
@@ -47,6 +49,18 @@ def require_int(name: str, value: object, minimum: int) -> None:
     """Raise :class:`InvalidConfig` unless ``value`` is an int, not a bool, >= ``minimum``."""
     if type(value) is not int or value < minimum:
         raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_bool(name: str, value: object) -> None:
+    """Raise :class:`InvalidConfig` unless ``value`` is ``True`` or ``False``."""
+    if type(value) is not bool:
+        raise InvalidConfig(f"{name} must be true or false, got {value!r}")
+
+
+def require_number(name: str, value: object) -> None:
+    """Raise :class:`InvalidConfig` unless ``value`` is a finite int or float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
 
 
 # -- schema family ---------------------------------------------------------

@@ -70,10 +70,10 @@ class FeatureSpec:
 class FeatureMatrix:
     """N×p design matrix with named columns.
 
-    ``row_players``/``row_days`` identify each row's (player, day) origin.
-    After :func:`standardize`, ``column_means``/``column_stds`` hold the
-    inverse-transform parameters and ``constant_columns`` names the columns
-    that were zeroed because they had no variance.
+    ``row_players`` holds each row's player id. After :func:`standardize`,
+    ``column_means``/``column_stds`` hold the inverse-transform parameters
+    and ``constant_columns`` names the columns that were zeroed because they
+    had no variance.
     """
 
     values: np.ndarray
@@ -83,50 +83,21 @@ class FeatureMatrix:
     column_stds: np.ndarray | None = None
     constant_columns: frozenset[str] = frozenset()
     row_players: tuple[str, ...] | None = None
-    row_days: tuple[str, ...] | None = None
 
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.values[:, self.column_names.index(name)]
-        except ValueError:
-            raise UnknownFeatureName(f"no column named {name!r}") from None
+def raw_columns(table: DatasetTable) -> dict[str, np.ndarray]:
+    """Each ``MINUTE_FEATURES`` column of a table, as a float64 array."""
+    return {name: table.columns[name].astype(np.float64) for name in MINUTE_FEATURES}
 
 
-def raw_columns(table: DatasetTable) -> dict:
-    """Columnar view of a table's per-minute fields, as float64 arrays.
-
-    Also holds each row's ``player_id`` and ISO ``day`` (lists) and
-    ``_group_starts``, the start offset of each (player, day) run of rows.
-    """
-    cols: dict = {name: table.columns[name].astype(np.float64) for name in MINUTE_FEATURES}
-    day_keys, day_codes = table.day_codes()
-    cols["player_id"] = table.row_players()
-    cols["day"] = [day_keys[c] for c in day_codes.tolist()]
-    # the table is sorted, so each (player, day) is one contiguous run
-    new_run = (np.diff(table.player_codes) != 0) | (np.diff(day_codes) != 0)
-    cols["_group_starts"] = np.concatenate(([0], np.flatnonzero(new_run) + 1)).astype(np.intp)
-    return cols
-
-
-def _group_slices(cache: dict) -> list[slice]:
-    starts = cache["_group_starts"]
-    n = len(cache["player_id"])
-    ends = np.append(starts[1:], n)
-    return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
-
-
-def _daily_pooled(cache: dict, starts: np.ndarray, counts: np.ndarray) -> dict[str, np.ndarray]:
+def _daily_pooled(cols: dict, starts: np.ndarray, counts: np.ndarray) -> dict[str, np.ndarray]:
     pooled: dict[str, np.ndarray] = {}
     for r in RESOURCES:
-        status = cache[f"status_{r.value}"]
+        status = cols[f"status_{r.value}"]
         switches_before = np.concatenate(([0], np.cumsum(np.diff(status) != 0)))  # up to each row
         switches = switches_before[starts + counts - 1] - switches_before[starts]
         pooled[f"switch_freq_{r.value}"] = switches.astype(np.float64)
@@ -142,11 +113,10 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
     """
     if not len(table):
         raise EmptyTable("cannot pool features from an empty table")
-    cache = raw_columns(table)
-    slices = _group_slices(cache)
+    cols = raw_columns(table)
+    starts, counts, _ = table.day_runs()
     need_pooled = any(f in DAILY_POOLED_FEATURES for f in spec.features)
-    counts = np.asarray([sl.stop - sl.start for sl in slices])
-    pooled = _daily_pooled(cache, cache["_group_starts"], counts) if need_pooled else {}
+    pooled = _daily_pooled(cols, starts, counts) if need_pooled else {}
 
     if spec.granularity == "daily":
         columns = []
@@ -154,28 +124,19 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
             if name in DAILY_POOLED_FEATURES:
                 columns.append(pooled[name])
             else:
-                col = cache[name]
-                sums = np.add.reduceat(col, cache["_group_starts"])
-                columns.append(sums / counts)
-        row_players = tuple(cache["player_id"][sl.start] for sl in slices)
-        row_days = tuple(cache["day"][sl.start] for sl in slices)
+                columns.append(np.add.reduceat(cols[name], starts) / counts)
+        row_players = table.row_players(starts)
     else:
         columns = []
         for name in spec.features:
             if name in DAILY_POOLED_FEATURES:
                 columns.append(np.repeat(pooled[name], counts))
             else:
-                columns.append(cache[name])
-        row_players = tuple(cache["player_id"])
-        row_days = tuple(cache["day"])
+                columns.append(cols[name])
+        row_players = table.row_players()
 
     values = np.column_stack(columns) if columns else np.empty((0, 0))
-    return FeatureMatrix(
-        values=values,
-        column_names=spec.features,
-        row_players=row_players,
-        row_days=row_days,
-    )
+    return FeatureMatrix(values=values, column_names=spec.features, row_players=tuple(row_players))
 
 
 def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
@@ -207,7 +168,6 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
             name for name, const in zip(matrix.column_names, constant) if const
         ),
         row_players=matrix.row_players,
-        row_days=matrix.row_days,
     )
 
 
@@ -220,7 +180,6 @@ def destandardize(matrix: FeatureMatrix) -> FeatureMatrix:
         values=values,
         column_names=matrix.column_names,
         row_players=matrix.row_players,
-        row_days=matrix.row_days,
     )
 
 
@@ -234,9 +193,13 @@ def player_day_segments(
     unknown = [n for n in names if n not in MINUTE_FEATURES]
     if unknown:
         raise UnknownFeatureName(f"unknown minute feature(s): {unknown}")
-    cache = raw_columns(table)
+    if not len(table):
+        raise EmptyTable("cannot segment an empty table")
+    cols = raw_columns(table)
+    starts, lengths, days = table.day_runs()
     segments = []
-    for sl in _group_slices(cache):
-        series = {name: cache[name][sl] for name in names}
-        segments.append((cache["player_id"][sl.start], cache["day"][sl.start], series))
+    for player, day, start, stop in zip(
+        table.row_players(starts), days, starts.tolist(), (starts + lengths).tolist()
+    ):
+        segments.append((player, day, {name: cols[name][start:stop] for name in names}))
     return segments

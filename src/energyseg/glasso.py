@@ -38,6 +38,7 @@ from .errors import (
     NotStandardized,
     TooFewRows,
     require_int,
+    require_number,
 )
 from .features import FeatureMatrix, standardize
 
@@ -122,6 +123,7 @@ class GlassoConfig:
             raise InvalidConfig(f"symmetrization must be OR or AND, got {self.symmetrization!r}")
         if self.selection not in ("min", "one_se"):
             raise InvalidConfig(f"selection must be min or one_se, got {self.selection!r}")
+        require_number("tol", self.tol)
         if self.tol <= 0:
             raise InvalidConfig(f"tol must be > 0, got {self.tol}")
         require_int("max_sweeps", self.max_sweeps, 1)

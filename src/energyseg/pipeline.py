@@ -155,19 +155,13 @@ def run_ingest(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, Stag
         stage.summary = {
             "records": len(table),
             "players": len(table.player_ids),
-            "days": len(table.day_codes()[0]),
+            "days": len(set(table.day_runs()[2])),
             "dropped_rows": table.dropped_rows,
             "dropped_by_reason": table.dropped_by_reason,
         }
         _write_json(os.path.join(out_dir, "ingest.json"), stage.summary)
         stage.files = [DATASET_FILE, "ingest.json"]
     return table, stage
-
-
-def _cluster_of_minute_rows(matrix_rows, clustering_rows, assignments) -> np.ndarray:
-    """Cluster id per minute row via its (player, day) daily assignment."""
-    daily = {key: int(c) for key, c in zip(clustering_rows, assignments)}
-    return np.array([daily[key] for key in matrix_rows], dtype=np.int64)
 
 
 def _group_correlations(
@@ -234,7 +228,7 @@ def run_segment(
         if len(ks) >= 3:
             suggested_k = clustering_mod.elbow_k(ks, np.array([models[k].inertia for k in ks]))
 
-        k = suggested_k if cl_cfg.k == "auto" else int(cl_cfg.k)
+        k = suggested_k if cl_cfg.k == "auto" else cl_cfg.k
         if k is None:
             raise InvalidConfig("k='auto' needs a k_range spanning at least 3 values")
         if k not in models:
@@ -307,14 +301,10 @@ def run_segment(
         )
         graph_matrix = pool_features(table, graph_spec)
         row_class = np.array([int(class_map[p]) for p in graph_matrix.row_players])
-        if config.features.clustering_granularity == "daily":
-            minute_clusters = _cluster_of_minute_rows(
-                [key for key in zip(graph_matrix.row_players, graph_matrix.row_days)],
-                [key for key in zip(matrix.row_players, matrix.row_days)],
-                model.assignments,
-            )
-        else:
-            minute_clusters = model.assignments
+        row_cluster = model.assignments
+        if graph_spec.granularity == "minute" and spec.granularity == "daily":
+            # each minute row takes the cluster of its (player, day) run
+            row_cluster = np.repeat(model.assignments, table.day_runs()[1])
         class_corrs = _group_correlations(
             out_dir,
             graph_matrix,
@@ -327,7 +317,7 @@ def run_segment(
         cluster_corrs = _group_correlations(
             out_dir,
             graph_matrix,
-            {c: (f"corr_cluster_{c}.csv", minute_clusters == c) for c in range(model.k)},
+            {c: (f"corr_cluster_{c}.csv", row_cluster == c) for c in range(model.k)},
             files,
         )
 
@@ -429,8 +419,7 @@ def run_causality(
         names = sorted({name for pair in cz.pairs for name in pair})
         segments = player_day_segments(table, names)
 
-        rows = []
-        detailed = []
+        tests = []
         for label in ClassLabel:
             players = {p for p, c in class_map.items() if c is label}
             if not players:
@@ -446,18 +435,7 @@ def run_causality(
                     effect=effect,
                     first_difference=cz.first_difference,
                 )
-                rows.append(
-                    (
-                        label.label,
-                        cause,
-                        effect,
-                        result.lag,
-                        result.p_value,
-                        result.f_statistic,
-                        result.reject_h0,
-                    )
-                )
-                detailed.append(
+                tests.append(
                     {
                         "player_type": label.label,
                         "cause": cause,
@@ -472,15 +450,16 @@ def run_causality(
                         "inconclusive": result.inconclusive,
                     }
                 )
+        header = ("player_type", "cause", "effect", "lag", "p_value", "f_statistic", "reject")
         _write_csv(
             os.path.join(out_dir, "causality.csv"),
-            ("player_type", "cause", "effect", "lag", "p_value", "f_statistic", "reject"),
-            rows,
+            header,
+            [tuple(test[name] for name in header) for test in tests],
         )
-        _write_json(os.path.join(out_dir, "causality.json"), {"tests": detailed})
+        _write_json(os.path.join(out_dir, "causality.json"), {"tests": tests})
         stage.summary = {
-            "tests": len(rows),
-            "rejections": sum(1 for row in rows if row[6]),
+            "tests": len(tests),
+            "rejections": sum(1 for test in tests if test["reject"]),
         }
         stage.files = ["causality.csv", "causality.json"]
     return stage

@@ -187,14 +187,22 @@ class DatasetTable:
     def players(self) -> list[str]:
         return list(self.player_ids)
 
-    def row_players(self, rows: slice = slice(None)) -> list[str]:
+    def row_players(self, rows: slice | np.ndarray = slice(None)) -> list[str]:
         """The player id of each row, or of each row in ``rows``."""
         return np.asarray(self.player_ids, dtype=object)[self.player_codes[rows]].tolist()
 
-    def day_codes(self) -> tuple[list[str], np.ndarray]:
-        """The ISO dates present, sorted, and each row's index into them."""
-        days, codes = np.unique(self.timestamps.astype("datetime64[D]"), return_inverse=True)
-        return [str(d) for d in days], codes
+    def day_runs(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """The start row, row count and ISO day of each (player, day) run.
+
+        Rows are sorted by (player, timestamp), so each (player, day) is one
+        contiguous run, starting wherever the player or the day changes.
+        """
+        days = self.timestamps.astype("datetime64[D]")
+        new_run = np.ones(len(self), dtype=bool)
+        new_run[1:] = (self.player_codes[1:] != self.player_codes[:-1]) | (days[1:] != days[:-1])
+        starts = np.flatnonzero(new_run)
+        lengths = np.diff(starts, append=len(self))
+        return starts, lengths, np.datetime_as_string(days[starts]).tolist()
 
 
 def compute_points(baseline: float, usage: float, booster: float = 1.0,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, require_int
+from .errors import InvalidConfig, require_bool, require_int, require_number
 from .records import FLAG_NAMES, FIELD_COLUMNS, RESOURCES, DatasetTable, compute_points
 
 MINUTES_PER_DAY = 1440
@@ -62,13 +62,18 @@ class GeneratorConfig:
     behavior_jitter: float = 0.07
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.players_per_class)
+        counts = tuple(self.players_per_class)
         object.__setattr__(self, "players_per_class", counts)
-        if len(counts) != 3 or any(c < 0 for c in counts):
+        if len(counts) != 3:
             raise InvalidConfig(f"players_per_class must be 3 nonnegative counts, got {counts}")
+        for count in counts:
+            require_int("players_per_class entry", count, 0)
         if sum(counts) == 0:
             raise InvalidConfig("at least one player is required")
         require_int("n_days", self.n_days, 1)
+        require_bool("clamp_points_at_zero", self.clamp_points_at_zero)
+        for name in ("booster", "weather_noise", "behavior_jitter"):
+            require_number(name, getattr(self, name))
         if self.booster <= 0:
             raise InvalidConfig(f"booster must be positive, got {self.booster}")
         if self.weather_noise < 0 or self.behavior_jitter < 0:

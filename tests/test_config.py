@@ -144,6 +144,26 @@ class TestSerialization:
             {"clustering": {"k_range": [0, 3]}},
             {"causality": {"pairs": [["switch_freq_fan", "status_fan"]]}},
             {"causality": {"pairs": [["humidty", "status_fan"]]}},
+            {"features": {"clustering_granularity": "minute", "graph_granularity": "daily"}},
+            {"segmentation": {"invert_rank": "false"}},
+            {"synth": {"clamp_points_at_zero": "false"}},
+            {"causality": {"first_difference": "no"}},
+            {"clustering": {"k": 2.7}},
+            {"clustering": {"k_range": [1.5, 4.9]}},
+            {"synth": {"players_per_class": [1.5, 1, 1]}},
+            {"glasso": {"tol": True}},
+            {"synth": {"booster": True}},
+            {"synth": {"weather_noise": True}},
+            {"synth": {"behavior_jitter": True}},
+            {"clustering": {"pca_variance": True}},
+            {"clustering": {"k": True}},
+            {"segmentation": {"bucket_edges": [0.0, 0.5, 0.5, 1.0]}},
+            {"segmentation": {"bucket_edges": [0.0]}},
+            {"features": {"clustering_features": []}},
+            {"features": {"graph_features": ["humidity"]}},
+            {"glasso": {"tol": float("nan")}},
+            {"synth": {"booster": float("inf")}},
+            {"segmentation": {"bucket_edges": [0.0, float("nan"), 1.0]}},
         ],
     )
     def test_malformed_value_rejected_at_load(self, tmp_path, data):

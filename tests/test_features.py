@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import fm, make_record, make_table
 
@@ -111,7 +113,7 @@ class TestPoolFeatures:
         out = pool_features(tiny_table, spec)
         assert out.values.shape == (6, len(DEFAULT_CLUSTERING_FEATURES))
         assert out.column_names == tuple(DEFAULT_CLUSTERING_FEATURES)
-        pairs = list(zip(out.row_players, out.row_days))
+        pairs = list(zip(out.row_players, tiny_table.day_runs()[2]))
         assert len(set(pairs)) == 6
         assert pairs == sorted(pairs)
 
@@ -203,14 +205,92 @@ class TestSegmentsAndColumns:
         with pytest.raises(UnknownFeatureName):
             player_day_segments(tiny_table, ("switch_freq_fan",))
 
+    def test_player_day_segments_empty_table(self):
+        with pytest.raises(EmptyTable):
+            player_day_segments(make_table([]), ("humidity",))
+
     def test_raw_columns_match_records(self):
         records = toggle_day_records() + [
             make_record("p2", minute=0, humidity=80.0, rank=2, portal_visits=1)
         ]
         table = make_table(records)
         cols = raw_columns(table)
-        assert cols["player_id"] == [r.player_id for r in table.records]
+        assert tuple(cols) == MINUTE_FEATURES
+        assert table.row_players() == [r.player_id for r in table.records]
         assert cols["status_desk_light"].tolist() == [float(r.statuses[1]) for r in table.records]
         assert cols["humidity"].tolist() == [r.humidity for r in table.records]
         assert cols["rank"].tolist() == [float(r.rank) for r in table.records]
-        assert cols["day"] == [r.timestamp.date().isoformat() for r in table.records]
+        _, lengths, days = table.day_runs()
+        row_days = np.repeat(days, lengths).tolist()
+        assert row_days == [r.timestamp.date().isoformat() for r in table.records]
+
+
+@st.composite
+def day_tables(draw):
+    """A few players over a few days, with any minutes of each day missing."""
+    keys = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("p2", "p10", "a", "b b")),
+                st.integers(0, 3),
+                st.integers(0, 1439),
+            ),
+            min_size=1,
+            max_size=40,
+            unique=True,
+        )
+    )
+    return make_table(
+        [
+            make_record(
+                player,
+                minute=minute,
+                day=day,
+                humidity=draw(st.floats(-50.0, 150.0)),
+                statuses=(0, 0, draw(st.integers(0, 1)), 0),
+            )
+            for player, day, minute in keys
+        ]
+    )
+
+
+def brute_runs(table) -> dict:
+    """Row indices of each (player, ISO day), grouping ``table.records`` one by one."""
+    groups: dict = {}
+    for i, r in enumerate(table.records):
+        groups.setdefault((r.player_id, r.timestamp.date().isoformat()), []).append(i)
+    return groups
+
+
+class TestDayRunProperties:
+    @settings(deadline=None, derandomize=True)
+    @given(day_tables())
+    def test_runs_match_brute_force_grouping(self, table):
+        starts, lengths, days = table.day_runs()
+        groups = brute_runs(table)
+        assert list(zip(table.row_players(starts), days)) == list(groups)
+        runs = [list(range(a, a + n)) for a, n in zip(starts.tolist(), lengths.tolist())]
+        assert runs == list(groups.values())
+
+    @settings(deadline=None, derandomize=True)
+    @given(day_tables())
+    def test_daily_rows_are_group_means(self, table):
+        out = pool_features(table, FeatureSpec(("humidity", "status_fan", "usage_pct_fan")))
+        groups = brute_runs(table)
+        records = table.records
+        expected = [
+            [np.mean([records[i].humidity for i in rows])]
+            + [np.mean([records[i].statuses[2] for i in rows])] * 2
+            for rows in groups.values()
+        ]
+        assert out.row_players == tuple(player for player, _ in groups)
+        np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(deadline=None, derandomize=True)
+    @given(day_tables())
+    def test_segments_join_to_the_table_columns(self, table):
+        segments = player_day_segments(table, ("humidity", "status_fan"))
+        assert [(player, day) for player, day, _ in segments] == list(brute_runs(table))
+        for name in ("humidity", "status_fan"):
+            joined = np.concatenate([series[name] for _, _, series in segments])
+            assert np.array_equal(joined, table.columns[name])

@@ -208,10 +208,10 @@ class TestLatentStructure:
     def test_fan_humidity_correlation_by_class(self, seed):
         table = generate_synthetic(GeneratorConfig(players_per_class=(2, 2, 2), n_days=7), seed=seed)
         cols = raw_columns(table)
-        players = np.asarray(cols["player_id"])
+        players = np.asarray(table.row_players())
         fan = cols["status_fan"]
         hum = cols["humidity"]
-        for player in dict.fromkeys(cols["player_id"]):
+        for player in table.players():
             mask = players == player
             corr = np.corrcoef(hum[mask], fan[mask])[0, 1]
             if latent_class_name(player) == "low":
