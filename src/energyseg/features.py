@@ -22,7 +22,7 @@ from .errors import (
     TooFewRows,
     UnknownFeatureName,
 )
-from .records import FLAG_NAMES, RESOURCES, DatasetTable
+from .records import FLAG_NAMES, RESOURCES, STATUS_COLUMNS, DatasetTable
 
 MINUTE_FEATURES: tuple[str, ...] = (
     tuple(f"status_{r.value}" for r in RESOURCES)
@@ -89,9 +89,11 @@ class FeatureMatrix:
         return self.values.shape[0]
 
 
-def raw_columns(table: DatasetTable) -> dict[str, np.ndarray]:
-    """Each ``MINUTE_FEATURES`` column of a table, as a float64 array."""
-    return {name: table.columns[name].astype(np.float64) for name in MINUTE_FEATURES}
+def raw_columns(
+    table: DatasetTable, names: Sequence[str] = MINUTE_FEATURES
+) -> dict[str, np.ndarray]:
+    """The named ``MINUTE_FEATURES`` columns of a table, as float64 arrays."""
+    return {name: table.columns[name].astype(np.float64) for name in names}
 
 
 def _daily_pooled(cols: dict, starts: np.ndarray, counts: np.ndarray) -> dict[str, np.ndarray]:
@@ -113,9 +115,10 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
     """
     if not len(table):
         raise EmptyTable("cannot pool features from an empty table")
-    cols = raw_columns(table)
-    starts, counts, _ = table.day_runs()
     need_pooled = any(f in DAILY_POOLED_FEATURES for f in spec.features)
+    minute_names = [f for f in spec.features if f not in DAILY_POOLED_FEATURES]
+    cols = raw_columns(table, minute_names + list(STATUS_COLUMNS if need_pooled else ()))
+    starts, counts, _ = table.day_runs()
     pooled = _daily_pooled(cols, starts, counts) if need_pooled else {}
 
     if spec.granularity == "daily":
@@ -195,7 +198,7 @@ def player_day_segments(
         raise UnknownFeatureName(f"unknown minute feature(s): {unknown}")
     if not len(table):
         raise EmptyTable("cannot segment an empty table")
-    cols = raw_columns(table)
+    cols = raw_columns(table, names)
     starts, lengths, days = table.day_runs()
     segments = []
     for player, day, start, stop in zip(

@@ -3,10 +3,10 @@
 Each stage is a function of (config, table) that writes fixed-name
 artifacts into the output directory and returns a :class:`StageResult`.
 Every stage body runs inside the one stage runner, :func:`_stage`, which
-times it, records its warnings and loads the configured input when no table
-is passed. Numeric artifacts are byte-deterministic for a given config and
-seed: floats are serialized with ``repr`` (shortest round-trip form) and
-JSON keys are sorted.
+times it, records its warnings, loads the configured input when no table is
+passed and hands it the one artifact writer. Numeric artifacts are
+byte-deterministic for a given config and seed: floats are written in their
+shortest round-trip form and JSON keys are sorted.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import os
 import time
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -43,6 +43,8 @@ DATASET_FILE = "dataset.csv"
 # Above this many clustering rows the segment stage computes the silhouette
 # of the chosen k only; 60k minute rows would cost ~3.6e9 distances per k.
 SILHOUETTE_ALL_K_MAX_ROWS = 20_000
+# write(file name, payload): one artifact into the stage's output directory
+Writer = Callable[[str, object], None]
 
 
 def resolve_output_dir(explicit: str | None, config: PipelineConfig, command: str) -> str:
@@ -54,44 +56,17 @@ def resolve_output_dir(explicit: str | None, config: PipelineConfig, command: st
     return os.path.join(root, command)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write(path: str, payload) -> None:
+    """Write ``payload`` to ``path``: CSV rows, header first, for a ``.csv`` name, else JSON.
 
-
-def _write_csv(path: str, header, rows) -> None:
+    JSON keys are sorted and numpy values go through ``tolist()``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, ClassLabel):
-        return obj.label
-    return obj
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonify(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        if path.endswith(".csv"):
+            csv.writer(handle, lineterminator="\n").writerows(payload)
+        else:
+            json.dump(payload, handle, indent=2, sort_keys=True, default=lambda v: v.tolist())
+            handle.write("\n")
 
 
 @dataclass
@@ -113,45 +88,55 @@ def load_input(config: PipelineConfig) -> DatasetTable:
 
 @contextmanager
 def _stage(
-    name: str, config: PipelineConfig | None = None, table: DatasetTable | None = None
-) -> Iterator[tuple[StageResult, DatasetTable | None]]:
-    """Time a stage body and record its warnings; yields ``(result, table)``.
+    name: str,
+    out_dir: str,
+    config: PipelineConfig | None = None,
+    table: DatasetTable | None = None,
+) -> Iterator[tuple[StageResult, DatasetTable | None, Writer]]:
+    """Time a stage body and record its warnings; yields ``(result, table, write)``.
 
     With a ``config``, a missing ``table`` is loaded from the configured
     input inside the timed block (synth reads no input and passes none).
-    The body fills the result's summary and files and may seed its
-    warnings; on exit the result gets the wall time, and the warnings raised
-    in the block go before the seeded ones.
+    ``write(name, payload)`` writes an artifact into ``out_dir`` (see
+    :func:`_write`) and lists it in the result's files. The body fills the
+    summary and may seed warnings; on exit the result gets the wall time,
+    and its warnings are the distinct ones raised in the block, then seeded.
     """
     start = time.perf_counter()
     stage = StageResult(name=name, seconds=0.0, summary={})
+
+    def write(file_name: str, payload) -> None:
+        _write(os.path.join(out_dir, file_name), payload)
+        stage.files.append(file_name)
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if config is not None and table is None:
             table = load_input(config)
-        yield stage, table
-    stage.warnings = [str(w.message) for w in caught] + stage.warnings
+        yield stage, table, write
+    stage.warnings = list(dict.fromkeys([str(w.message) for w in caught] + stage.warnings))
     stage.seconds = time.perf_counter() - start
 
 
 def run_synth(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, StageResult]:
     """Generate the synthetic dataset and write it as dataset.csv."""
-    with _stage("synth") as (stage, _):
+    with _stage("synth", out_dir) as (stage, _, _):
         table = generate_synthetic(config.synth, config.seed)
         emit_csv(table, os.path.join(out_dir, DATASET_FILE))
+        stage.files.append(DATASET_FILE)
         stage.summary = {
             "players": len(table.player_ids),
             "days": config.synth.n_days,
             "records": len(table),
         }
-        stage.files = [DATASET_FILE]
     return table, stage
 
 
 def run_ingest(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, StageResult]:
     """Validate an input CSV and write its normalized copy plus a summary."""
-    with _stage("ingest", config) as (stage, table):
+    with _stage("ingest", out_dir, config) as (stage, table, write):
         emit_csv(table, os.path.join(out_dir, DATASET_FILE))
+        stage.files.append(DATASET_FILE)
         stage.summary = {
             "records": len(table),
             "players": len(table.player_ids),
@@ -159,19 +144,16 @@ def run_ingest(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, Stag
             "dropped_rows": table.dropped_rows,
             "dropped_by_reason": table.dropped_by_reason,
         }
-        _write_json(os.path.join(out_dir, "ingest.json"), stage.summary)
-        stage.files = [DATASET_FILE, "ingest.json"]
+        write("ingest.json", stage.summary)
     return table, stage
 
 
-def _group_correlations(
-    out_dir: str, matrix: FeatureMatrix, groups: dict, files: list[str]
-) -> dict:
+def _group_correlations(write: Writer, matrix: FeatureMatrix, groups: dict) -> dict:
     """Correlation matrix of each row group that has at least two rows.
 
     ``groups`` maps a key to (CSV file name, row mask). Each matrix is
-    written to its CSV, one row per feature, and the name appended to
-    ``files``; the result maps the same keys to the matrices.
+    written to its CSV with ``write``, one row per feature; the result maps
+    the same keys to the matrices.
     """
     names = matrix.column_names
     corrs = {}
@@ -181,12 +163,8 @@ def _group_correlations(
         corr = segmentation_mod.correlation_matrix(
             FeatureMatrix(values=matrix.values[mask], column_names=names)
         )
-        _write_csv(
-            os.path.join(out_dir, file_name),
-            ("feature",) + names,
-            [(names[i],) + tuple(corr[i]) for i in range(corr.shape[0])],
-        )
-        files.append(file_name)
+        rows = [(name, *row) for name, row in zip(names, corr.tolist())]
+        write(file_name, [("feature", *names)] + rows)
         corrs[key] = corr
     return corrs
 
@@ -195,8 +173,7 @@ def run_segment(
     config: PipelineConfig, out_dir: str, table: DatasetTable | None = None
 ) -> StageResult:
     """Supervised classes, clustering, labelling and proportion artifacts."""
-    with _stage("segment", config, table) as (stage, table):
-        files = stage.files
+    with _stage("segment", out_dir, config, table) as (stage, table, write):
         cl_cfg = config.clustering
 
         # -- features for clustering ----------------------------------------
@@ -208,8 +185,8 @@ def run_segment(
 
         pca = clustering_mod.pca_fit(matrix, dim=cl_cfg.pca_dim, variance=cl_cfg.pca_variance)
         scores = clustering_mod.pca_transform(pca, matrix.values)
-        _write_json(
-            os.path.join(out_dir, "pca.json"),
+        write(
+            "pca.json",
             {
                 "components": pca.components,
                 "explained_variance_ratio": pca.explained_variance_ratio,
@@ -217,7 +194,6 @@ def run_segment(
                 "feature_names": list(matrix.column_names),
             },
         )
-        files.append("pca.json")
 
         # -- elbow curve + silhouettes over the configured k range -----------
         n_rows = scores.shape[0]
@@ -252,14 +228,13 @@ def run_segment(
         for sk in silhouette_ks:
             if len(np.unique(models[sk].assignments)) >= 2 and n_rows >= 3:
                 silhouettes[sk], _ = clustering_mod.silhouette(scores, models[sk].assignments)
-        _write_csv(
-            os.path.join(out_dir, "elbow.csv"),
-            ("k", "inertia", "silhouette"),
-            [(ek, models[ek].inertia, silhouettes.get(ek, "")) for ek in ks],
+        write(
+            "elbow.csv",
+            [("k", "inertia", "silhouette")]
+            + [(ek, models[ek].inertia, silhouettes.get(ek, "")) for ek in ks],
         )
-        files.append("elbow.csv")
-        _write_json(
-            os.path.join(out_dir, "clusters.json"),
+        write(
+            "clusters.json",
             {
                 "k": model.k,
                 "centroids": model.centroids,
@@ -270,7 +245,6 @@ def run_segment(
                 "converged": model.converged,
             },
         )
-        files.append("clusters.json")
 
         # -- supervised classes -----------------------------------------------
         class_map, bands = segmentation_mod.assign_classes(
@@ -279,10 +253,10 @@ def run_segment(
         class_counts = {
             label.label: sum(1 for c in class_map.values() if c is label) for label in ClassLabel
         }
-        _write_json(
-            os.path.join(out_dir, "classes.json"),
+        write(
+            "classes.json",
             {
-                "classes": {player: label for player, label in class_map.items()},
+                "classes": {player: label.label for player, label in class_map.items()},
                 "rank_bands": {
                     "rank_min": bands.rank_min,
                     "rank_max": bands.rank_max,
@@ -292,7 +266,6 @@ def run_segment(
                 "counts": class_counts,
             },
         )
-        files.append("classes.json")
 
         # -- correlation matrices per class and per cluster -------------------
         graph_spec = FeatureSpec(
@@ -306,19 +279,17 @@ def run_segment(
             # each minute row takes the cluster of its (player, day) run
             row_cluster = np.repeat(model.assignments, table.day_runs()[1])
         class_corrs = _group_correlations(
-            out_dir,
+            write,
             graph_matrix,
             {
                 label: (f"corr_class_{label.label}.csv", row_class == int(label))
                 for label in ClassLabel
             },
-            files,
         )
         cluster_corrs = _group_correlations(
-            out_dir,
+            write,
             graph_matrix,
             {c: (f"corr_cluster_{c}.csv", row_cluster == c) for c in range(model.k)},
-            files,
         )
 
         # -- cluster labelling (defined for k = 3 with all groups present) ----
@@ -327,17 +298,16 @@ def run_segment(
             labelling = segmentation_mod.label_clusters(
                 [cluster_corrs[c] for c in range(3)], class_corrs
             )
-            _write_json(
-                os.path.join(out_dir, "labelling.json"),
+            labelling_summary = {str(c): label.label for c, label in labelling.mapping.items()}
+            write(
+                "labelling.json",
                 {
-                    "mapping": {str(c): label for c, label in labelling.mapping.items()},
+                    "mapping": labelling_summary,
                     "similarity_matrix": labelling.similarity_matrix,
                     "similarity_columns": [label.label for label in ClassLabel],
                     "method": labelling.method,
                 },
             )
-            files.append("labelling.json")
-            labelling_summary = {str(c): label.label for c, label in labelling.mapping.items()}
 
         # -- per-player proportions in each cluster ---------------------------
         report = segmentation_mod.proportion_buckets(
@@ -347,25 +317,23 @@ def run_segment(
             model.k,
             config.segmentation.bucket_edges,
         )
-        _write_json(
-            os.path.join(out_dir, "proportions.json"),
+        write(
+            "proportions.json",
             {
                 "bucket_edges": list(report.bucket_edges),
                 "per_player": report.per_player,
                 "histograms": {label.label: report.counts[label] for label in ClassLabel},
             },
         )
-        files.append("proportions.json")
-        _write_csv(
-            os.path.join(out_dir, "proportions.csv"),
-            ("player", "class", "cluster", "proportion"),
-            [
+        write(
+            "proportions.csv",
+            [("player", "class", "cluster", "proportion")]
+            + [
                 (player, class_map[player].label, c, float(props[c]))
                 for player, props in report.per_player.items()
                 for c in range(model.k)
             ],
         )
-        files.append("proportions.csv")
 
         stage.summary = {
             "k": model.k,
@@ -383,25 +351,20 @@ def run_glasso(
     config: PipelineConfig, out_dir: str, table: DatasetTable | None = None
 ) -> StageResult:
     """Dependency-graph estimation artifacts (graph.json, edges.csv)."""
-    with _stage("glasso", config, table) as (stage, table):
+    with _stage("glasso", out_dir, config, table) as (stage, table, write):
         spec = FeatureSpec(
             features=config.features.graph_features,
             granularity=config.features.graph_granularity,
         )
         matrix = standardize(pool_features(table, spec))
         graph = glasso_mod.graphical_lasso(matrix, config.glasso, seed=config.seed)
-        _write_json(os.path.join(out_dir, "graph.json"), glasso_mod.graph_to_dict(graph))
-        _write_csv(
-            os.path.join(out_dir, "edges.csv"),
-            ("a", "b", "weight", "sign"),
-            glasso_mod.edges_to_csv_rows(graph),
-        )
+        write("graph.json", glasso_mod.graph_to_dict(graph))
+        write("edges.csv", [("a", "b", "weight", "sign"), *glasso_mod.edges_to_csv_rows(graph)])
         stage.summary = {
             "vertices": len(graph.vertex_names),
             "edges": len(graph.edges),
             "symmetrization": graph.symmetrization,
         }
-        stage.files = ["graph.json", "edges.csv"]
         stage.warnings = list(graph.warnings)
     return stage
 
@@ -410,7 +373,7 @@ def run_causality(
     config: PipelineConfig, out_dir: str, table: DatasetTable | None = None
 ) -> StageResult:
     """Per-class Granger grid over the configured (cause, effect) pairs."""
-    with _stage("causality", config, table) as (stage, table):
+    with _stage("causality", out_dir, config, table) as (stage, table, write):
         cz = config.causality
         class_map, _ = segmentation_mod.assign_classes(
             table, invert_rank=config.segmentation.invert_rank
@@ -451,17 +414,19 @@ def run_causality(
                     }
                 )
         header = ("player_type", "cause", "effect", "lag", "p_value", "f_statistic", "reject")
-        _write_csv(
-            os.path.join(out_dir, "causality.csv"),
-            header,
-            [tuple(test[name] for name in header) for test in tests],
+        write(
+            "causality.csv",
+            [header]
+            + [
+                (*(test[name] for name in header[:-1]), "true" if test["reject"] else "false")
+                for test in tests
+            ],
         )
-        _write_json(os.path.join(out_dir, "causality.json"), {"tests": tests})
+        write("causality.json", {"tests": tests})
         stage.summary = {
             "tests": len(tests),
             "rejections": sum(1 for test in tests if test["reject"]),
         }
-        stage.files = ["causality.csv", "causality.json"]
     return stage
 
 
@@ -481,10 +446,7 @@ def run_report(config: PipelineConfig, out_dir: str) -> list[StageResult]:
     stages.append(run_glasso(config, out_dir, table))
     stages.append(run_causality(config, out_dir, table))
 
-    files = ["config.json"]
-    for stage in stages:
-        files.extend(stage.files)
-    files.append("report.json")
+    files = ["config.json", *(f for stage in stages for f in stage.files), "report.json"]
     report = {
         "seed": config.seed,
         "stages": [
@@ -498,7 +460,7 @@ def run_report(config: PipelineConfig, out_dir: str) -> list[StageResult]:
         ],
         "files": sorted(files),
     }
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    _write(os.path.join(out_dir, "report.json"), report)
     missing = [f for f in files if not os.path.exists(os.path.join(out_dir, f))]
     if missing:
         raise InvalidConfig(f"report inventory lists missing files: {missing}")

@@ -113,6 +113,12 @@ class OccupantRecord:
     is_midterm: int
     is_final: int
 
+    def __getattr__(self, name: str) -> int:
+        # a STATUS_COLUMNS name reads its entry of ``statuses``
+        if name in STATUS_COLUMNS:
+            return self.statuses[STATUS_COLUMNS.index(name)]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
 
 # OccupantRecord's fields after the resource tuples, in CSV order
 _RECORD_SCALARS = attrgetter(*FIELD_COLUMNS[12:])

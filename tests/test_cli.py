@@ -348,6 +348,27 @@ class TestReport:
             assert hits and {name for name, _ in hits} == {stage}, stage_warnings
             for _, warning in hits:
                 assert f"[{stage}] warning: {warning}" in err
+        for name, ws in stage_warnings.items():
+            assert len(ws) == len(set(ws)), (name, ws)
+
+    def test_csv_artifacts_parse(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"players_per_class": [1, 1, 1], "n_days": 2}}))
+        out = tmp_path / "report"
+        assert main(["report", "--config", str(cfg), "--out", str(out), "--seed", "42"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        csv_files = [name for name in report["files"] if name.endswith(".csv")]
+        assert {"corr_class_high.csv", "corr_cluster_0.csv", "causality.csv"} <= set(csv_files)
+        for name in csv_files:
+            with open(out / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), name
+            if name.startswith("corr_"):
+                for row in rows:
+                    for cell in row[1:]:
+                        float(cell)  # raises on text such as "np.float64(0.5)"
+            if name == "causality.csv":
+                assert {row[header.index("reject")] for row in rows} <= {"true", "false"}
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENERGYSEG_OUTPUT_ROOT", str(tmp_path / "root"))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BASE_DATE, make_record, make_table, table_to_csv
+from test_acceptance import _daily_minutes
 
 from energyseg.errors import (
     DataSizeError,
@@ -23,12 +24,14 @@ from energyseg.records import (
     CSV_COLUMNS,
     DROP_REASONS,
     DatasetTable,
+    STATUS_COLUMNS,
     OccupantRecord,
     compute_points,
     emit_csv,
     ingest_csv,
     require_nonempty,
 )
+from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
 
 class TestComputePoints:
@@ -242,6 +245,29 @@ class TestEmit:
         with open(path, "w", encoding="utf-8", newline="") as sink:
             emit_csv(table, sink)
         assert ingest_csv(str(path)) == table
+
+
+class TestStatusAttributes:
+    def test_status_names_read_statuses(self):
+        record = make_record(statuses=(1, 0, 1, 0))
+        assert [getattr(record, name) for name in STATUS_COLUMNS] == [1, 0, 1, 0]
+        with pytest.raises(AttributeError):
+            record.status_heater
+
+    def test_daily_minutes_counts_weekday_status_minutes(self):
+        # criterion 11's per-(player, day) minutes, against a count over the columns
+        table = generate_synthetic(GeneratorConfig(players_per_class=(1, 1, 1), n_days=7), seed=4)
+        players = np.array(table.row_players())
+        days = table.timestamps.astype("datetime64[D]")
+        weekday = table.columns["is_weekend"] == 0
+        keys = sorted(set(zip(players[weekday].tolist(), days[weekday].tolist())))
+        assert len(keys) == 3 * 5
+        for column in STATUS_COLUMNS:
+            expected = [
+                int(table.columns[column][(players == p) & (days == d) & weekday].sum())
+                for p, d in keys
+            ]
+            assert _daily_minutes(table, column) == expected
 
 
 class TestRequireNonempty:
