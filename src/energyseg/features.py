@@ -116,7 +116,10 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
     if not len(table):
         raise EmptyTable("cannot pool features from an empty table")
     need_pooled = any(f in DAILY_POOLED_FEATURES for f in spec.features)
-    minute_names = [f for f in spec.features if f not in DAILY_POOLED_FEATURES]
+    # at minute granularity the matrix takes the table's columns as they are
+    minute_names = [
+        f for f in spec.features if f not in DAILY_POOLED_FEATURES and spec.granularity == "daily"
+    ]
     cols = raw_columns(table, minute_names + list(STATUS_COLUMNS if need_pooled else ()))
     starts, counts, _ = table.day_runs()
     pooled = _daily_pooled(cols, starts, counts) if need_pooled else {}
@@ -128,17 +131,18 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
                 columns.append(pooled[name])
             else:
                 columns.append(np.add.reduceat(cols[name], starts) / counts)
+        values = np.column_stack(columns) if columns else np.empty((0, 0))
         row_players = table.row_players(starts)
     else:
-        columns = []
-        for name in spec.features:
+        # one column at a time into the matrix: no float64 copy of the table
+        values = np.empty((len(table), len(spec.features)))
+        for j, name in enumerate(spec.features):
             if name in DAILY_POOLED_FEATURES:
-                columns.append(np.repeat(pooled[name], counts))
+                values[:, j] = np.repeat(pooled[name], counts)
             else:
-                columns.append(cols[name])
+                values[:, j] = table.columns[name]
         row_players = table.row_players()
 
-    values = np.column_stack(columns) if columns else np.empty((0, 0))
     return FeatureMatrix(values=values, column_names=spec.features, row_players=tuple(row_players))
 
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
+import re
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -83,7 +85,21 @@ DROP_REASONS: tuple[str, ...] = (
 
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
-_BLOCK_ROWS = 8192  # rows parsed or written per block, bounding the Python objects held
+_BLOCK_ROWS = 8192  # physical lines parsed per ingest block
+_EMIT_ROWS = 2048  # rows written per emit block, bounding the strings held
+
+# One field as csv's default dialect reads it: a quote opens a quoted field
+# only at the field's start, and "" inside one is a literal quote.
+_FIELD = r'(?:"(?:[^"]|"")*+"[^,\r\n]*+|[^",\r\n][^,\r\n]*+)?+'
+# Matches a line that ends inside a quoted field, for a line that starts a
+# record ([False]) and for one that continues a quoted field ([True]).
+_ENDS_QUOTED = (
+    re.compile(rf'{_FIELD}(?:,{_FIELD})*+"'),
+    re.compile(rf'(?:[^"]|"")*+(?:\Z|"[^,\r\n]*+(?:,{_FIELD})*+")'),
+)
+# numpy's number parser skips these as white space, and int() and float()
+# reject them; it also reads some non-ASCII letters as digits
+_NUMPY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(slots=True, frozen=True)
@@ -258,6 +274,24 @@ def _parse_cells(cells, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
         return values, rejected
 
 
+def _ends_quoted(lines: list[str], inside: bool = False) -> bool:
+    """Whether ``lines`` end inside a quoted field; ``inside``: they start in one."""
+    for line in lines:
+        if '"' in line:
+            inside = _ENDS_QUOTED[inside].match(line) is not None
+    return inside
+
+
+def _blocks(lines: Iterator[str]) -> Iterator[list[str]]:
+    """The lines in blocks of ``_BLOCK_ROWS`` or more, each ending where a record ends."""
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        inside = _ends_quoted(block)
+        while inside and (line := next(lines, None)) is not None:
+            block.append(line)
+            inside = _ends_quoted([line], inside)
+        yield block
+
+
 def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
     """Parse a CSV stream into a :class:`DatasetTable`.
 
@@ -279,10 +313,10 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return ingest_csv(handle, schema)
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
+        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
 
-    reader = csv.reader(source)
-    header = next(reader, [])
+    lines = iter(source)
+    header = next(csv.reader(lines), [])
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     sources = [(schema or {}).get(name, name) for name in CSV_COLUMNS]
     missing = [src for src in sources if src not in position]
@@ -298,25 +332,49 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
         (_epoch_microseconds, np.int64),
         (lambda p: player_index.setdefault(p, len(player_index)), np.intp),
     ] + [(int, np.int64) if name in INT_COLUMNS else (float, np.float64) for name in FIELD_COLUMNS]
-    blocks = []
-    while chunk := list(islice(reader, _BLOCK_ROWS)):
-        cells = [pick(row) if len(row) >= width else blank for row in chunk if row]
-        if cells:
-            blocks.append([_parse_cells(col, *conv) for col, conv in zip(zip(*cells), converters)])
-    blocks = blocks or [[_parse_cells((), *conv) for conv in converters]]
-    values, rejected = zip(*(map(np.concatenate, zip(*column)) for column in zip(*blocks)))
-    del blocks  # frees the per-block arrays before the kept rows are copied out
-    stamps, player, *fields = values
+    dtype = np.dtype([(name, conv[1] if name in FIELD_COLUMNS else object)
+                      for name, conv in zip(CSV_COLUMNS, converters)])
+
+    def parse(block: list[str]) -> list[np.ndarray]:
+        # each column's values, then per row: a cell does not parse; the timestamp has an offset
+        text = "".join(block)
+        if text.isascii() and not any(c in text for c in _NUMPY_SPACES):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # e.g. a block of blank lines
+                    cells = np.loadtxt(block, dtype, delimiter=",", quotechar='"',
+                                       comments=None, usecols=index, ndmin=1)
+            except (ValueError, Warning):
+                pass  # only the per-cell path below tells which cells fail
+            else:
+                stamps, rejected = _parse_cells(cells["timestamp"], *converters[0])
+                player, _ = _parse_cells(cells["player_id"], *converters[1])
+                fields = [cells[name].copy() for name in FIELD_COLUMNS]
+                return [stamps, player, *fields, rejected == 1, rejected == 2]
+        rows = [pick(row) if len(row) >= width else blank for row in csv.reader(block) if row]
+        cells = list(zip(*rows)) or [()] * len(blank)
+        values, rejected = zip(*(_parse_cells(col, *conv) for col, conv in zip(cells, converters)))
+        return [*values, np.logical_or.reduce([r == 1 for r in rejected]), rejected[0] == 2]
+
+    blocks = [parse(block) for block in _blocks(lines)] or [parse([])]
+    values = [list(parts) for parts in zip(*blocks)]
+    del blocks
+    for i, parts in enumerate(values):  # one column at a time, freeing its blocks as it goes
+        values[i] = np.concatenate(parts)
+        parts.clear()
+    stamps, player, *fields, unparsable, offset = values
     minutes, sub_minute = np.divmod(stamps, 60_000_000)
     columns = dict(zip(FIELD_COLUMNS, fields))
+    del values, fields  # the gather below then holds one copy of the table
 
     # first failed rule per row, in DROP_REASONS order; len(DROP_REASONS) = kept
-    floats = [columns[name] for name in FIELD_COLUMNS if name not in INT_COLUMNS]
     elapsed = minutes % 1440 + 1
     checks = (
-        np.logical_or.reduce([r == 1 for r in rejected]),
-        rejected[0] == 2,
-        np.logical_or.reduce([~np.isfinite(col) for col in floats]),
+        unparsable,
+        offset,
+        np.logical_or.reduce(
+            [~np.isfinite(columns[n]) for n in FIELD_COLUMNS if n not in INT_COLUMNS]
+        ),
         np.logical_or.reduce(
             [(columns[n] != 0) & (columns[n] != 1) for n in STATUS_COLUMNS + FLAG_NAMES]
         ),
@@ -350,35 +408,55 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
         raise ParseError(f"{dropped} of {total} rows malformed")
     counts = np.bincount(reason, minlength=kept_code + 1)
     present, player_codes = np.unique(row_player[~repeat], return_inverse=True)
+    for name in FIELD_COLUMNS:  # one column at a time, so the table is held once
+        columns[name] = columns[name][kept]
     return DatasetTable(
         player_ids=tuple(names[i] for i in present),
         player_codes=player_codes.astype(np.intp),
         timestamps=minutes[kept].astype("datetime64[m]"),
-        columns={name: col[kept] for name, col in columns.items()},
+        columns=columns,
         dropped_by_reason=dict(zip(DROP_REASONS, counts[:kept_code].tolist())),
     )
+
+
+def _quoted(text: str) -> str:
+    """``text`` as one CSV field: quoted when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _formatted(column: np.ndarray) -> list[str]:
+    """Each cell's ``repr``, formatting each distinct value once.
+
+    Floats are told apart by bit pattern, so ``-0.0`` keeps its sign.
+    """
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def emit_csv(table: DatasetTable, sink) -> None:
     """Write ``table`` in the canonical CSV schema (round-trips ingest_csv).
 
-    Float cells are the ``repr`` of Python floats, int cells their ``str``.
+    Float cells are the ``repr`` of Python floats, int cells their ``str``;
+    a player id is quoted when it holds a comma, a quote or a line break.
     """
     if isinstance(sink, (str, bytes)):
         with open(sink, "w", encoding="utf-8", newline="") as handle:
             emit_csv(table, handle)
             return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for start in range(0, len(table), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        writer.writerows(
-            zip(
-                np.datetime_as_string(table.timestamps[rows], unit="m").tolist(),
-                table.row_players(rows),
-                *(table.columns[name][rows].tolist() for name in FIELD_COLUMNS),
-            )
-        )
+    sink.write(",".join(CSV_COLUMNS) + "\n")
+    players = np.array([_quoted(p) for p in table.player_ids], dtype=object)
+    for start in range(0, len(table), _EMIT_ROWS):
+        rows = slice(start, start + _EMIT_ROWS)
+        lines = map(",".join, zip(
+            np.datetime_as_string(table.timestamps[rows], unit="m").tolist(),
+            players[table.player_codes[rows]].tolist(),
+            *(_formatted(table.columns[name][rows]) for name in FIELD_COLUMNS),
+        ))
+        sink.writelines(line + "\n" for line in lines)
 
 
 def require_nonempty(table: DatasetTable) -> None:

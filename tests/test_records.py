@@ -1,7 +1,10 @@
 """Schema, ingestion, serialization, and the points formula."""
 
+import csv
 import datetime as dt
 import io
+import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from energyseg.errors import (
 from energyseg.records import (
     CSV_COLUMNS,
     DROP_REASONS,
+    INT_COLUMNS,
     DatasetTable,
     STATUS_COLUMNS,
     OccupantRecord,
@@ -247,6 +251,52 @@ class TestEmit:
         assert ingest_csv(str(path)) == table
 
 
+class TestQuotedIds:
+    # each id with the field emit_csv writes for it
+    FIELDS = {
+        "a\nb": '"a\nb"',
+        "c\rd": '"c\rd"',
+        "e\r\nf": '"e\r\nf"',
+        '"': '""""',
+        "g,h": '"g,h"',
+        "": "",
+        " i ": " i ",
+    }
+
+    def test_ids_round_trip_across_blocks(self, tmp_path):
+        table = make_table([make_record(p, m) for p in self.FIELDS for m in range(2)])
+        text = table_to_csv(table)
+        for p, row in zip(table.row_players(), csv.reader(io.StringIO(text[text.index("\n") + 1:]))):
+            assert row[1] == p
+        for p, field in self.FIELDS.items():
+            assert f"2018-09-03T00:00,{field},0," in text
+        path = tmp_path / "ids.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with patch("energyseg.records._BLOCK_ROWS", 3):  # quoted line breaks cross block ends
+            for source in (io.StringIO(text), str(path), io.BytesIO(text.encode("utf-8"))):
+                again = ingest_csv(source)
+                assert again.dropped_rows == 0
+                assert again == table
+                assert table_to_csv(again) == text
+
+    def test_one_player_with_a_carriage_return(self):
+        table = make_table([make_record("c\rd", 0)])
+        assert ingest_csv(io.StringIO(table_to_csv(table))) == table
+
+    def test_stray_quote_does_not_move_a_block_end(self):
+        # csv reads a quote inside an unquoted field as a literal; counting
+        # quotes would end the first block inside the quoted "a\nb"
+        header, quoted_start, quoted_end, plain, _ = table_to_csv(
+            make_table([make_record("a\nb", 0), make_record("p", 1)])
+        ).split("\n")
+        stray = plain.replace(",p,", ',x"y,')
+        text = "\n".join([header, stray, quoted_start, quoted_end]) + "\n"
+        with patch("energyseg.records._BLOCK_ROWS", 2):
+            table = ingest_csv(io.StringIO(text))
+        assert table.players() == ["a\nb", 'x"y']
+        assert table.dropped_rows == 0
+
+
 class TestStatusAttributes:
     def test_status_names_read_statuses(self):
         record = make_record(statuses=(1, 0, 1, 0))
@@ -285,7 +335,7 @@ binary = st.integers(0, 1)
 
 
 @st.composite
-def occupant_records(draw):
+def occupant_records(draw, id_alphabet='ab,"\u00e9 '):
     """A valid record: every field inside the range ingest accepts."""
     minute = draw(st.integers(0, 3 * 1440 - 1))
     elapsed = minute % 1440 + 1
@@ -293,7 +343,7 @@ def occupant_records(draw):
     baseline = st.floats(0.0, 1e300, exclude_min=True)
     return OccupantRecord(
         timestamp=dt.datetime.combine(BASE_DATE, dt.time()) + dt.timedelta(minutes=minute),
-        player_id=draw(st.text(alphabet='ab,"\u00e9 ', max_size=3)),
+        player_id=draw(st.text(alphabet=id_alphabet, max_size=3)),
         statuses=tuple(draw(st.tuples(binary, binary, binary, binary))),
         usage_today=tuple(draw(st.tuples(usage, usage, usage, usage))),
         baselines=tuple(draw(st.tuples(baseline, baseline, baseline, baseline))),
@@ -307,14 +357,18 @@ def occupant_records(draw):
     )
 
 
-tables = st.lists(
-    occupant_records(), min_size=1, max_size=30, unique_by=lambda r: (r.player_id, r.timestamp)
-).map(make_table)
+def tables(id_alphabet='ab,"\u00e9 '):
+    return st.lists(
+        occupant_records(id_alphabet),
+        min_size=1,
+        max_size=30,
+        unique_by=lambda r: (r.player_id, r.timestamp),
+    ).map(make_table)
 
 
 class TestRoundTripProperties:
     @settings(deadline=None, derandomize=True)
-    @given(tables)
+    @given(tables('ab,"\u00e9 \r\n'))
     def test_emit_ingest_emit_byte_identical(self, table):
         text = table_to_csv(table)
         again = ingest_csv(io.StringIO(text))
@@ -323,10 +377,100 @@ class TestRoundTripProperties:
         assert table_to_csv(again) == text
 
     @settings(deadline=None, derandomize=True)
-    @given(tables, st.randoms(use_true_random=False))
+    @given(tables(), st.randoms(use_true_random=False))
     def test_row_order_of_the_file_does_not_matter(self, table, rnd):
         header, *rows = table_to_csv(table).strip("\n").split("\n")
         rnd.shuffle(rows)
         shuffled = ingest_csv(io.StringIO("\n".join([header] + rows) + "\n"))
         assert shuffled == ingest_csv(io.StringIO(table_to_csv(table)))
         assert table_to_csv(shuffled) == table_to_csv(table)
+
+
+def _field(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
+
+
+INT_CASES = ("1.0", "1e0", "1_0", "+1", " 1 ", str(2**63), "\u0661", "1\x1c")
+FLOAT_CASES = ("nan", "inf", "Infinity", "1_0", " 2.5 ", "\u0661", "1\x1c")
+EDITS = ("none",) * 4 + (
+    "timestamp", "repeat", "player_id", "int", "float", "quoted", "short", "extra", "space", "blank"
+)
+
+
+@st.composite
+def edited_csv(draw):
+    """A valid table's CSV with some rows edited into cases where numpy's parser
+    and the per-cell path might disagree."""
+    header, *rows = csv.reader(io.StringIO(table_to_csv(draw(tables('ab,"\r\n'))), newline=""))
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [_field(cell) for cell in row]
+        stamp = row[0]
+        edit = draw(st.sampled_from(EDITS))
+        if edit == "timestamp":
+            cells[0] = draw(st.sampled_from([
+                stamp + ":30", stamp + ":00.5", stamp + "Z", stamp + "+01:00",
+                " " + stamp, "NaT", "today", "2018",
+            ]))
+        elif edit == "repeat":  # the same player and minute, seconds later
+            lines.append(",".join([stamp + draw(st.sampled_from([":30", ":00.5"])), *cells[1:]]))
+        elif edit == "player_id":
+            cells[1] = 'x"y'  # a quote inside an unquoted field
+        elif edit in ("int", "float"):
+            column = draw(st.sampled_from(
+                [i for i, n in enumerate(CSV_COLUMNS[2:], 2) if (n in INT_COLUMNS) == (edit == "int")]
+            ))
+            cells[column] = draw(st.sampled_from(INT_CASES if edit == "int" else FLOAT_CASES))
+        elif edit == "quoted":
+            cells[2:] = [f'"{cell}"' for cell in cells[2:]]
+        elif edit == "short":
+            cells = cells[: draw(st.integers(1, len(cells) - 1))]
+        elif edit == "extra":
+            cells.append("extra")
+        elif edit == "space":
+            lines.append("   ")
+        elif edit == "blank":
+            lines.extend([""] * draw(st.integers(1, 8)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _ingest_outcome(text: str, binary: bool):
+    try:
+        return ingest_csv(io.BytesIO(text.encode("utf-8")) if binary else io.StringIO(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFastPathAgreesWithPerCellPath:
+    @settings(deadline=None, derandomize=True)
+    @given(edited_csv(), st.integers(1, 50), st.booleans())
+    def test_same_table_and_drop_reasons(self, text, block_rows, binary):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with patch("energyseg.records._BLOCK_ROWS", block_rows):
+                fast = _ingest_outcome(text, binary)
+        # the per-cell path alone: csv.reader over the whole file in one block
+        with patch("numpy.loadtxt", side_effect=ValueError), \
+                patch("energyseg.records._BLOCK_ROWS", 10**9):
+            slow = _ingest_outcome(text, binary)
+        assert fast == slow
+        assert caught == []
+
+    def test_blank_lines_and_no_rows_record_no_warning(self):
+        header, row, _ = small_csv().split("\n", 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with patch("energyseg.records._BLOCK_ROWS", 2):
+                assert len(ingest_csv(io.StringIO(f"{header}\n{row}\n\n\n\n{row}\n"))) == 1
+                assert len(ingest_csv(io.StringIO(f"{header}\n"))) == 0
+        assert caught == []
+
+    @settings(deadline=None, derandomize=True)
+    @given(tables('ab,"\r\n'), st.integers(1, 50))
+    def test_clean_file_records_no_warning(self, table, block_rows):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with patch("energyseg.records._BLOCK_ROWS", block_rows):
+                assert ingest_csv(io.StringIO(table_to_csv(table))) == table
+        assert caught == []
