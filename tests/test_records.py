@@ -266,8 +266,6 @@ class TestQuotedIds:
     def test_ids_round_trip_across_blocks(self, tmp_path):
         table = make_table([make_record(p, m) for p in self.FIELDS for m in range(2)])
         text = table_to_csv(table)
-        for p, row in zip(table.row_players(), csv.reader(io.StringIO(text[text.index("\n") + 1:]))):
-            assert row[1] == p
         for p, field in self.FIELDS.items():
             assert f"2018-09-03T00:00,{field},0," in text
         path = tmp_path / "ids.csv"
