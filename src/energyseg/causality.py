@@ -155,14 +155,6 @@ def granger_test(
     effect: str = "y",
 ) -> CausalityResult:
     """Granger F-test of whether lagged ``x`` helps predict ``y``."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise SeriesTooShort(f"need equal-length 1-D series, got {x.shape} vs {y.shape}")
-    if len(y) - lag <= 2 * lag + 1:
-        raise SeriesTooShort(
-            f"need T - lag > 2*lag + 1, got T={len(y)} at lag={lag}"
-        )
     return granger_test_segments([(x, y)], lag=lag, alpha=alpha, cause=cause, effect=effect)
 
 

@@ -1,24 +1,26 @@
 """Command-line entry point.
 
 One subcommand per pipeline stage plus ``report`` for the full run. Flags
-override config-file fields, and the effective configuration is echoed into
-the output directory so any run can be reproduced from its artifacts alone.
-Exit codes: 0 success, 2 config, 3 schema, 4 data size, 5 numeric, 1 other.
+override config-file fields. The CLI builds the config, resolves the output
+directory and hands both to :func:`energyseg.pipeline.run_command`, which
+echoes the effective configuration into that directory, so any run can be
+reproduced from its artifacts alone. Exit codes: 0 success, 2 config,
+3 schema, 4 data size, 5 numeric, 1 other.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
 from . import pipeline
-from .config import OUTPUT_ROOT_ENV, PipelineConfig, dump_config, load_config
+from .config import OUTPUT_ROOT_ENV, PipelineConfig, load_config
 from .errors import AnalysisError, InvalidConfig
 
 _DATASET_COMMANDS = (
+    ("ingest", "validate and normalize a dataset CSV"),
     ("segment", "supervised classes, clustering, cluster labelling, proportions"),
     ("glasso", "estimate the sparse feature-dependency graph"),
     ("causality", "Granger-causality grid per efficiency class"),
@@ -55,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LOW,MED,HIGH",
         help="player counts per latent efficiency class, e.g. 2,2,2",
     )
-
-    p_ingest = sub.add_parser("ingest", help="validate and normalize a dataset CSV")
-    common(p_ingest)
-    p_ingest.add_argument("--input", metavar="PATH", help="dataset CSV (overrides config)")
 
     for name, text in _DATASET_COMMANDS:
         p = sub.add_parser(name, help=text)
@@ -110,26 +108,8 @@ def _print_stage(stage: pipeline.StageResult) -> None:
 
 def run(args: argparse.Namespace) -> int:
     config = effective_config(args)
-    out_dir = pipeline.resolve_output_dir(args.out, config, args.command)
-    os.makedirs(out_dir, exist_ok=True)
-
-    if args.command == "report":
-        stages = pipeline.run_report(config, out_dir)
-    else:
-        dump_config(config, os.path.join(out_dir, "config.json"))
-        if args.command == "synth":
-            _, stage = pipeline.run_synth(config, out_dir)
-        elif args.command == "ingest":
-            _, stage = pipeline.run_ingest(config, out_dir)
-        elif args.command == "segment":
-            stage = pipeline.run_segment(config, out_dir)
-        elif args.command == "glasso":
-            stage = pipeline.run_glasso(config, out_dir)
-        else:
-            stage = pipeline.run_causality(config, out_dir)
-        stages = [stage]
-
-    for stage in stages:
+    out_dir = pipeline.resolve_output_dir(config, args.command)
+    for stage in pipeline.run_command(args.command, config, out_dir):
         _print_stage(stage)
     print(f"output: {out_dir}")
     return 0

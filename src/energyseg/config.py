@@ -1,8 +1,9 @@
 """Declarative run configuration.
 
 A run is described by one JSON document; CLI flags override individual
-fields and the effective configuration is echoed into the output directory,
-so any artifact can be regenerated from its config alone.
+fields, and :func:`energyseg.pipeline.run_command` echoes the effective
+configuration (``PipelineConfig.to_dict``) into the output directory as
+config.json, so any artifact can be regenerated from its config alone.
 
 Each stage module owns its one config type (``synthetic.GeneratorConfig``,
 ``glasso.GlassoConfig``, ``clustering.ClusteringConfig``); this module
@@ -61,6 +62,11 @@ class FeatureConfig:
         for name in self.clustering_features + self.graph_features:
             if name not in ALL_FEATURES:
                 raise InvalidConfig(f"unknown feature name {name!r}")
+        for key in ("clustering_features", "graph_features"):
+            names = getattr(self, key)
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise InvalidConfig(f"{key} names a feature more than once: {repeated}")
         for gran in (self.clustering_granularity, self.graph_granularity):
             if gran not in ("daily", "minute"):
                 raise InvalidConfig(f"granularity must be daily or minute, got {gran!r}")
@@ -129,6 +135,11 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise InvalidConfig(f"{name} must be a string or null, got {value!r}")
+        n_features = len(self.features.clustering_features)
+        if self.clustering.pca_dim is not None and self.clustering.pca_dim > n_features:
+            raise InvalidConfig(
+                f"pca_dim {self.clustering.pca_dim} exceeds the {n_features} clustering features"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -168,9 +179,3 @@ def load_config(path: str) -> PipelineConfig:
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config file is not valid JSON: {exc}") from None
     return PipelineConfig.from_dict(data)
-
-
-def dump_config(config: PipelineConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(config.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")

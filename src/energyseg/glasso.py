@@ -351,18 +351,6 @@ def _gram_descent(
     return np.array(beta), obj, sweeps, converged, path
 
 
-def _fold_slices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    sizes = np.full(folds, n // folds)
-    sizes[: n % folds] += 1
-    out = []
-    start = 0
-    for size in sizes:
-        out.append(order[start : start + size])
-        start += size
-    return out
-
-
 def cross_validate(
     matrix: FeatureMatrix,
     s: int,
@@ -392,7 +380,7 @@ def cross_validate(
     if gram is None:
         gram = values.T @ values
     rng = np.random.default_rng([seed, s])
-    fold_rows = _fold_slices(n, folds, rng)
+    fold_rows = np.array_split(rng.permutation(n), folds)
     others = [j for j in range(p) if j != s]
 
     errors = np.zeros((len(grid.values), folds))

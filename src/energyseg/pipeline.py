@@ -1,12 +1,14 @@
 """Stage orchestration and artifact serialization.
 
-Each stage is a function of (config, table) that writes fixed-name
-artifacts into the output directory and returns a :class:`StageResult`.
-Every stage body runs inside the one stage runner, :func:`_stage`, which
-times it, records its warnings, loads the configured input when no table is
-passed and hands it the one artifact writer. Numeric artifacts are
-byte-deterministic for a given config and seed: floats are written in their
-shortest round-trip form and JSON keys are sorted.
+Every command enters through :func:`run_command`, which creates the output
+directory, echoes the effective config to config.json and runs the
+command's stage, or every stage for ``report``. Each stage is a function of
+(config, table) that writes fixed-name artifacts into the output directory
+and returns a :class:`StageResult`. Every stage body runs inside
+:func:`_stage`, which times it, records its warnings, loads the configured
+input when no table is passed and hands it the one artifact writer. Numeric
+artifacts are byte-deterministic for a given config and seed: floats are
+written in their shortest round-trip form and JSON keys are sorted.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import causality as causality_mod
 from . import clustering as clustering_mod
 from . import glasso as glasso_mod
 from . import segmentation as segmentation_mod
-from .config import OUTPUT_ROOT_ENV, PipelineConfig, dump_config
+from .config import OUTPUT_ROOT_ENV, PipelineConfig
 from .errors import InvalidConfig
 from .features import (
     FeatureMatrix,
@@ -40,6 +42,8 @@ from .segmentation import ClassLabel
 from .synthetic import generate_synthetic
 
 DATASET_FILE = "dataset.csv"
+CONFIG_FILE = "config.json"
+REPORT_FILE = "report.json"
 # Above this many clustering rows the segment stage computes the silhouette
 # of the chosen k only; 60k minute rows would cost ~3.6e9 distances per k.
 SILHOUETTE_ALL_K_MAX_ROWS = 20_000
@@ -47,9 +51,7 @@ SILHOUETTE_ALL_K_MAX_ROWS = 20_000
 Writer = Callable[[str, object], None]
 
 
-def resolve_output_dir(explicit: str | None, config: PipelineConfig, command: str) -> str:
-    if explicit:
-        return explicit
+def resolve_output_dir(config: PipelineConfig, command: str) -> str:
     if config.output_dir:
         return config.output_dir
     root = os.environ.get(OUTPUT_ROOT_ENV, "energyseg_out")
@@ -67,6 +69,16 @@ def _write(path: str, payload) -> None:
         else:
             json.dump(payload, handle, indent=2, sort_keys=True, default=lambda v: v.tolist())
             handle.write("\n")
+
+
+def _writer(out_dir: str, files: list[str]) -> Writer:
+    """A writer of artifacts into ``out_dir`` that lists each file name in ``files``."""
+
+    def write(file_name: str, payload) -> None:
+        _write(os.path.join(out_dir, file_name), payload)
+        files.append(file_name)
+
+    return write
 
 
 @dataclass
@@ -104,11 +116,7 @@ def _stage(
     """
     start = time.perf_counter()
     stage = StageResult(name=name, seconds=0.0, summary={})
-
-    def write(file_name: str, payload) -> None:
-        _write(os.path.join(out_dir, file_name), payload)
-        stage.files.append(file_name)
-
+    write = _writer(out_dir, stage.files)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if config is not None and table is None:
@@ -430,23 +438,33 @@ def run_causality(
     return stage
 
 
-def run_report(config: PipelineConfig, out_dir: str) -> list[StageResult]:
-    """Full pipeline: dataset, segmentation, graph, causality, report.json."""
+def run_command(command: str, config: PipelineConfig, out_dir: str) -> list[StageResult]:
+    """Run one CLI command: its own stage, or every stage for ``report``.
+
+    Creates ``out_dir`` and writes config.json, the effective config, before
+    any stage runs. ``report`` takes its table from ingest when an input is
+    configured, else from synth, passes it to segment, glasso and causality,
+    and ends with report.json: the stage summaries and every file written.
+    Stages are called through their module-level names, so a wrapper bound
+    over one (as the profiler in perfbench does) sees the call.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    dump_config(config, os.path.join(out_dir, "config.json"))
-    stages: list[StageResult] = []
+    files: list[str] = []
+    write = _writer(out_dir, files)
+    write(CONFIG_FILE, config.to_dict())
+    if command in ("synth", "ingest"):
+        return [globals()[f"run_{command}"](config, out_dir)[1]]
+    if command != "report":
+        return [globals()[f"run_{command}"](config, out_dir)]
 
-    if config.input:
-        table, stage = run_ingest(config, out_dir)
-    else:
-        table, stage = run_synth(config, out_dir)
-    stages.append(stage)
-
-    stages.append(run_segment(config, out_dir, table))
-    stages.append(run_glasso(config, out_dir, table))
-    stages.append(run_causality(config, out_dir, table))
-
-    files = ["config.json", *(f for stage in stages for f in stage.files), "report.json"]
+    table, stage = run_ingest(config, out_dir) if config.input else run_synth(config, out_dir)
+    stages = [
+        stage,
+        run_segment(config, out_dir, table),
+        run_glasso(config, out_dir, table),
+        run_causality(config, out_dir, table),
+    ]
+    files += [f for stage in stages for f in stage.files]
     report = {
         "seed": config.seed,
         "stages": [
@@ -458,9 +476,9 @@ def run_report(config: PipelineConfig, out_dir: str) -> list[StageResult]:
             }
             for s in stages
         ],
-        "files": sorted(files),
+        "files": sorted(files + [REPORT_FILE]),
     }
-    _write(os.path.join(out_dir, "report.json"), report)
+    write(REPORT_FILE, report)
     missing = [f for f in files if not os.path.exists(os.path.join(out_dir, f))]
     if missing:
         raise InvalidConfig(f"report inventory lists missing files: {missing}")

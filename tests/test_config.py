@@ -11,9 +11,10 @@ from energyseg.config import (
     FeatureConfig,
     GlassoConfig,
     PipelineConfig,
-    dump_config,
     load_config,
 )
+from energyseg.pipeline import run_command
+from energyseg.synthetic import GeneratorConfig
 from energyseg.errors import (
     AnalysisError,
     ConfigError,
@@ -69,14 +70,14 @@ class TestValidation:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        cfg = PipelineConfig(seed=9)
+        # the config.json echo of a run loads back as the config that ran
+        cfg = PipelineConfig(seed=9, synth=GeneratorConfig(players_per_class=(1, 1, 1), n_days=1))
         cfg.glasso.folds = 4
         cfg.clustering.k = "auto"
         cfg.causality.lag = 2
         cfg.features.clustering_granularity = "daily"
-        path = str(tmp_path / "config.json")
-        dump_config(cfg, path)
-        assert load_config(path) == cfg
+        run_command("synth", cfg, str(tmp_path))
+        assert load_config(str(tmp_path / "config.json")) == cfg
 
     def test_partial_file_keeps_defaults(self, tmp_path):
         path = tmp_path / "config.json"
@@ -164,6 +165,10 @@ class TestSerialization:
             {"glasso": {"tol": float("nan")}},
             {"synth": {"booster": float("inf")}},
             {"segmentation": {"bucket_edges": [0.0, float("nan"), 1.0]}},
+            {"features": {"graph_features": ["humidity", "humidity", "status_fan"]}},
+            {"features": {"clustering_features": ["portal_visits", "portal_visits"]}},
+            {"clustering": {"pca_dim": 40}},
+            {"features": {"clustering_features": ["portal_visits"]}, "clustering": {"pca_dim": 2}},
         ],
     )
     def test_malformed_value_rejected_at_load(self, tmp_path, data):
