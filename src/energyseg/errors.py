@@ -151,3 +151,7 @@ class DimensionMismatch(NumericError):
 
 class InvalidDof(NumericError):
     pass
+
+
+class NoConvergence(NumericError):
+    pass

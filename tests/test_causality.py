@@ -1,10 +1,17 @@
 """Distribution tails, Granger F-tests, and Welch two-sample t-tests."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from helpers import f_tail_quad, t_tail_quad
 
+from energyseg import causality
 from energyseg.causality import (
     CausalityResult,
     f_survival,
@@ -13,7 +20,25 @@ from energyseg.causality import (
     t_survival,
     two_sample_ttest,
 )
-from energyseg.errors import InvalidDof, SeriesTooShort, TooFewSamples
+from energyseg.errors import InvalidDof, NoConvergence, NumericError, SeriesTooShort, TooFewSamples
+
+# F statistics of the default report (seed 42), all at F(1, 20143)
+REPORT_F_STATISTICS = (
+    4.652750902056255, 338.5799771796991, 5.04979353183386, 926.6394384261519,
+    32.51798115389646, 0.10054951872213488, 1803.122803797809, 30.74112739927801,
+    29.77379966721551, 9.469456887895513, 27.958268048610407, 0.00042605005877368067,
+    0.8667923595941688, 44.644457684117334, 39.846308231968514, 0.08087595762871802,
+    74.94761724109115, 86.51904638513861, 2.1659506301884637, 6.136442900215252,
+    110.7270174134153,
+)
+
+
+def assert_tail_close(value: float, reference: float) -> None:
+    """Relative error 1e-12 above 1e-300; absolute error 1e-300 below."""
+    if reference > 1e-300:
+        assert abs(value - reference) <= 1e-12 * reference, (value, reference)
+    else:
+        assert abs(value - reference) <= 1e-300, (value, reference)
 
 
 class TestSurvivalFunctions:
@@ -55,6 +80,60 @@ class TestSurvivalFunctions:
             f_survival(1.0, 5, 0)
         with pytest.raises(InvalidDof):
             t_survival(1.0, 0.5)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 300_000), st.floats(0.0, 1e4))
+    def test_f_matches_scipy(self, d1, d2, f):
+        reference = 1.0 if f == 0.0 else float(special.betainc(d2 / 2, d1 / 2, d2 / (d2 + d1 * f)))
+        assert_tail_close(f_survival(f, d1, d2), reference)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.floats(1.0, 1e5).filter(lambda df: not df.is_integer()),
+        st.floats(-1e3, 1e3),
+    )
+    def test_t_matches_scipy(self, df, x):
+        upper = 0.5 * float(special.betainc(df / 2, 0.5, df / (df + x * x)))
+        assert_tail_close(t_survival(x, df), upper if x >= 0 else 1.0 - upper)
+        assert t_survival(-abs(x), df) == 1.0 - t_survival(abs(x), df)
+
+    def test_report_tails_match_mpmath(self):
+        d1, d2 = 1, 20143
+        with mpmath.workdps(50):
+            for f in REPORT_F_STATISTICS:
+                x = mpmath.mpf(d2 / (d2 + d1 * f))  # the double the package evaluates at
+                a, b = mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2
+                reference = mpmath.betainc(a, b, 0, x, regularized=True)
+                assert_tail_close(f_survival(f, d1, d2), float(reference))
+
+    def test_nan_in_nan_out(self):
+        nan = float("nan")
+        for value in (f_survival(nan, 2, 10), f_survival(1.0, 2, nan)):
+            assert math.isnan(value)
+        for value in (t_survival(nan, 5), t_survival(1.0, nan)):
+            assert math.isnan(value)
+
+    def test_t_at_zero_and_symmetry(self):
+        for df in (1, 2.5, 1000.3, 99_999.7):
+            assert t_survival(0.0, df) == 0.5
+            for x in (1e-8, 0.3, 2.0, 40.0):
+                assert t_survival(-x, df) == 1.0 - t_survival(x, df)
+
+    def test_tails_below_double_range_are_zero(self):
+        assert f_survival(1803.122803797809, 1, 20143) == 0.0  # true tail ~2e-377
+        assert f_survival(1e6, 1, 20143) == 0.0
+        assert f_survival(1e308, 5, 5) == 0.0  # d1·x overflows
+        assert t_survival(1e3, 1e5) == 0.0
+        assert t_survival(-1e3, 1e5) == 1.0
+        assert t_survival(1e200, 3.5) == 0.0  # x² overflows
+        assert t_survival(1e-160, 3.5) == 0.5
+
+    def test_fraction_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(causality, "_CF_MAX_STEPS", 1)
+        with pytest.raises(NoConvergence) as info:
+            f_survival(4.652750902056255, 1, 20143)
+        assert isinstance(info.value, NumericError)
+        assert info.value.exit_code == 5
 
 
 class TestGranger:

@@ -405,3 +405,71 @@ def test_cli_import_skips_scipy_signal():
             check=True,
         )
         assert out.stdout.strip() == "False", probe
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+_BLOCK_SCIPY = """
+import sys
+
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+_SMALL_RUN = (
+    ["synth", "--players-per-class", "1,1,1", "--days", "1", "--seed", "5", "--out", "synth"],
+    ["report", "--input", "synth/dataset.csv", "--seed", "5", "--out", "report"],
+)
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, energyseg.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_runs_with_scipy_blocked(tmp_path, monkeypatch):
+    # every command runs on numpy alone: a scipy import anywhere fails the run
+    blocked, unblocked = tmp_path / "blocked", tmp_path / "open"
+    blocked.mkdir()
+    script = _BLOCK_SCIPY + (
+        "from energyseg.cli import main\n"
+        f"for argv in {list(_SMALL_RUN)!r}:\n"
+        "    code = main(argv)\n"
+        "    if code:\n"
+        "        sys.exit(code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=blocked,
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+
+    unblocked.mkdir()
+    monkeypatch.chdir(unblocked)
+    for argv in _SMALL_RUN:
+        assert main(argv) == 0, argv
+    names = sorted(p.relative_to(unblocked) for p in unblocked.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(blocked) for p in blocked.rglob("*") if p.is_file())
+    for name in names:
+        if name.name != "report.json":
+            assert (blocked / name).read_bytes() == (unblocked / name).read_bytes(), name
