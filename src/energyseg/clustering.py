@@ -256,24 +256,32 @@ def elbow_curve(
 SILHOUETTE_BLOCK_DOUBLES = 2**20  # size of each distance buffer
 
 
-def silhouette(matrix, assignments) -> tuple[float, np.ndarray]:
+def silhouette(matrix, assignments) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean and per-sample silhouette s = (b − a)/max(a, b).
 
-    Distances are exact Euclidean computed from coordinate differences (no
-    Gram shortcut), matching a brute-force oracle to full precision. They
-    are summed per cluster a row block at a time, in buffers of at most
-    ``SILHOUETTE_BLOCK_DOUBLES``. Singleton-cluster samples score 0.
+    ``assignments`` is one labelling of the N rows, or an m×N stack scored
+    from one distance pass into m means and m×N scores. Distances are exact
+    Euclidean computed from coordinate differences (no Gram shortcut),
+    matching a brute-force oracle to full precision. Each row block of them,
+    at most ``SILHOUETTE_BLOCK_DOUBLES``, meets every labelling's one-hot
+    columns in one matmul. Singleton-cluster samples score 0.
     """
     values = _as_values(matrix)
     n, d = values.shape
     if n < 3:
         raise TooFewRows(f"need at least 3 samples, got {n}")
-    unique, labels = np.unique(np.asarray(assignments), return_inverse=True)
-    if len(unique) < 2:
+    stack = np.asarray(assignments)
+    labels = np.array([np.unique(row, return_inverse=True)[1] for row in stack.reshape(-1, n)])
+    widths = labels.max(axis=1) + 1
+    if widths.min() < 2:
         raise SingleCluster("silhouette needs at least two clusters")
 
-    onehot = (labels[:, None] == np.arange(len(unique))).astype(np.float64)
-    sums = np.empty((n, len(unique)))  # distance sum from each row to each cluster
+    starts = np.concatenate([[0], np.cumsum(widths)])
+    columns = labels + starts[:-1, None]  # each sample's one-hot column, per labelling
+    at = np.arange(n)
+    onehot = np.zeros((n, starts[-1]))
+    onehot[at, columns] = 1.0
+    sums = np.empty((n, starts[-1]))  # distance sum from each row to each cluster
     rows = min(n, max(1, SILHOUETTE_BLOCK_DOUBLES // n))
     dist, diff = np.empty((2, rows, n))
     for start in range(0, n, rows):
@@ -284,13 +292,14 @@ def silhouette(matrix, assignments) -> tuple[float, np.ndarray]:
             block += np.square(scratch, out=scratch)
         sums[start : start + rows] = np.sqrt(block, out=block) @ onehot
 
-    at = np.arange(n)
-    counts = np.bincount(labels)
-    own = counts[labels]
-    a = sums[at, labels] / np.maximum(own - 1, 1)
+    counts = np.bincount(columns.ravel())
+    own = counts[columns]
+    a = sums[at, columns] / np.maximum(own - 1, 1)
     mean_to = sums / counts
-    mean_to[at, labels] = np.inf
-    b = mean_to.min(axis=1)
+    mean_to[at, columns] = np.inf
+    b = np.array([mean_to[:, lo:hi].min(axis=1) for lo, hi in zip(starts, starts[1:])])
     denom = np.maximum(a, b)
-    per_sample = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0.0))
-    return float(per_sample.mean()), per_sample
+    per_sample = np.divide(b - a, denom, out=np.zeros(a.shape), where=(own > 1) & (denom > 0.0))
+    if stack.ndim == 1:
+        return float(per_sample[0].mean()), per_sample[0]
+    return per_sample.mean(axis=1), per_sample

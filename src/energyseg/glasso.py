@@ -415,7 +415,7 @@ def cross_validate(
 
 def _fit_vertex(
     matrix: FeatureMatrix, gram: np.ndarray, s: int, config: GlassoConfig, seed: int
-) -> tuple[NeighborhoodFit, float, str | None]:
+) -> tuple[NeighborhoodFit, str | None]:
     n, p = matrix.values.shape
     others = tuple(j for j in range(p) if j != s)
     system = _GramSystem(gram, s, n)
@@ -431,7 +431,7 @@ def _fit_vertex(
             iterations=0,
             converged=True,
         )
-        return fit, 0.0, f"vertex {s} has no correlated columns; kept an empty neighborhood"
+        return fit, f"vertex {s} has no correlated columns; kept an empty neighborhood"
     cv = cross_validate(
         matrix,
         s,
@@ -460,7 +460,29 @@ def _fit_vertex(
         converged=converged,
         objective_path=tuple(path),
     )
-    return fit, cv.best_lambda, None
+    return fit, None
+
+
+def _twin_columns(matrix: FeatureMatrix) -> list[str]:
+    """A note for each pair of nonzero columns that are equal or negated copies.
+
+    Edges through such a pair rest on roundoff: which of the two a regression
+    selects, and the β it leaves on the other, depend on summation order. The
+    Gram cannot show them, since its diagonal and off-diagonal entries are
+    summed in different orders; equal exact |column sums| pick the pairs to
+    compare. All-zero columns are skipped, as each vertex fit reports them.
+    """
+    values, names = matrix.values, matrix.column_names
+    sums = np.abs(values.sum(axis=0))
+    notes = []
+    for a, b in zip(*np.triu_indices(len(names), 1)):
+        x, y = values[:, a], values[:, b]
+        if sums[a] == sums[b] and x.any() and (np.array_equal(x, y) or np.array_equal(x, -y)):
+            notes.append(
+                f"columns {names[a]} and {names[b]} are identical up to sign; "
+                "edges through them depend on summation order"
+            )
+    return notes
 
 
 def graphical_lasso(
@@ -481,40 +503,34 @@ def graphical_lasso(
         raise TooFewRows(f"need at least 2 rows, got {n}")
 
     gram = matrix.values.T @ matrix.values
-    results = [_fit_vertex(matrix, gram, s, config, seed) for s in range(p)]
-
-    fits = [r[0] for r in results]
-    lambdas = tuple(r[1] for r in results)
-    notes = tuple(r[2] for r in results if r[2] is not None)
+    fits, vertex_notes = zip(*(_fit_vertex(matrix, gram, s, config, seed) for s in range(p)))
 
     # coefficient matrix: coef[s, j] = β^s_j (vertex s regressed on j)
     coef = np.zeros((p, p))
     for fit in fits:
         coef[fit.vertex, list(fit.others)] = fit.beta
 
-    edges = []
+    # OR keeps a pair when either β is nonzero, with the larger |β|; AND when
+    # both are, with the smaller; ties take β_ab
+    ab, ba = coef, coef.T
+    if config.symmetrization == "OR":
+        present = (ab != 0.0) | (ba != 0.0)
+        strength = np.where(np.abs(ab) >= np.abs(ba), ab, ba)
+    else:
+        present = (ab != 0.0) & (ba != 0.0)
+        strength = np.where(np.abs(ab) <= np.abs(ba), ab, ba)
+    rows, cols = np.nonzero(np.triu(present, 1))  # row-major upper triangle
     partial = np.zeros((p, p))
-    for a in range(p):
-        for b in range(a + 1, p):
-            ab, ba = coef[a, b], coef[b, a]
-            if config.symmetrization == "OR":
-                present = ab != 0.0 or ba != 0.0
-                strength = ab if abs(ab) >= abs(ba) else ba
-            else:
-                present = ab != 0.0 and ba != 0.0
-                strength = ab if abs(ab) <= abs(ba) else ba
-            if present:
-                edges.append((a, b))
-                partial[a, b] = partial[b, a] = strength
+    partial[rows, cols] = partial[cols, rows] = strength[rows, cols]
     return GraphEstimate(
         vertex_names=matrix.column_names,
-        edges=tuple(edges),
-        per_vertex_fits=fits,
+        edges=tuple(zip(rows.tolist(), cols.tolist())),
+        per_vertex_fits=list(fits),
         partial_correlations=partial,
-        lambda_per_vertex=lambdas,
+        lambda_per_vertex=tuple(fit.lam for fit in fits),
         symmetrization=config.symmetrization,
         seed=seed,
-        warnings=notes,
+        warnings=(*_twin_columns(matrix), *(note for note in vertex_notes if note)),
     )
 
 

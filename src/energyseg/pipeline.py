@@ -44,9 +44,6 @@ from .synthetic import generate_synthetic
 DATASET_FILE = "dataset.csv"
 CONFIG_FILE = "config.json"
 REPORT_FILE = "report.json"
-# Above this many clustering rows the segment stage computes the silhouette
-# of the chosen k only; 60k minute rows would cost ~3.6e9 distances per k.
-SILHOUETTE_ALL_K_MAX_ROWS = 20_000
 # write(file name, payload): one artifact into the stage's output directory
 Writer = Callable[[str, object], None]
 
@@ -225,17 +222,11 @@ def run_segment(
                     "before its assignments settled"
                 )
 
-        silhouette_ks = sorted(models)
-        if n_rows > SILHOUETTE_ALL_K_MAX_ROWS:
-            silhouette_ks = [k]
-            stage.warnings.append(
-                f"{n_rows} clustering rows exceed {SILHOUETTE_ALL_K_MAX_ROWS}: "
-                f"silhouette computed for the chosen k={k} only"
-            )
+        scored = [sk for sk in sorted(models) if len(np.unique(models[sk].assignments)) >= 2]
         silhouettes: dict[int, float] = {}
-        for sk in silhouette_ks:
-            if len(np.unique(models[sk].assignments)) >= 2 and n_rows >= 3:
-                silhouettes[sk], _ = clustering_mod.silhouette(scores, models[sk].assignments)
+        if scored and n_rows >= 3:
+            means, _ = clustering_mod.silhouette(scores, [models[sk].assignments for sk in scored])
+            silhouettes = dict(zip(scored, means.tolist()))
         write(
             "elbow.csv",
             [("k", "inertia", "silhouette")]

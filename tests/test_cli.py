@@ -13,7 +13,7 @@ import pytest
 
 from energyseg.cli import main
 from energyseg.config import PipelineConfig, load_config
-from energyseg import pipeline
+from energyseg import clustering
 from energyseg.pipeline import run_causality, run_segment
 from energyseg.records import CSV_COLUMNS
 from energyseg.synthetic import GeneratorConfig, generate_synthetic
@@ -192,15 +192,20 @@ class TestSegment:
         assert stage.summary["k"] == 4
         assert -1.0 <= stage.summary["silhouette"] <= 1.0
 
-    def test_silhouette_of_chosen_k_only_above_row_limit(
-        self, tmp_path, dataset_csv, monkeypatch
-    ):
-        monkeypatch.setattr(pipeline, "SILHOUETTE_ALL_K_MAX_ROWS", 41)
+    def test_one_silhouette_call_scores_every_k(self, tmp_path, dataset_csv, monkeypatch):
+        calls = []
+
+        def spy(matrix, assignments):
+            calls.append(np.shape(assignments))
+            return original(matrix, assignments)
+
+        original = clustering.silhouette
+        monkeypatch.setattr(clustering, "silhouette", spy)
         stage = run_segment(PipelineConfig(input=str(dataset_csv)), str(tmp_path))
+        assert calls == [(5, 42)]
         cells = {int(r["k"]): r["silhouette"] for r in read_rows(tmp_path / "elbow.csv")}
-        assert [k for k, cell in cells.items() if cell] == [3]
+        assert [k for k, cell in cells.items() if cell] == [2, 3, 4, 5, 6]
         assert float(cells[3]) == stage.summary["silhouette"]
-        assert any("42 clustering rows exceed 41" in w for w in stage.warnings)
 
     def test_kmeans_cap_is_reported(self, tmp_path, dataset_csv):
         config = PipelineConfig(input=str(dataset_csv))

@@ -294,27 +294,37 @@ class TestSilhouette:
 
 @st.composite
 def labelled_grids(draw):
-    """Grid points with labels that include a singleton cluster when drawn."""
+    """Grid points with a stack of 1-3 labellings, each of which may hold a singleton cluster."""
     data = draw(grids.filter(lambda values: len(values) >= 3))
     n = len(data)
-    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        labels[draw(st.integers(0, n - 1))] = 9
-    return data, labels
+    stack = []
+    for _ in range(draw(st.integers(1, 3))):
+        labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            labels[draw(st.integers(0, n - 1))] = 9
+        stack.append(labels)
+    return data, np.array(stack)
 
 
 class TestSilhouetteProperties:
     @settings(deadline=None, derandomize=True)
     @given(labelled_grids(), st.integers(1, 400))
     def test_streamed_matches_brute_force(self, case, block_doubles):
-        data, labels = case
-        assume(len(np.unique(labels)) >= 2)
+        data, stack = case
+        assume(all(len(np.unique(labels)) >= 2 for labels in stack))
         # a small block budget sends each case through several row blocks
         with mock.patch.object(clustering, "SILHOUETTE_BLOCK_DOUBLES", block_doubles):
-            mean_s, per = silhouette(data, labels)
-        oracle = brute_silhouette(data, labels)
-        assert np.abs(per - oracle).max() <= 1e-10
-        assert abs(mean_s - oracle.mean()) <= 1e-10
+            means, rows = silhouette(data, stack)
+            singles = [silhouette(data, labels) for labels in stack]
+            with pytest.raises(SingleCluster):
+                silhouette(data, np.vstack([stack, np.zeros(len(data), dtype=int)]))
+        for labels, stacked_mean, row, (mean_s, per) in zip(stack, means, rows, singles):
+            oracle = brute_silhouette(data, labels)
+            assert np.abs(per - oracle).max() <= 1e-10
+            assert abs(mean_s - oracle.mean()) <= 1e-10
+            assert np.abs(row - per).max() <= 1e-12
+            assert abs(stacked_mean - mean_s) <= 1e-12
+            assert np.abs(row - oracle).max() <= 1e-10
 
 
 class TestGeneratorAgreement:

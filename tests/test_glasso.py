@@ -264,6 +264,42 @@ class TestGraphicalLasso:
         and_edges = {tuple(sorted((a, b))) for a, b, _w, _s in _edge_tuples(g_and)}
         assert and_edges <= or_edges
 
+    def test_symmetrization_matches_pairwise_rule(self):
+        for symmetrization in ("OR", "AND"):
+            for seed in (91, 92):
+                graph = graphical_lasso(
+                    chain_matrix(seed, n=300, p=6), GlassoConfig(symmetrization=symmetrization)
+                )
+                p = len(graph.vertex_names)
+                coef = np.zeros((p, p))
+                for fit in graph.per_vertex_fits:
+                    coef[fit.vertex, list(fit.others)] = fit.beta
+                edges, partial = [], np.zeros((p, p))
+                for a in range(p):
+                    for b in range(a + 1, p):
+                        ab, ba = coef[a, b], coef[b, a]
+                        if symmetrization == "OR":
+                            present = ab != 0.0 or ba != 0.0
+                            strength = ab if abs(ab) >= abs(ba) else ba
+                        else:
+                            present = ab != 0.0 and ba != 0.0
+                            strength = ab if abs(ab) <= abs(ba) else ba
+                        if present:
+                            edges.append((a, b))
+                            partial[a, b] = partial[b, a] = strength
+                assert graph.edges == tuple(edges)
+                assert graph.partial_correlations.tobytes() == partial.tobytes()
+
+    def test_twin_columns_warn(self):
+        rng = np.random.default_rng(93)
+        raw = rng.standard_normal((300, 3)) @ rng.standard_normal((3, 3))
+        raw = np.column_stack([raw, raw[:, 0], -raw[:, 1]])
+        matrix = std_fm(raw, ["a", "b", "c", "a_copy", "b_negated"])
+        twins = [w for w in graphical_lasso(matrix).warnings if "identical up to sign" in w]
+        assert len(twins) == 2
+        assert twins[0].startswith("columns a and a_copy ")
+        assert twins[1].startswith("columns b and b_negated ")
+
     def test_partial_correlation_symmetry_bounds(self):
         graph = graphical_lasso(chain_matrix(87, n=500))
         pc = np.asarray(graph.partial_correlations)

@@ -1,7 +1,9 @@
 """The README's examples run as written."""
 
+import json
 import re
 import shlex
+from fnmatch import fnmatch
 from pathlib import Path
 
 from energyseg.cli import main
@@ -36,4 +38,12 @@ def test_quick_start_runs(tmp_path, monkeypatch):
     assert {argv[1] for argv in commands} == {
         "synth", "ingest", "segment", "glasso", "causality", "report",
     }
-    assert (tmp_path / "runs/demo/report.json").is_file()
+    inventory = json.loads((tmp_path / "runs/demo/report.json").read_text())["files"]
+    table = README.read_text(encoding="utf-8").split("## Artifacts", 1)[1].split("\n## ", 1)[0]
+    documented = [
+        name
+        for row in table.splitlines()
+        if row.startswith("| `")
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1])
+    ]
+    assert [f for f in inventory if not any(fnmatch(f, name) for name in documented)] == []
