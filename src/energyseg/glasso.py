@@ -10,24 +10,24 @@ solution is all-zero) and λ_max/100, scored by 5-fold cross-validation.
 Neighborhood supports are then symmetrized (OR/AND) into an undirected
 graph.
 
-The solver comes in two forms with the same updates and stopping rule:
-
-* Residual form, used only by :func:`fit_neighborhood`. Each coordinate
-  update maintains the full residual, so one sweep costs O(pN): p inner
-  products against length-N columns and nothing quadratic.
-* Gram form ("covariance updates", Friedman, Hastie & Tibshirani 2010,
-  JSS 33(1), §2.2), used by :func:`cross_validate` and
-  :func:`graphical_lasso`. :func:`graphical_lasso` computes G = VᵀV once in
-  O(Np²); a fold's training Gram is G minus the held-out rows' Gram. Each
-  update maintains the gradient (Xᵀy − XᵀXβ)/N, so one sweep costs O(p²)
-  whatever N is, and the objective is read from the Gram in O(p).
+:func:`graphical_lasso` takes G = VᵀV once in O(Np²). Each vertex has one
+system per fold (G minus the held-out rows' Gram) and one full-data system,
+and every vertex's systems are solved in one call of :func:`_gram_path`:
+Gram-form coordinate descent ("covariance updates", Friedman, Hastie &
+Tibshirani 2010, JSS 33(1), §2.2) that walks the whole stack down the grid
+together, warm-starting each λ from the last, one coordinate at a time
+across the stack. An update maintains the gradient (Xᵀy − XᵀXβ)/N, so a
+sweep costs O(p²) whatever N is. Each system's arithmetic is elementwise
+and in a fixed order, so its result is the same bytes as solving it alone
+on Python floats (tests keep that scalar solver as the reference).
+:func:`cross_validate` runs the same path for one vertex's folds. The
+residual-form solver, used only by :func:`fit_neighborhood`, maintains the
+full residual instead: one sweep costs O(pN) and nothing quadratic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign
-from operator import add, mul
 
 import numpy as np
 
@@ -96,16 +96,25 @@ class CvResult:
 
 @dataclass
 class GraphEstimate:
-    """Symmetrized neighborhood-selection graph over named vertices."""
+    """Symmetrized neighborhood-selection graph over named vertices.
+
+    ``weights[a, b]`` is the symmetrized lasso coefficient of edge (a, b):
+    under OR the larger-magnitude of β_ab (vertex a regressed on b) and
+    β_ba, under AND the smaller, 0 off the edges. It is a regression
+    coefficient, not a partial correlation. ``cv`` holds each vertex's
+    cross-validation result (``None`` for a vertex with no penalty grid);
+    it stays in memory and is not serialized.
+    """
 
     vertex_names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     per_vertex_fits: list[NeighborhoodFit]
-    partial_correlations: np.ndarray
+    weights: np.ndarray
     lambda_per_vertex: tuple[float, ...]
     symmetrization: str
     seed: int
     warnings: tuple[str, ...] = ()
+    cv: tuple[CvResult | None, ...] = ()
 
 
 @dataclass
@@ -276,79 +285,212 @@ def fit_neighborhood(
     )
 
 
-class _GramSystem:
-    """Sufficient statistics of regressing column ``s`` on the others.
+def _system(gram: np.ndarray, s: int, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rows of XᵀX/N, Xᵀy/N and yᵀy/N for regressing column ``s`` on the others."""
+    others = [j for j in range(len(gram)) if j != s]
+    return gram[np.ix_(others, others)] / n, gram[others, s] / n, gram[s, s] / n
 
-    Holds the rows of XᵀX/N, Xᵀy/N and yᵀy/N as Python floats for the
-    inner loop, taken from a Gram matrix over N rows.
+
+def _fold_rows(n: int, s: int, folds: int, seed: int) -> list[np.ndarray]:
+    """Held-out row indices of each fold: a contiguous split of a shuffle drawn from (seed, s)."""
+    if folds < 2 or folds > n:
+        raise TooFewRows(f"need 2 <= folds <= {n}, got {folds}")
+    return np.array_split(np.random.default_rng([seed, s]).permutation(n), folds)
+
+
+def _fold_systems(values: np.ndarray, gram: np.ndarray, s: int, fold_rows: list[np.ndarray]):
+    """Each fold's training system: ``gram`` minus the held-out rows' Gram."""
+    for test_rows in fold_rows:
+        test = np.take(values, test_rows, axis=0)  # values[test_rows], gathered faster
+        yield _system(gram - test.T @ test, s, len(values) - len(test_rows))
+
+
+def _left_sum(terms: np.ndarray) -> np.ndarray:
+    """0.0 + t₀ + t₁ + … over the first axis, in that order, as Python's ``sum`` adds.
+
+    ``np.sum`` adds pairwise, so its last bits differ. A sequential sum
+    without the leading 0.0 differs only in giving −0.0 when every term is
+    −0.0, which the trailing ``+ 0.0`` undoes.
+    """
+    return np.add.accumulate(terms)[-1] + 0.0
+
+
+@dataclass
+class _PathStates:
+    """Every system's state at the end of each grid index of :func:`_gram_path`.
+
+    ``beta[i, k]``, ``loss``, ``sweeps`` and ``converged`` are system ``i``'s
+    at grid index ``k``; ``history[k][t, i]`` is its objective after sweep
+    ``t + 1`` there (rows past its own sweeps repeat its last value).
     """
 
-    def __init__(self, gram: np.ndarray, s: int, n: int) -> None:
-        others = [j for j in range(gram.shape[0]) if j != s]
-        self.rows = (gram[np.ix_(others, others)] / n).tolist()
-        self.nu = [row[j] for j, row in enumerate(self.rows)]
-        self.grad0 = (gram[others, s] / n).tolist()
-        self.yy = float(gram[s, s]) / n
+    beta: np.ndarray
+    loss: np.ndarray
+    sweeps: np.ndarray
+    converged: np.ndarray
+    history: list[np.ndarray]
 
-    def lambda_max(self) -> float:
-        """max_j |Xᵀy|_j/N from the numbers the first sweep reads."""
-        return max(map(abs, self.grad0))
+    def fit(
+        self, i: int, k: int, vertex: int, others: tuple[int, ...], lam: float
+    ) -> NeighborhoodFit:
+        sweeps = int(self.sweeps[i, k])
+        return NeighborhoodFit(
+            vertex=vertex,
+            others=others,
+            beta=self.beta[i, k].copy(),
+            lam=lam,
+            loss=float(self.loss[i, k]),
+            iterations=sweeps,
+            converged=bool(self.converged[i, k]),
+            objective_path=tuple(self.history[k][:sweeps, i].tolist()),
+        )
 
-    def objective(self, beta: list[float], grad: list[float], lam: float) -> float:
-        """(yᵀy − βᵀXᵀy − N·βᵀgrad)/(2N) + λ‖β‖₁, with grad = (Xᵀy − XᵀXβ)/N."""
-        fit = sum(map(mul, beta, map(add, self.grad0, grad)))
-        return 0.5 * (self.yy - fit) + lam * sum(map(abs, beta))
 
-
-def _gram_descent(
-    system: _GramSystem,
-    lam: float,
+def _gram_path(
+    rows: np.ndarray,
+    grad0: np.ndarray,
+    yy: np.ndarray,
+    lams: np.ndarray,
     tol: float,
     max_sweeps: int,
-    beta0: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Gram-form cyclic coordinate descent (covariance updates).
+) -> _PathStates:
+    """Gram-form cyclic coordinate descent (covariance updates) for a stack of systems.
 
-    Same updates, objective stall test and KKT gate as
-    :func:`_coordinate_descent`, but each update maintains the gradient
-    rather than the residual, so a sweep costs O(p²) and never touches the
-    data rows; the KKT gate reads that maintained gradient. At p ≈ 14 the
-    cost is interpreter overhead, so the loop runs on Python floats.
+    System ``i`` is (1/2)yᵀy/N − βᵀXᵀy/N + (1/2)βᵀ(XᵀX/N)β + λ‖β‖₁ with
+    ``rows[i]`` = XᵀX/N, ``grad0[i]`` = Xᵀy/N and ``yy[i]`` = yᵀy/N, solved at
+    each λ of its descending grid ``lams[i]`` from its solution at the one
+    before. The stack walks the grid together, one coordinate at a time
+    across all systems. An update maintains the gradient (Xᵀy − XᵀXβ)/N, so a
+    sweep costs O(p²) and never touches the data rows. A sweep whose
+    objective stalls converges once a KKT check on that gradient (at half
+    :func:`_coordinate_descent`'s certification tolerance) also passes; the
+    system is then frozen until the next λ, since another sweep would move
+    its β. Each system's arithmetic is elementwise and in a fixed order
+    (sums by :func:`_left_sum`), so its result is the same bytes as solving
+    it alone with the updates written on Python floats.
     """
-    rows, nu = system.rows, system.nu
-    if beta0 is None or not beta0.any():
-        beta = [0.0] * len(nu)
-        grad = list(system.grad0)
-    else:
-        beta = beta0.tolist()
-        grad = [g0 - sum(map(mul, row, beta)) for g0, row in zip(system.grad0, rows)]
+    n_sys, n_lam = lams.shape
+    m = grad0.shape[1]
+    # coordinate-major layout: row j of every system is one contiguous (m, S) block
+    rows_all = np.ascontiguousarray(rows.transpose(1, 2, 0))
+    grad0_all = np.ascontiguousarray(grad0.T)
+    nu_all = np.ascontiguousarray(np.diagonal(rows, axis1=1, axis2=2).T)
     kkt_tol = 5.0 * tol
+    states = _PathStates(
+        beta=np.zeros((n_sys, n_lam, m)),
+        loss=np.zeros((n_sys, n_lam)),
+        sweeps=np.zeros((n_sys, n_lam), dtype=np.int64),
+        converged=np.zeros((n_sys, n_lam), dtype=bool),
+        history=[],
+    )
 
-    path: list[float] = []
-    prev_obj = obj = system.objective(beta, grad, lam)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        for j, d in enumerate(nu):
-            if d == 0.0:
-                continue
-            old = beta[j]
-            new = soft_threshold(grad[j] + old * d, lam) / d
-            if new != old:
-                beta[j] = new
+    for k in range(n_lam):
+        beta = states.beta[:, k - 1].T.copy() if k else np.zeros((m, n_sys))
+        beta[:, ~beta.any(axis=0)] = 0.0  # a start of zeros is a cold start: −0.0 becomes 0.0
+        live = np.arange(n_sys)
+        R, g0, nu, y = rows_all, grad0_all, nu_all, yy
+        lam = lams[:, k].copy()
+        grad = g0 - _left_sum((R * beta).swapaxes(0, 1))  # Σ_i R[j, i]·β_i
+        prev = _gram_objective(beta, grad, g0, y, lam)
+        last = prev.copy()  # every system's latest objective, for the history
+        history = []
+        sweep = 0
+        coords = None
+        while len(live) and sweep < max_sweeps:
+            if coords is None:  # a new λ, or the stack just shrank
+                # a fold's training diagonal is 0, or −roundoff, where the
+                # column is 0 on its training rows; a coordinate whose
+                # diagonal is 0 in every system is skipped
+                used, positive = (nu != 0.0).any(axis=1), (nu > 0.0).all(axis=1)
+                coords = [(j, positive[j]) for j in np.flatnonzero(used).tolist()]
+                neglam = -lam
+            sweep += 1
+            for j, plain in coords:
+                d, old = nu[j], beta[j]
+                theta = old * d + grad[j]
+                new = theta - np.minimum(np.maximum(theta, neglam), lam)  # soft threshold
+                if plain:
+                    new /= d
+                else:  # a zero diagonal skips the coordinate; an unmoved β keeps its bits
+                    skip = d == 0.0
+                    new /= np.where(skip, 1.0, d)
+                    new = np.where(skip | (new == old), old, new)
                 step = new - old
-                grad = [g - step * h for g, h in zip(grad, rows[j])]
-        obj = system.objective(beta, grad, lam)
-        path.append(obj)
-        if prev_obj - obj < tol * max(abs(prev_obj), 1e-300):
-            if all(
-                abs(g - copysign(lam, b)) <= kkt_tol if b else abs(g) <= lam + kkt_tol
-                for b, g in zip(beta, grad)
-            ):
-                converged = True
-                break
-        prev_obj = obj
-    return np.array(beta), obj, sweeps, converged, path
+                if np.count_nonzero(step):
+                    beta[j] = new
+                    grad -= R[j] * step
+            obj = _gram_objective(beta, grad, g0, y, lam)
+            last[live] = obj
+            history.append(last.copy())
+            stalled = prev - obj < tol * np.maximum(np.abs(prev), 1e-300)
+            done = stalled
+            if np.count_nonzero(stalled):
+                active = beta != 0.0
+                kkt = np.where(
+                    active,
+                    np.abs(grad - np.copysign(lam, beta)) <= kkt_tol,
+                    np.abs(grad) <= lam + kkt_tol,
+                )
+                done = stalled & kkt.all(axis=0)
+            prev = obj
+            if np.count_nonzero(done):
+                finished = live[done]
+                states.beta[finished, k] = beta[:, done].T
+                states.loss[finished, k] = obj[done]
+                states.sweeps[finished, k] = sweep
+                states.converged[finished, k] = True
+                keep = ~done
+                live, R, g0, nu, y = live[keep], R[:, :, keep], g0[:, keep], nu[:, keep], y[keep]
+                beta, grad, lam, prev = beta[:, keep], grad[:, keep], lam[keep], prev[keep]
+                coords = None
+        # systems still live ran out of sweeps
+        states.beta[live, k] = beta.T
+        states.loss[live, k] = prev
+        states.sweeps[live, k] = sweep
+        states.history.append(np.array(history).reshape(len(history), n_sys))
+    return states
+
+
+def _gram_objective(
+    beta: np.ndarray, grad: np.ndarray, grad0: np.ndarray, yy: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """(yᵀy − βᵀXᵀy − N·βᵀgrad)/(2N) + λ‖β‖₁ per system, with grad = (Xᵀy − XᵀXβ)/N."""
+    fit = _left_sum(beta * (grad0 + grad))
+    return 0.5 * (yy - fit) + lam * _left_sum(np.abs(beta))
+
+
+def _held_out_errors(
+    values: np.ndarray, s: int, fold_rows: list[np.ndarray], betas: np.ndarray
+) -> np.ndarray:
+    """errors[k, f]: mean squared error of fold f's β at grid index k on its held-out rows."""
+    others = [j for j in range(values.shape[1]) if j != s]
+    errors = np.zeros((betas.shape[1], len(fold_rows)))
+    for f, test_rows in enumerate(fold_rows):
+        test = np.take(values, test_rows, axis=0)
+        X_test, y_test = test[:, others], test[:, s]
+        for k, beta in enumerate(betas[f]):
+            resid = y_test - X_test @ beta
+            errors[k, f] = float(resid @ resid) / len(test_rows)
+    return errors
+
+
+def _select(errors: np.ndarray, grid: LambdaGrid, rule: str) -> CvResult:
+    cv_errors = errors.mean(axis=1)
+    cv_se = errors.std(axis=1, ddof=1) / np.sqrt(errors.shape[1])
+    # grid is descending, so argmin's first hit is already the largest λ
+    min_index = int(np.argmin(cv_errors))
+    if rule == "one_se":
+        threshold = cv_errors[min_index] + cv_se[min_index]
+        best_index = int(np.argmax(cv_errors <= threshold))
+    else:
+        best_index = min_index
+    return CvResult(
+        best_lambda=grid.values[best_index],
+        best_index=best_index,
+        cv_errors=cv_errors,
+        cv_se=cv_se,
+        rule=rule,
+    )
 
 
 def cross_validate(
@@ -374,93 +516,13 @@ def cross_validate(
     one standard error of the minimum.
     """
     values = matrix.values
-    n, p = values.shape
-    if folds < 2 or folds > n:
-        raise TooFewRows(f"need 2 <= folds <= {n}, got {folds}")
+    fold_rows = _fold_rows(len(values), s, folds, seed)
     if gram is None:
         gram = values.T @ values
-    rng = np.random.default_rng([seed, s])
-    fold_rows = np.array_split(rng.permutation(n), folds)
-    others = [j for j in range(p) if j != s]
-
-    errors = np.zeros((len(grid.values), folds))
-    for f, test_rows in enumerate(fold_rows):
-        test = values[test_rows]
-        train = _GramSystem(gram - test.T @ test, s, n - len(test_rows))
-        X_test = test[:, others]
-        y_test = test[:, s]
-        beta = None
-        for k, lam in enumerate(grid.values):
-            beta, _, _, _, _ = _gram_descent(train, lam, tol, max_sweeps, beta0=beta)
-            resid = y_test - X_test @ beta
-            errors[k, f] = float(resid @ resid) / len(test_rows)
-
-    cv_errors = errors.mean(axis=1)
-    cv_se = errors.std(axis=1, ddof=1) / np.sqrt(folds)
-    # grid is descending, so argmin's first hit is already the largest λ
-    min_index = int(np.argmin(cv_errors))
-    if rule == "one_se":
-        threshold = cv_errors[min_index] + cv_se[min_index]
-        best_index = int(np.argmax(cv_errors <= threshold))
-    else:
-        best_index = min_index
-    return CvResult(
-        best_lambda=grid.values[best_index],
-        best_index=best_index,
-        cv_errors=cv_errors,
-        cv_se=cv_se,
-        rule=rule,
-    )
-
-
-def _fit_vertex(
-    matrix: FeatureMatrix, gram: np.ndarray, s: int, config: GlassoConfig, seed: int
-) -> tuple[NeighborhoodFit, str | None]:
-    n, p = matrix.values.shape
-    others = tuple(j for j in range(p) if j != s)
-    system = _GramSystem(gram, s, n)
-    try:
-        grid = _grid_from_max(system.lambda_max(), s)
-    except DegenerateColumn:
-        fit = NeighborhoodFit(
-            vertex=s,
-            others=others,
-            beta=np.zeros(p - 1),
-            lam=0.0,
-            loss=0.5 * system.yy,
-            iterations=0,
-            converged=True,
-        )
-        return fit, f"vertex {s} has no correlated columns; kept an empty neighborhood"
-    cv = cross_validate(
-        matrix,
-        s,
-        grid,
-        folds=config.folds,
-        tol=config.tol,
-        max_sweeps=config.max_sweeps,
-        seed=seed,
-        rule=config.selection,
-        gram=gram,
-    )
-    # warm-start down the grid to the selected λ for a well-conditioned fit;
-    # at index 0 this is a cold start at λ_max, whose solution is exactly zero
-    beta = None
-    for lam in grid.values[: cv.best_index + 1]:
-        beta, loss, sweeps, converged, path = _gram_descent(
-            system, lam, config.tol, config.max_sweeps, beta0=beta
-        )
-    fit = NeighborhoodFit(
-        vertex=s,
-        others=others,
-        beta=beta,
-        lam=cv.best_lambda,
-        loss=loss,
-        iterations=sweeps,
-        converged=converged,
-        objective_path=tuple(path),
-    )
-    return fit, None
+    rows, grad0, yy = map(np.array, zip(*_fold_systems(values, gram, s, fold_rows)))
+    lams = np.tile(grid.values, (folds, 1))
+    states = _gram_path(rows, grad0, yy, lams, tol, max_sweeps)
+    return _select(_held_out_errors(values, s, fold_rows, states.beta), grid, rule)
 
 
 def _twin_columns(matrix: FeatureMatrix) -> list[str]:
@@ -490,20 +552,61 @@ def graphical_lasso(
 ) -> GraphEstimate:
     """Estimate the dependency graph over the matrix's columns.
 
-    ``seed`` derives each vertex's cross-validation fold shuffle.
+    ``seed`` derives each vertex's cross-validation fold shuffle. Every
+    vertex's fold systems and its full-data system go through one
+    :func:`_gram_path` call; a vertex's fit is its full-data system's state
+    at the λ its cross-validation selects, which is where warm starts down
+    the grid to that λ lead.
     """
     config = config or GlassoConfig()
     if not matrix.standardized:
         matrix = standardize(matrix)
     _check_finite(matrix.values)
-    n, p = matrix.values.shape
+    values = matrix.values
+    n, p = values.shape
     if p < 2:
         raise TooFewRows(f"need at least 2 columns, got {p}")
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
 
-    gram = matrix.values.T @ matrix.values
-    fits, vertex_notes = zip(*(_fit_vertex(matrix, gram, s, config, seed) for s in range(p)))
+    gram = values.T @ values
+    fits: list[NeighborhoodFit | None] = [None] * p
+    notes = []
+    vertices = []  # (s, grid, fold_rows) of each vertex with a penalty grid
+    systems = []  # each such vertex's fold systems, then its full-data system
+    for s in range(p):
+        full = _system(gram, s, n)
+        try:
+            grid = _grid_from_max(float(np.abs(full[1]).max()), s)
+        except DegenerateColumn:
+            fits[s] = NeighborhoodFit(
+                vertex=s,
+                others=tuple(j for j in range(p) if j != s),
+                beta=np.zeros(p - 1),
+                lam=0.0,
+                loss=0.5 * float(full[2]),
+                iterations=0,
+                converged=True,
+            )
+            notes.append(f"vertex {s} has no correlated columns; kept an empty neighborhood")
+            continue
+        fold_rows = _fold_rows(n, s, config.folds, seed)
+        vertices.append((s, grid, fold_rows))
+        systems.extend(_fold_systems(values, gram, s, fold_rows))
+        systems.append(full)
+
+    cvs: list[CvResult | None] = [None] * p
+    if vertices:
+        rows, grad0, yy = map(np.array, zip(*systems))
+        lams = np.repeat([grid.values for _, grid, _ in vertices], config.folds + 1, axis=0)
+        states = _gram_path(rows, grad0, yy, lams, config.tol, config.max_sweeps)
+        for v, (s, grid, fold_rows) in enumerate(vertices):
+            first = v * (config.folds + 1)
+            fold_betas = states.beta[first : first + config.folds]
+            errors = _held_out_errors(values, s, fold_rows, fold_betas)
+            cv = cvs[s] = _select(errors, grid, config.selection)
+            others = tuple(j for j in range(p) if j != s)
+            fits[s] = states.fit(first + config.folds, cv.best_index, s, others, cv.best_lambda)
 
     # coefficient matrix: coef[s, j] = β^s_j (vertex s regressed on j)
     coef = np.zeros((p, p))
@@ -520,17 +623,18 @@ def graphical_lasso(
         present = (ab != 0.0) & (ba != 0.0)
         strength = np.where(np.abs(ab) <= np.abs(ba), ab, ba)
     rows, cols = np.nonzero(np.triu(present, 1))  # row-major upper triangle
-    partial = np.zeros((p, p))
-    partial[rows, cols] = partial[cols, rows] = strength[rows, cols]
+    weights = np.zeros((p, p))
+    weights[rows, cols] = weights[cols, rows] = strength[rows, cols]
     return GraphEstimate(
         vertex_names=matrix.column_names,
         edges=tuple(zip(rows.tolist(), cols.tolist())),
-        per_vertex_fits=list(fits),
-        partial_correlations=partial,
+        per_vertex_fits=fits,
+        weights=weights,
         lambda_per_vertex=tuple(fit.lam for fit in fits),
         symmetrization=config.symmetrization,
         seed=seed,
-        warnings=(*_twin_columns(matrix), *(note for note in vertex_notes if note)),
+        warnings=(*_twin_columns(matrix), *notes),
+        cv=tuple(cvs),
     )
 
 
@@ -551,7 +655,7 @@ def graph_to_dict(graph: GraphEstimate) -> dict:
 def edges_to_csv_rows(graph: GraphEstimate) -> list[tuple[str, str, float, int]]:
     rows = []
     for a, b in graph.edges:
-        weight = float(graph.partial_correlations[a, b])
+        weight = float(graph.weights[a, b])
         rows.append(
             (graph.vertex_names[a], graph.vertex_names[b], abs(weight), 1 if weight >= 0 else -1)
         )

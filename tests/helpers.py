@@ -3,18 +3,24 @@
 The oracles recompute each quantity from its defining formula (two-pass
 Pearson, brute-force silhouette, quadrature distribution tails, lasso KKT
 subgradient conditions) with none of the package's shortcuts, so the
-implementation and its tests cannot share a bug.
+implementation and its tests cannot share a bug. The scalar Gram-form
+solver (``_GramSystem``, ``_gram_descent``) is the reference the batched
+solver must match bit for bit: one system at a time, on Python floats.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import io
+from math import copysign
+from operator import add, mul
 
 import numpy as np
 from scipy import integrate, special
 
+from energyseg.errors import DegenerateColumn
 from energyseg.features import FeatureMatrix, standardize
+from energyseg.glasso import CvResult, NeighborhoodFit, _grid_from_max, soft_threshold
 from energyseg.records import DatasetTable, OccupantRecord, emit_csv
 
 BASE_DATE = dt.date(2018, 9, 3)
@@ -189,3 +195,149 @@ def two_pass_pearson(values) -> np.ndarray:
                     (centered[:, a] * centered[:, b]).sum() / (norms[a] * norms[b])
                 )
     return C
+
+
+class _GramSystem:
+    """Sufficient statistics of regressing column ``s`` on the others.
+
+    Holds the rows of XᵀX/N, Xᵀy/N and yᵀy/N as Python floats for the
+    inner loop, taken from a Gram matrix over N rows.
+    """
+
+    def __init__(self, gram: np.ndarray, s: int, n: int) -> None:
+        others = [j for j in range(gram.shape[0]) if j != s]
+        self.rows = (gram[np.ix_(others, others)] / n).tolist()
+        self.nu = [row[j] for j, row in enumerate(self.rows)]
+        self.grad0 = (gram[others, s] / n).tolist()
+        self.yy = float(gram[s, s]) / n
+
+    def lambda_max(self) -> float:
+        """max_j |Xᵀy|_j/N from the numbers the first sweep reads."""
+        return max(map(abs, self.grad0))
+
+    def objective(self, beta: list[float], grad: list[float], lam: float) -> float:
+        """(yᵀy − βᵀXᵀy − N·βᵀgrad)/(2N) + λ‖β‖₁, with grad = (Xᵀy − XᵀXβ)/N."""
+        fit = sum(map(mul, beta, map(add, self.grad0, grad)))
+        return 0.5 * (self.yy - fit) + lam * sum(map(abs, beta))
+
+
+def _gram_descent(
+    system: _GramSystem,
+    lam: float,
+    tol: float,
+    max_sweeps: int,
+    beta0: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, int, bool, list[float]]:
+    """Gram-form cyclic coordinate descent (covariance updates).
+
+    Same updates, objective stall test and KKT gate as
+    :func:`_coordinate_descent`, but each update maintains the gradient
+    rather than the residual, so a sweep costs O(p²) and never touches the
+    data rows; the KKT gate reads that maintained gradient. At p ≈ 14 the
+    cost is interpreter overhead, so the loop runs on Python floats.
+    """
+    rows, nu = system.rows, system.nu
+    if beta0 is None or not beta0.any():
+        beta = [0.0] * len(nu)
+        grad = list(system.grad0)
+    else:
+        beta = beta0.tolist()
+        grad = [g0 - sum(map(mul, row, beta)) for g0, row in zip(system.grad0, rows)]
+    kkt_tol = 5.0 * tol
+
+    path: list[float] = []
+    prev_obj = obj = system.objective(beta, grad, lam)
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        for j, d in enumerate(nu):
+            if d == 0.0:
+                continue
+            old = beta[j]
+            new = soft_threshold(grad[j] + old * d, lam) / d
+            if new != old:
+                beta[j] = new
+                step = new - old
+                grad = [g - step * h for g, h in zip(grad, rows[j])]
+        obj = system.objective(beta, grad, lam)
+        path.append(obj)
+        if prev_obj - obj < tol * max(abs(prev_obj), 1e-300):
+            if all(
+                abs(g - copysign(lam, b)) <= kkt_tol if b else abs(g) <= lam + kkt_tol
+                for b, g in zip(beta, grad)
+            ):
+                converged = True
+                break
+        prev_obj = obj
+    return np.array(beta), obj, sweeps, converged, path
+
+
+def scalar_cross_validate(
+    matrix, s, grid, folds=5, tol=1e-6, max_sweeps=1000, seed=0, rule="min", gram=None
+) -> CvResult:
+    """Cross-validation of vertex ``s`` with one scalar solve per fold."""
+    values = matrix.values
+    n, p = values.shape
+    if gram is None:
+        gram = values.T @ values
+    rng = np.random.default_rng([seed, s])
+    fold_rows = np.array_split(rng.permutation(n), folds)
+    others = [j for j in range(p) if j != s]
+
+    errors = np.zeros((len(grid.values), folds))
+    for f, test_rows in enumerate(fold_rows):
+        test = values[test_rows]
+        train = _GramSystem(gram - test.T @ test, s, n - len(test_rows))
+        X_test = test[:, others]
+        y_test = test[:, s]
+        beta = None
+        for k, lam in enumerate(grid.values):
+            beta, _, _, _, _ = _gram_descent(train, lam, tol, max_sweeps, beta0=beta)
+            resid = y_test - X_test @ beta
+            errors[k, f] = float(resid @ resid) / len(test_rows)
+
+    cv_errors = errors.mean(axis=1)
+    cv_se = errors.std(axis=1, ddof=1) / np.sqrt(folds)
+    min_index = int(np.argmin(cv_errors))
+    if rule == "one_se":
+        threshold = cv_errors[min_index] + cv_se[min_index]
+        best_index = int(np.argmax(cv_errors <= threshold))
+    else:
+        best_index = min_index
+    return CvResult(grid.values[best_index], best_index, cv_errors, cv_se, rule)
+
+
+def scalar_vertex_fits(matrix, config, seed):
+    """Each vertex's (fit, CV result) as graphical_lasso defines them, solved one system at a time.
+
+    The fit is a warm-started walk down the vertex's grid to the λ its
+    cross-validation selects; a vertex with no penalty grid gets an empty
+    fit and ``None``.
+    """
+    values = matrix.values
+    n, p = values.shape
+    gram = values.T @ values
+    out = []
+    for s in range(p):
+        others = tuple(j for j in range(p) if j != s)
+        system = _GramSystem(gram, s, n)
+        try:
+            grid = _grid_from_max(system.lambda_max(), s)
+        except DegenerateColumn:
+            fit = NeighborhoodFit(s, others, np.zeros(p - 1), 0.0, 0.5 * system.yy, 0, True)
+            out.append((fit, None))
+            continue
+        cv = scalar_cross_validate(
+            matrix, s, grid, config.folds, config.tol, config.max_sweeps, seed,
+            config.selection, gram,
+        )
+        beta = None
+        for lam in grid.values[: cv.best_index + 1]:
+            beta, loss, sweeps, converged, path = _gram_descent(
+                system, lam, config.tol, config.max_sweeps, beta0=beta
+            )
+        fit = NeighborhoodFit(
+            s, others, beta, cv.best_lambda, loss, sweeps, converged, tuple(path)
+        )
+        out.append((fit, cv))
+    return out

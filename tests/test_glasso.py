@@ -4,10 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_sample, fm, kkt_violation, std_fm
+from helpers import (
+    _GramSystem,
+    _gram_descent,
+    chain_sample,
+    fm,
+    kkt_violation,
+    scalar_cross_validate,
+    scalar_vertex_fits,
+    std_fm,
+)
 
 import energyseg.glasso as glasso_mod
 from energyseg.errors import (
@@ -19,6 +28,7 @@ from energyseg.errors import (
 )
 from energyseg.glasso import (
     GlassoConfig,
+    _grid_from_max,
     cross_validate,
     edges_to_csv_rows,
     fit_neighborhood,
@@ -288,7 +298,7 @@ class TestGraphicalLasso:
                             edges.append((a, b))
                             partial[a, b] = partial[b, a] = strength
                 assert graph.edges == tuple(edges)
-                assert graph.partial_correlations.tobytes() == partial.tobytes()
+                assert graph.weights.tobytes() == partial.tobytes()
 
     def test_twin_columns_warn(self):
         rng = np.random.default_rng(93)
@@ -302,7 +312,7 @@ class TestGraphicalLasso:
 
     def test_partial_correlation_symmetry_bounds(self):
         graph = graphical_lasso(chain_matrix(87, n=500))
-        pc = np.asarray(graph.partial_correlations)
+        pc = np.asarray(graph.weights)
         assert np.abs(pc - pc.T).max() <= 1e-12
         assert np.abs(np.diag(pc)).max() == 0.0
 
@@ -362,20 +372,14 @@ class TestGraphicalLasso:
 
 
 def _graph_and_cv(matrix, options):
-    """graphical_lasso, plus each vertex's grid and CV result as seen by cross_validate."""
+    """graphical_lasso, plus each vertex's grid and CV result (vertices with a CV only)."""
+    graph = graphical_lasso(matrix, options)
+    values = matrix.values
+    gram = values.T @ values
     seen = {}
-    original = glasso_mod.cross_validate
-
-    def spy(matrix, s, grid, **kwargs):
-        cv = original(matrix, s, grid, **kwargs)
-        seen[s] = (grid, cv)
-        return cv
-
-    glasso_mod.cross_validate = spy
-    try:
-        graph = graphical_lasso(matrix, options)
-    finally:
-        glasso_mod.cross_validate = original
+    for s, cv in enumerate(graph.cv):
+        if cv is not None:
+            seen[s] = (_grid_from_max(_GramSystem(gram, s, len(values)).lambda_max(), s), cv)
     return graph, seen
 
 
@@ -408,9 +412,114 @@ class TestGramPathProperties:
                 assert np.all(fit.beta == 0.0)
 
 
+@st.composite
+def _awkward_matrices(draw):
+    """Matrices flagged standardized, with CV settings.
+
+    Drawn to hold an all-zero column, a duplicated or negated column, ties,
+    or a column nonzero on a few rows only; ``max_sweeps`` as low as 1 leaves
+    systems unconverged.
+    """
+    n = draw(st.integers(3, 40))
+    p = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+    if draw(st.booleans()):
+        raw = np.round(raw)  # ties, and exact zeros after centring
+    if p >= 3 and draw(st.booleans()):
+        raw[:, draw(st.integers(0, p - 1))] = 1.0  # all zero once standardized
+    if p >= 3 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+        raw[:, b] = raw[:, a] if draw(st.booleans()) else -raw[:, a]
+    matrix = std_fm(raw, [f"v{j}" for j in range(p)])
+    if draw(st.booleans()):
+        # nonzero on a few rows only: a fold that holds them all out gets a
+        # training diagonal of 0, or ±roundoff, for that column
+        column, keep = draw(st.integers(0, p - 1)), draw(st.integers(1, 5))
+        matrix.values[rng.permutation(n)[keep:], column] = 0.0
+    config = GlassoConfig(
+        folds=draw(st.just(2) | st.integers(2, n)),
+        selection=draw(st.sampled_from(["min", "one_se"])),
+        max_sweeps=draw(st.sampled_from([1, 2, 3, 6, 1000])),
+        tol=draw(st.sampled_from([1e-6, 1e-3, 1e-10])),
+    )
+    return matrix, config
+
+
+def _bits(*values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_matches_scalar(matrix, config, seed):
+    graph = graphical_lasso(matrix, config, seed=seed)
+    expected = scalar_vertex_fits(matrix, config, seed)
+    assert len(graph.cv) == len(expected) == len(graph.per_vertex_fits)
+    for fit, cv, (ref, ref_cv) in zip(graph.per_vertex_fits, graph.cv, expected):
+        assert fit.beta.tobytes() == ref.beta.tobytes()
+        assert _bits(fit.loss, fit.lam) == _bits(ref.loss, ref.lam)
+        assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
+        assert _bits(*fit.objective_path) == _bits(*ref.objective_path)
+        assert (cv is None) == (ref_cv is None)
+        if cv is not None:
+            assert cv.cv_errors.tobytes() == ref_cv.cv_errors.tobytes()
+            assert cv.cv_se.tobytes() == ref_cv.cv_se.tobytes()
+            assert cv.best_index == ref_cv.best_index
+
+
+class TestBatchedMatchesScalar:
+    """The batched Gram-form path gives the scalar one-system-at-a-time solver's bytes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_awkward_matrices(), seed=st.integers(0, 2**16))
+    def test_graphical_lasso(self, case, seed):
+        _assert_matches_scalar(*case, seed)
+
+    def test_negative_training_diagonal(self):
+        # column 1 is nonzero on 4 of 12 rows; a fold holding all 4 out has a
+        # training diagonal summed from the same squares in two orders, here < 0
+        rng = np.random.default_rng(39)
+        matrix = std_fm(rng.standard_normal((12, 4)))
+        matrix.values[rng.permutation(12)[4:], 1] = 0.0
+        config = GlassoConfig(folds=2)
+        values = matrix.values
+        gram = values.T @ values
+        folds = glasso_mod._fold_rows(12, 0, 2, 39)
+        systems = list(glasso_mod._fold_systems(values, gram, 0, folds))
+        assert min(np.diag(rows).min() for rows, _, _ in systems) < 0.0
+        # every state on the path, fold systems included, is the scalar walk's
+        grid = _grid_from_max(_GramSystem(gram, 0, 12).lambda_max(), 0)
+        rows, grad0, yy = map(np.array, zip(*systems))
+        states = glasso_mod._gram_path(rows, grad0, yy, np.tile(grid.values, (2, 1)), 1e-6, 1000)
+        for i, test_rows in enumerate(folds):
+            held_out = values[test_rows]
+            system = _GramSystem(gram - held_out.T @ held_out, 0, 12 - len(test_rows))
+            beta = None
+            for k, lam in enumerate(grid.values):
+                beta, loss, sweeps, converged, path = _gram_descent(system, lam, 1e-6, 1000, beta)
+                assert states.beta[i, k].tobytes() == beta.tobytes()
+                assert _bits(states.loss[i, k], *states.history[k][:sweeps, i]) == _bits(loss, *path)
+                assert (states.sweeps[i, k], states.converged[i, k]) == (sweeps, converged)
+        _assert_matches_scalar(matrix, config, 39)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_awkward_matrices(), seed=st.integers(0, 2**16), data=st.data())
+    def test_cross_validate(self, case, seed, data):
+        matrix, config = case
+        s = data.draw(st.integers(0, matrix.values.shape[1] - 1))
+        try:
+            grid = lambda_grid(matrix, s)
+        except DegenerateColumn:
+            assume(False)
+        args = (matrix, s, grid, config.folds, config.tol, config.max_sweeps, seed, config.selection)
+        cv, ref = cross_validate(*args), scalar_cross_validate(*args)
+        assert cv.cv_errors.tobytes() == ref.cv_errors.tobytes()
+        assert cv.cv_se.tobytes() == ref.cv_se.tobytes()
+        assert (cv.best_index, cv.best_lambda) == (ref.best_index, ref.best_lambda)
+
+
 def _edge_tuples(graph):
     names = graph.vertex_names
-    pc = np.asarray(graph.partial_correlations)
+    pc = np.asarray(graph.weights)
     return [
         (names[a], names[b], abs(float(pc[a, b])), 1 if pc[a, b] >= 0 else -1)
         for a, b in graph.edges
