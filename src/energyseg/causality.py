@@ -29,12 +29,51 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDof, NoConvergence, SeriesTooShort, TooFewSamples
+from .errors import (
+    InvalidConfig,
+    InvalidDof,
+    NoConvergence,
+    SeriesTooShort,
+    TooFewSamples,
+    require_bool,
+    require_int,
+)
+from .features import MINUTE_FEATURES
 
 # B_2k/(2k(2k − 1)), the Stirling series coefficients of log Γ
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 _CF_MAX_STEPS = 10_000
 _TINY = 1e-300
+
+DEFAULT_CAUSALITY_PAIRS: tuple[tuple[str, str], ...] = (
+    ("status_fan", "status_ceiling_light"),
+    ("humidity", "status_fan"),
+    ("status_desk_light", "status_fan"),
+    ("status_ceiling_light", "status_desk_light"),
+    ("is_morning", "status_desk_light"),
+    ("is_afternoon", "status_fan"),
+    ("is_evening", "status_ceiling_light"),
+)
+
+
+@dataclass
+class CausalityConfig:
+    """Settings of the Granger tests; the ``causality`` config section."""
+
+    pairs: tuple[tuple[str, str], ...] = DEFAULT_CAUSALITY_PAIRS
+    lag: int = 1
+    alpha: float = 0.05
+    first_difference: bool = False
+
+    def __post_init__(self) -> None:
+        self.pairs = tuple((str(a), str(b)) for a, b in self.pairs)
+        unknown = sorted({name for pair in self.pairs for name in pair} - set(MINUTE_FEATURES))
+        if unknown:
+            raise InvalidConfig(f"causality pairs name unknown or non-minute feature(s): {unknown}")
+        require_int("lag", self.lag, 1)
+        require_bool("first_difference", self.first_difference)
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidConfig(f"alpha must be in (0, 1), got {self.alpha}")
 
 
 def _stirling_tail(z: float) -> float:

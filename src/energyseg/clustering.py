@@ -262,9 +262,15 @@ def silhouette(matrix, assignments) -> tuple[float | np.ndarray, np.ndarray]:
     ``assignments`` is one labelling of the N rows, or an m×N stack scored
     from one distance pass into m means and m×N scores. Distances are exact
     Euclidean computed from coordinate differences (no Gram shortcut),
-    matching a brute-force oracle to full precision. Each row block of them,
-    at most ``SILHOUETTE_BLOCK_DOUBLES``, meets every labelling's one-hot
-    columns in one matmul. Singleton-cluster samples score 0.
+    matching a brute-force oracle to full precision. They are taken only
+    between the U distinct rows, kept in first-appearance order: each row
+    block of them, at most ``SILHOUETTE_BLOCK_DOUBLES``, meets in one matmul
+    a U×C count matrix of how many rows of each cluster of every labelling
+    sit at each point. Each point is scored as a member of each cluster, and
+    each row reads its point's score in its own cluster. Equal rows have
+    equal distances, so the scores are exact up to summation order; without
+    repeated rows U = N, the counts are the one-hot and the bytes are those
+    of a full N×N pass. Singleton-cluster samples score 0.
     """
     values = _as_values(matrix)
     n, d = values.shape
@@ -277,29 +283,36 @@ def silhouette(matrix, assignments) -> tuple[float | np.ndarray, np.ndarray]:
         raise SingleCluster("silhouette needs at least two clusters")
 
     starts = np.concatenate([[0], np.cumsum(widths)])
-    columns = labels + starts[:-1, None]  # each sample's one-hot column, per labelling
-    at = np.arange(n)
-    onehot = np.zeros((n, starts[-1]))
-    onehot[at, columns] = 1.0
-    sums = np.empty((n, starts[-1]))  # distance sum from each row to each cluster
-    rows = min(n, max(1, SILHOUETTE_BLOCK_DOUBLES // n))
-    dist, diff = np.empty((2, rows, n))
-    for start in range(0, n, rows):
-        block, scratch = dist[: n - start], diff[: n - start]
+    columns = labels + starts[:-1, None]  # each sample's cluster column, per labelling
+    _, first, inverse = np.unique(values, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct points in first-appearance order
+    points = values[first[order]]
+    point_of = np.argsort(order)[inverse.ravel()]
+    u, width = len(points), starts[-1]
+    weights = np.bincount((point_of * width + columns).ravel(), minlength=u * width)
+    weights = weights.reshape(u, width).astype(np.float64)
+    sums = np.empty((u, width))  # distance sum from each point to each cluster
+    rows = min(u, max(1, SILHOUETTE_BLOCK_DOUBLES // u))
+    dist, diff = np.empty((2, rows, u))
+    for start in range(0, u, rows):
+        block, scratch = dist[: u - start], diff[: u - start]
         block.fill(0.0)
         for j in range(d):
-            np.subtract(values[start : start + rows, j, None], values[:, j], out=scratch)
+            np.subtract(points[start : start + rows, j, None], points[:, j], out=scratch)
             block += np.square(scratch, out=scratch)
-        sums[start : start + rows] = np.sqrt(block, out=block) @ onehot
+        sums[start : start + rows] = np.sqrt(block, out=block) @ weights
 
     counts = np.bincount(columns.ravel())
-    own = counts[columns]
-    a = sums[at, columns] / np.maximum(own - 1, 1)
+    a = sums / np.maximum(counts - 1, 1)  # mean distance to each cluster's other members
     mean_to = sums / counts
-    mean_to[at, columns] = np.inf
-    b = np.array([mean_to[:, lo:hi].min(axis=1) for lo, hi in zip(starts, starts[1:])])
+    b = np.empty_like(a)  # mean distance to the nearest cluster other than each one
+    for lo, hi in zip(starts, starts[1:]):
+        near = mean_to[:, lo:hi]
+        two = np.partition(near, 1, axis=1)[:, :2]  # nearest and next-nearest
+        b[:, lo:hi] = np.where(near == two[:, :1], two[:, 1:], two[:, :1])
     denom = np.maximum(a, b)
-    per_sample = np.divide(b - a, denom, out=np.zeros(a.shape), where=(own > 1) & (denom > 0.0))
+    score = np.divide(b - a, denom, out=np.zeros(a.shape), where=(counts > 1) & (denom > 0.0))
+    per_sample = score[point_of, columns]
     if stack.ndim == 1:
         return float(per_sample[0].mean()), per_sample[0]
     return per_sample.mean(axis=1), per_sample

@@ -6,8 +6,9 @@ configuration (``PipelineConfig.to_dict``) into the output directory as
 config.json, so any artifact can be regenerated from its config alone.
 
 Each stage module owns its one config type (``synthetic.GeneratorConfig``,
-``glasso.GlassoConfig``, ``clustering.ClusteringConfig``); this module
-assembles them, plus the feature, segmentation and causality sections, into
+``features.FeatureConfig``, ``glasso.GlassoConfig``,
+``clustering.ClusteringConfig``, ``segmentation.SegmentationConfig``,
+``causality.CausalityConfig``); this module assembles them into
 :class:`PipelineConfig`.
 """
 
@@ -17,28 +18,15 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any
 
+from .causality import DEFAULT_CAUSALITY_PAIRS, CausalityConfig  # noqa: F401
 from .clustering import ClusteringConfig
-from .errors import InvalidConfig, require_bool, require_int, require_number
-from .features import (
-    ALL_FEATURES,
-    DEFAULT_CLUSTERING_FEATURES,
-    DEFAULT_GRAPH_FEATURES,
-    MINUTE_FEATURES,
-)
+from .errors import InvalidConfig, require_int
+from .features import FeatureConfig
 from .glasso import GlassoConfig
+from .segmentation import SegmentationConfig
 from .synthetic import GeneratorConfig
 
 OUTPUT_ROOT_ENV = "ENERGYSEG_OUTPUT_ROOT"
-
-DEFAULT_CAUSALITY_PAIRS: tuple[tuple[str, str], ...] = (
-    ("status_fan", "status_ceiling_light"),
-    ("humidity", "status_fan"),
-    ("status_desk_light", "status_fan"),
-    ("status_ceiling_light", "status_desk_light"),
-    ("is_morning", "status_desk_light"),
-    ("is_afternoon", "status_fan"),
-    ("is_evening", "status_ceiling_light"),
-)
 
 
 def _from_mapping(cls, data: dict[str, Any], context: str):
@@ -47,74 +35,6 @@ def _from_mapping(cls, data: dict[str, Any], context: str):
     if unknown:
         raise InvalidConfig(f"unknown {context} option(s): {sorted(unknown)}")
     return cls(**data)
-
-
-@dataclass
-class FeatureConfig:
-    clustering_features: tuple[str, ...] = DEFAULT_CLUSTERING_FEATURES
-    graph_features: tuple[str, ...] = DEFAULT_GRAPH_FEATURES
-    clustering_granularity: str = "daily"
-    graph_granularity: str = "minute"
-
-    def __post_init__(self) -> None:
-        self.clustering_features = tuple(self.clustering_features)
-        self.graph_features = tuple(self.graph_features)
-        for name in self.clustering_features + self.graph_features:
-            if name not in ALL_FEATURES:
-                raise InvalidConfig(f"unknown feature name {name!r}")
-        for key in ("clustering_features", "graph_features"):
-            names = getattr(self, key)
-            repeated = sorted({name for name in names if names.count(name) > 1})
-            if repeated:
-                raise InvalidConfig(f"{key} names a feature more than once: {repeated}")
-        for gran in (self.clustering_granularity, self.graph_granularity):
-            if gran not in ("daily", "minute"):
-                raise InvalidConfig(f"granularity must be daily or minute, got {gran!r}")
-        if not self.clustering_features:
-            raise InvalidConfig("clustering_features must name at least 1 feature")
-        if len(self.graph_features) < 2:
-            raise InvalidConfig(
-                f"graph_features must name at least 2 features, got {list(self.graph_features)}"
-            )
-        if self.clustering_granularity == "minute" and self.graph_granularity == "daily":
-            raise InvalidConfig(
-                "minute clustering needs a minute graph: a daily graph row spans "
-                "minutes of several clusters"
-            )
-
-
-@dataclass
-class SegmentationConfig:
-    invert_rank: bool = False
-    bucket_edges: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-    def __post_init__(self) -> None:
-        require_bool("invert_rank", self.invert_rank)
-        for edge in self.bucket_edges:
-            require_number("bucket_edges entry", edge)
-        self.bucket_edges = edges = tuple(float(e) for e in self.bucket_edges)
-        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise InvalidConfig(
-                f"bucket_edges must be at least 2 strictly increasing numbers, got {list(edges)}"
-            )
-
-
-@dataclass
-class CausalityConfig:
-    pairs: tuple[tuple[str, str], ...] = DEFAULT_CAUSALITY_PAIRS
-    lag: int = 1
-    alpha: float = 0.05
-    first_difference: bool = False
-
-    def __post_init__(self) -> None:
-        self.pairs = tuple((str(a), str(b)) for a, b in self.pairs)
-        unknown = sorted({name for pair in self.pairs for name in pair} - set(MINUTE_FEATURES))
-        if unknown:
-            raise InvalidConfig(f"causality pairs name unknown or non-minute feature(s): {unknown}")
-        require_int("lag", self.lag, 1)
-        require_bool("first_difference", self.first_difference)
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidConfig(f"alpha must be in (0, 1), got {self.alpha}")
 
 
 @dataclass

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     AlreadyStandardized,
     EmptyTable,
+    InvalidConfig,
     TooFewRows,
     UnknownFeatureName,
 )
@@ -48,6 +49,42 @@ DEFAULT_GRAPH_FEATURES: tuple[str, ...] = (
     + ("humidity", "temperature", "solar_radiation")
     + FLAG_NAMES
 )
+
+
+@dataclass
+class FeatureConfig:
+    """Feature sets and granularities; the ``features`` config section."""
+
+    clustering_features: tuple[str, ...] = DEFAULT_CLUSTERING_FEATURES
+    graph_features: tuple[str, ...] = DEFAULT_GRAPH_FEATURES
+    clustering_granularity: str = "daily"
+    graph_granularity: str = "minute"
+
+    def __post_init__(self) -> None:
+        self.clustering_features = tuple(self.clustering_features)
+        self.graph_features = tuple(self.graph_features)
+        for name in self.clustering_features + self.graph_features:
+            if name not in ALL_FEATURES:
+                raise InvalidConfig(f"unknown feature name {name!r}")
+        for key in ("clustering_features", "graph_features"):
+            names = getattr(self, key)
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise InvalidConfig(f"{key} names a feature more than once: {repeated}")
+        for gran in (self.clustering_granularity, self.graph_granularity):
+            if gran not in ("daily", "minute"):
+                raise InvalidConfig(f"granularity must be daily or minute, got {gran!r}")
+        if not self.clustering_features:
+            raise InvalidConfig("clustering_features must name at least 1 feature")
+        if len(self.graph_features) < 2:
+            raise InvalidConfig(
+                f"graph_features must name at least 2 features, got {list(self.graph_features)}"
+            )
+        if self.clustering_granularity == "minute" and self.graph_granularity == "daily":
+            raise InvalidConfig(
+                "minute clustering needs a minute graph: a daily graph row spans "
+                "minutes of several clusters"
+            )
 
 
 @dataclass

@@ -23,12 +23,33 @@ from .errors import (
     EmptyBuckets,
     EmptyTable,
     FeatureOrderMismatch,
+    InvalidConfig,
     MissingRank,
     TooFewRows,
     ZeroMatrix,
+    require_bool,
+    require_number,
 )
 from .features import FeatureMatrix
 from .records import DatasetTable
+
+
+@dataclass
+class SegmentationConfig:
+    """Rank bands and proportion buckets; the ``segmentation`` config section."""
+
+    invert_rank: bool = False
+    bucket_edges: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+    def __post_init__(self) -> None:
+        require_bool("invert_rank", self.invert_rank)
+        for edge in self.bucket_edges:
+            require_number("bucket_edges entry", edge)
+        self.bucket_edges = edges = tuple(float(e) for e in self.bucket_edges)
+        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+            raise InvalidConfig(
+                f"bucket_edges must be at least 2 strictly increasing numbers, got {list(edges)}"
+            )
 
 
 class ClassLabel(IntEnum):

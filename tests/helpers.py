@@ -5,7 +5,9 @@ Pearson, brute-force silhouette, quadrature distribution tails, lasso KKT
 subgradient conditions) with none of the package's shortcuts, so the
 implementation and its tests cannot share a bug. The scalar Gram-form
 solver (``_GramSystem``, ``_gram_descent``) is the reference the batched
-solver must match bit for bit: one system at a time, on Python floats.
+solver must match bit for bit: one system at a time, on Python floats. The
+full N×N silhouette pass (``streamed_silhouette``) is the one the
+distinct-row silhouette must match bit for bit on rows without repeats.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from operator import add, mul
 import numpy as np
 from scipy import integrate, special
 
-from energyseg.errors import DegenerateColumn
+from energyseg import clustering
+from energyseg.errors import DegenerateColumn, SingleCluster, TooFewRows
 from energyseg.features import FeatureMatrix, standardize
 from energyseg.glasso import CvResult, NeighborhoodFit, _grid_from_max, soft_threshold
 from energyseg.records import DatasetTable, OccupantRecord, emit_csv
@@ -147,6 +150,53 @@ def brute_silhouette(values, labels) -> np.ndarray:
         denom = max(a, b)
         out[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return out
+
+
+def streamed_silhouette(matrix, assignments):
+    """The silhouette as one full N×N pass: each row's distances to every row.
+
+    Row blocks of at most ``clustering.SILHOUETTE_BLOCK_DOUBLES`` exact
+    distances, read at call time, each meet every labelling's 0/1 one-hot
+    columns in one matmul. With no repeated row, :func:`silhouette` must
+    reproduce it bit for bit.
+    """
+    values = np.asarray(matrix, dtype=np.float64)
+    n, d = values.shape
+    if n < 3:
+        raise TooFewRows(f"need at least 3 samples, got {n}")
+    stack = np.asarray(assignments)
+    labels = np.array([np.unique(row, return_inverse=True)[1] for row in stack.reshape(-1, n)])
+    widths = labels.max(axis=1) + 1
+    if widths.min() < 2:
+        raise SingleCluster("silhouette needs at least two clusters")
+
+    starts = np.concatenate([[0], np.cumsum(widths)])
+    columns = labels + starts[:-1, None]  # each sample's one-hot column, per labelling
+    at = np.arange(n)
+    onehot = np.zeros((n, starts[-1]))
+    onehot[at, columns] = 1.0
+    sums = np.empty((n, starts[-1]))  # distance sum from each row to each cluster
+    rows = min(n, max(1, clustering.SILHOUETTE_BLOCK_DOUBLES // n))
+    dist, diff = np.empty((2, rows, n))
+    for start in range(0, n, rows):
+        block, scratch = dist[: n - start], diff[: n - start]
+        block.fill(0.0)
+        for j in range(d):
+            np.subtract(values[start : start + rows, j, None], values[:, j], out=scratch)
+            block += np.square(scratch, out=scratch)
+        sums[start : start + rows] = np.sqrt(block, out=block) @ onehot
+
+    counts = np.bincount(columns.ravel())
+    own = counts[columns]
+    a = sums[at, columns] / np.maximum(own - 1, 1)
+    mean_to = sums / counts
+    mean_to[at, columns] = np.inf
+    b = np.array([mean_to[:, lo:hi].min(axis=1) for lo, hi in zip(starts, starts[1:])])
+    denom = np.maximum(a, b)
+    per_sample = np.divide(b - a, denom, out=np.zeros(a.shape), where=(own > 1) & (denom > 0.0))
+    if stack.ndim == 1:
+        return float(per_sample[0].mean()), per_sample[0]
+    return per_sample.mean(axis=1), per_sample
 
 
 def f_tail_quad(x: float, d1: float, d2: float) -> float:

@@ -1,6 +1,7 @@
 """PCA, Lloyd k-means, elbow heuristic, and silhouette scores."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_silhouette, gaussian_blobs
+from helpers import brute_silhouette, gaussian_blobs, streamed_silhouette
 
 from energyseg import clustering
 from energyseg.clustering import (
@@ -291,6 +292,23 @@ class TestSilhouette:
         with pytest.raises(TooFewRows):
             silhouette(rng.standard_normal((2, 2)), np.array([0, 1]))
 
+    def test_repeated_rows_bound_memory(self):
+        # 60,000 rows at 50 distinct points: a full N×N pass would hold two
+        # 8 MiB distance buffers and evaluate 3.6e9 distances; this call
+        # peaks at 6.0 MiB (numpy 2.4)
+        rng = np.random.default_rng(71)
+        points = rng.standard_normal((50, 3))
+        data = points[rng.integers(0, 50, size=60_000)]
+        stack = np.vstack([rng.integers(0, 2, size=60_000), rng.integers(0, 3, size=60_000)])
+        tracemalloc.start()
+        try:
+            means, per = silhouette(data, stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert per.shape == (2, 60_000) and np.all(np.isfinite(means))
+        assert peak <= 8 * 2**20, peak
+
 
 @st.composite
 def labelled_grids(draw):
@@ -303,6 +321,21 @@ def labelled_grids(draw):
         if draw(st.booleans()):
             labels[draw(st.integers(0, n - 1))] = 9
         stack.append(labels)
+    return data, np.array(stack)
+
+
+@st.composite
+def shuffled_repeats(draw):
+    """Grid points each repeated 1-4 times, shuffled, with 1-3 labellings of the rows."""
+    points = draw(grids)
+    copies = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    data = np.repeat(points, copies, axis=0)
+    data = data[draw(st.permutations(range(len(data))))]
+    n = len(data)
+    stack = [
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
     return data, np.array(stack)
 
 
@@ -325,6 +358,31 @@ class TestSilhouetteProperties:
             assert np.abs(row - per).max() <= 1e-12
             assert abs(stacked_mean - mean_s) <= 1e-12
             assert np.abs(row - oracle).max() <= 1e-10
+
+    @settings(deadline=None, derandomize=True)
+    @given(labelled_grids(), st.integers(1, 400))
+    def test_distinct_rows_match_full_pass_bitwise(self, case, block_doubles):
+        data, stack = case
+        _, keep = np.unique(data, axis=0, return_index=True)
+        keep.sort()
+        data, stack = data[keep], stack[:, keep]
+        assume(len(data) >= 3 and all(len(np.unique(labels)) >= 2 for labels in stack))
+        with mock.patch.object(clustering, "SILHOUETTE_BLOCK_DOUBLES", block_doubles):
+            for labels in (stack[0], stack):
+                mean_s, per = silhouette(data, labels)
+                oracle_mean, oracle = streamed_silhouette(data, labels)
+                assert np.array_equal(per, oracle)
+                assert np.array_equal(mean_s, oracle_mean)
+
+    @settings(deadline=None, derandomize=True)
+    @given(shuffled_repeats())
+    def test_shuffled_repeats_match_full_pass(self, case):
+        data, stack = case
+        assume(len(data) >= 3 and all(len(np.unique(labels)) >= 2 for labels in stack))
+        means, rows = silhouette(data, stack)
+        oracle_means, oracle = streamed_silhouette(data, stack)
+        assert np.abs(rows - oracle).max() <= 1e-12
+        assert np.abs(means - oracle_means).max() <= 1e-12
 
 
 class TestGeneratorAgreement:
