@@ -17,12 +17,19 @@ Gram-form coordinate descent ("covariance updates", Friedman, Hastie &
 Tibshirani 2010, JSS 33(1), §2.2) that walks the whole stack down the grid
 together, warm-starting each λ from the last, one coordinate at a time
 across the stack. An update maintains the gradient (Xᵀy − XᵀXβ)/N, so a
-sweep costs O(p²) whatever N is. Each system's arithmetic is elementwise
-and in a fixed order, so its result is the same bytes as solving it alone
-on Python floats (tests keep that scalar solver as the reference).
-:func:`cross_validate` runs the same path for one vertex's folds. The
-residual-form solver, used only by :func:`fit_neighborhood`, maintains the
-full residual instead: one sweep costs O(pN) and nothing quadratic.
+sweep costs O(p²) whatever N is. Once descent has found a system's active
+set and signs, the solution is one linear solve away: after a sweep that
+leaves a sign pattern not tried yet, :func:`_active_set_solve` solves it,
+and a solution that passes the KKT conditions exactly finishes the system
+(the active-set view of Osborne, Presnell & Turlach 2000, IMA J. Numer.
+Anal. 20). A system the solve does not finish keeps sweeping. Each
+system's arithmetic is in a fixed order and its solve is its own LAPACK
+call, so its result does not depend on the rest of the stack; tests keep a
+scalar solver on Python floats, with the same solve, as the bit-for-bit
+reference. :func:`cross_validate` runs the same path for one vertex's
+folds. The residual-form solver, used only by :func:`fit_neighborhood`,
+maintains the full residual instead: one sweep costs O(pN) and nothing
+quadratic.
 """
 
 from __future__ import annotations
@@ -285,10 +292,22 @@ def fit_neighborhood(
     )
 
 
-def _system(gram: np.ndarray, s: int, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rows of XᵀX/N, Xᵀy/N and yᵀy/N for regressing column ``s`` on the others."""
+def _system(
+    gram: np.ndarray, s: int, n: int, drop: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rows of XᵀX/N, Xᵀy/N and yᵀy/N for regressing column ``s`` on the others.
+
+    A column flagged in ``drop`` gets a zero row and column: descent skips a
+    zero diagonal, so its β stays 0 and it is no regressor of ``s``.
+    """
     others = [j for j in range(len(gram)) if j != s]
-    return gram[np.ix_(others, others)] / n, gram[others, s] / n, gram[s, s] / n
+    rows, grad0 = gram[np.ix_(others, others)] / n, gram[others, s] / n
+    if drop is not None:
+        off = drop[others]
+        rows[off] = 0.0
+        rows[:, off] = 0.0
+        grad0[off] = 0.0
+    return rows, grad0, gram[s, s] / n
 
 
 def _fold_rows(n: int, s: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -298,11 +317,17 @@ def _fold_rows(n: int, s: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(np.random.default_rng([seed, s]).permutation(n), folds)
 
 
-def _fold_systems(values: np.ndarray, gram: np.ndarray, s: int, fold_rows: list[np.ndarray]):
+def _fold_systems(
+    values: np.ndarray,
+    gram: np.ndarray,
+    s: int,
+    fold_rows: list[np.ndarray],
+    drop: np.ndarray | None = None,
+):
     """Each fold's training system: ``gram`` minus the held-out rows' Gram."""
     for test_rows in fold_rows:
         test = np.take(values, test_rows, axis=0)  # values[test_rows], gathered faster
-        yield _system(gram - test.T @ test, s, len(values) - len(test_rows))
+        yield _system(gram - test.T @ test, s, len(values) - len(test_rows), drop)
 
 
 def _left_sum(terms: np.ndarray) -> np.ndarray:
@@ -365,9 +390,13 @@ def _gram_path(
     objective stalls converges once a KKT check on that gradient (at half
     :func:`_coordinate_descent`'s certification tolerance) also passes; the
     system is then frozen until the next λ, since another sweep would move
-    its β. Each system's arithmetic is elementwise and in a fixed order
-    (sums by :func:`_left_sum`), so its result is the same bytes as solving
-    it alone with the updates written on Python floats.
+    its β. After each sweep, the systems whose sign pattern differs from the
+    last one they tried at this λ try :func:`_active_set_solve`; a certified
+    solution that does not raise the objective replaces the sweep's state
+    and freezes the system as converged. Each system's arithmetic is
+    elementwise and in a fixed order (sums by :func:`_left_sum`), so its
+    result is the same bytes as solving it alone with the updates written
+    on Python floats.
     """
     n_sys, n_lam = lams.shape
     m = grad0.shape[1]
@@ -396,6 +425,7 @@ def _gram_path(
         history = []
         sweep = 0
         coords = None
+        tried = np.zeros((m, n_sys))  # each system's last solved sign pattern (all-zero: none)
         while len(live) and sweep < max_sweeps:
             if coords is None:  # a new λ, or the stack just shrank
                 # a fold's training diagonal is 0, or −roundoff, where the
@@ -420,6 +450,18 @@ def _gram_path(
                     beta[j] = new
                     grad -= R[j] * step
             obj = _gram_objective(beta, grad, g0, y, lam)
+            signs = np.sign(beta)
+            retry = np.flatnonzero((signs != tried).any(axis=0))
+            solved = np.zeros(len(live), dtype=bool)
+            if len(retry):  # a sign pattern not tried yet at this λ
+                tried[:, retry] = signs[:, retry]
+                parts = R[:, :, retry], g0[:, retry], y[retry], lam[retry], beta[:, retry]
+                x, x_grad, x_obj = _active_set_solve(*parts)
+                ok = x_obj <= obj[retry]  # False for NaN: no finite certified solution
+                if np.count_nonzero(ok):
+                    at = retry[ok]
+                    beta[:, at], grad[:, at], obj[at] = x[:, ok], x_grad[:, ok], x_obj[ok]
+                    solved[at] = True
             last[live] = obj
             history.append(last.copy())
             stalled = prev - obj < tol * np.maximum(np.abs(prev), 1e-300)
@@ -432,6 +474,7 @@ def _gram_path(
                     np.abs(grad) <= lam + kkt_tol,
                 )
                 done = stalled & kkt.all(axis=0)
+            done = done | solved
             prev = obj
             if np.count_nonzero(done):
                 finished = live[done]
@@ -442,6 +485,7 @@ def _gram_path(
                 keep = ~done
                 live, R, g0, nu, y = live[keep], R[:, :, keep], g0[:, keep], nu[:, keep], y[keep]
                 beta, grad, lam, prev = beta[:, keep], grad[:, keep], lam[keep], prev[keep]
+                tried = tried[:, keep]
                 coords = None
         # systems still live ran out of sweeps
         states.beta[live, k] = beta.T
@@ -449,6 +493,55 @@ def _gram_path(
         states.sweeps[live, k] = sweep
         states.history.append(np.array(history).reshape(len(history), n_sys))
     return states
+
+
+def _solve_blocks(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x[i] solving blocks[i]·x[i] = rhs[i]; NaN for a block LAPACK finds singular.
+
+    ``np.linalg.solve`` raises for a whole stack when one block is singular,
+    so a stack that raises is solved again one block at a time. Each block
+    goes through the same LAPACK call either way, so its bytes do not depend
+    on the stack it sits in.
+    """
+    try:
+        return np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        for i, (block, b) in enumerate(zip(blocks, rhs)):
+            try:
+                x[i] = np.linalg.solve(block[None], b[None, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _active_set_solve(
+    R: np.ndarray, grad0: np.ndarray, yy: np.ndarray, lam: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lasso minimiser with ``beta``'s active set and signs, if that pattern is optimal.
+
+    Per system (coordinate-major, as in :func:`_gram_path`), solves
+    R_AA·x_A = g0_A − λ·sign(β_A) with x = 0 off the active set A, each
+    inactive coordinate held by an identity row in an m×m block. Returns x,
+    the gradient (Xᵀy − XᵀXx)/N summed by :func:`_left_sum`, and the
+    objective at x. The objective is NaN unless x is finite, keeps every
+    sign of β, and leaves every inactive |gradient| ≤ λ: with the active
+    gradient equal to λ·sign(x) by construction, that certifies x as a
+    global minimiser (Osborne, Presnell & Turlach 2000, IMA J. Numer. Anal.
+    20).
+    """
+    active = beta != 0.0
+    eye = np.eye(len(beta))[:, :, None]
+    blocks = np.where(active[:, None] & active[None], R, eye).transpose(2, 0, 1)
+    rhs = np.where(active, grad0 - np.copysign(lam, beta), 0.0)
+    x = _solve_blocks(blocks, rhs.T).T
+    ok = np.isfinite(x).all(axis=0)
+    x = np.where(active & ok, x, 0.0)
+    grad = grad0 - _left_sum((R * x).swapaxes(0, 1))
+    ok &= (np.sign(x) == np.sign(beta)).all(axis=0)
+    ok &= ((np.abs(grad) <= lam) | active).all(axis=0)
+    obj = _gram_objective(x, grad, grad0, yy, lam)
+    return x, grad, np.where(ok, obj, np.nan)
 
 
 def _gram_objective(
@@ -525,26 +618,24 @@ def cross_validate(
     return _select(_held_out_errors(values, s, fold_rows, states.beta), grid, rule)
 
 
-def _twin_columns(matrix: FeatureMatrix) -> list[str]:
-    """A note for each pair of nonzero columns that are equal or negated copies.
+def _twin_columns(matrix: FeatureMatrix) -> list[tuple[int, int]]:
+    """Each pair (a, b), a < b, of nonzero columns that are equal or negated copies.
 
-    Edges through such a pair rest on roundoff: which of the two a regression
-    selects, and the β it leaves on the other, depend on summation order. The
-    Gram cannot show them, since its diagonal and off-diagonal entries are
-    summed in different orders; equal exact |column sums| pick the pairs to
-    compare. All-zero columns are skipped, as each vertex fit reports them.
+    Which of two such columns a regression selects, and the β it leaves on
+    the other, depend on summation order, so :func:`graphical_lasso` lets
+    the later one regress on no other vertex. The Gram cannot show the
+    pairs, since its diagonal and off-diagonal entries are summed in
+    different orders; equal exact |column sums| pick the pairs to compare.
+    All-zero columns are skipped, as each vertex fit reports them.
     """
-    values, names = matrix.values, matrix.column_names
+    values = matrix.values
     sums = np.abs(values.sum(axis=0))
-    notes = []
-    for a, b in zip(*np.triu_indices(len(names), 1)):
+    pairs = []
+    for a, b in zip(*np.triu_indices(values.shape[1], 1)):
         x, y = values[:, a], values[:, b]
         if sums[a] == sums[b] and x.any() and (np.array_equal(x, y) or np.array_equal(x, -y)):
-            notes.append(
-                f"columns {names[a]} and {names[b]} are identical up to sign; "
-                "edges through them depend on summation order"
-            )
-    return notes
+            pairs.append((int(a), int(b)))
+    return pairs
 
 
 def graphical_lasso(
@@ -556,7 +647,9 @@ def graphical_lasso(
     vertex's fold systems and its full-data system go through one
     :func:`_gram_path` call; a vertex's fit is its full-data system's state
     at the λ its cross-validation selects, which is where warm starts down
-    the grid to that λ lead.
+    the grid to that λ lead. Of two columns identical up to sign, the later
+    is the regressor of no other vertex (see :func:`_twin_columns`), so the
+    pair keeps the one edge of its own regression on the earlier.
     """
     config = config or GlassoConfig()
     if not matrix.standardized:
@@ -571,11 +664,21 @@ def graphical_lasso(
 
     gram = values.T @ values
     fits: list[NeighborhoodFit | None] = [None] * p
-    notes = []
+    names = matrix.column_names
+    twins = _twin_columns(matrix)
+    notes = [
+        f"columns {names[a]} and {names[b]} are identical up to sign; "
+        f"{names[b]} is the regressor of no other vertex"
+        for a, b in twins
+    ]
+    later = np.zeros(p, dtype=bool)
+    later[[b for _, b in twins]] = True
     vertices = []  # (s, grid, fold_rows) of each vertex with a penalty grid
     systems = []  # each such vertex's fold systems, then its full-data system
     for s in range(p):
-        full = _system(gram, s, n)
+        drop = later.copy()
+        drop[s] = False
+        full = _system(gram, s, n, drop)
         try:
             grid = _grid_from_max(float(np.abs(full[1]).max()), s)
         except DegenerateColumn:
@@ -592,7 +695,7 @@ def graphical_lasso(
             continue
         fold_rows = _fold_rows(n, s, config.folds, seed)
         vertices.append((s, grid, fold_rows))
-        systems.extend(_fold_systems(values, gram, s, fold_rows))
+        systems.extend(_fold_systems(values, gram, s, fold_rows, drop))
         systems.append(full)
 
     cvs: list[CvResult | None] = [None] * p
@@ -633,7 +736,7 @@ def graphical_lasso(
         lambda_per_vertex=tuple(fit.lam for fit in fits),
         symmetrization=config.symmetrization,
         seed=seed,
-        warnings=(*_twin_columns(matrix), *notes),
+        warnings=tuple(notes),
         cv=tuple(cvs),
     )
 

@@ -222,7 +222,7 @@ def run_segment(
                     "before its assignments settled"
                 )
 
-        scored = [sk for sk in sorted(models) if len(np.unique(models[sk].assignments)) >= 2]
+        scored = [sk for sk in sorted(models) if np.ptp(models[sk].assignments) > 0]
         silhouettes: dict[int, float] = {}
         if scored and n_rows >= 3:
             means, _ = clustering_mod.silhouette(scores, [models[sk].assignments for sk in scored])

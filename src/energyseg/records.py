@@ -14,9 +14,10 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from functools import cache
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -329,7 +330,7 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
 
     player_index: dict[str, int] = {}
     converters = [
-        (_epoch_microseconds, np.int64),
+        (cache(_epoch_microseconds), np.int64),  # a file repeats each minute once per player
         (lambda p: player_index.setdefault(p, len(player_index)), np.intp),
     ] + [(int, np.int64) if name in INT_COLUMNS else (float, np.float64) for name in FIELD_COLUMNS]
     dtype = np.dtype([(name, conv[1] if name in FIELD_COLUMNS else object)
@@ -426,15 +427,18 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _formatted(column: np.ndarray) -> list[str]:
-    """Each cell's ``repr``, formatting each distinct value once.
+def _formatter(column: np.ndarray) -> Callable[[slice], list[str]]:
+    """A function giving the ``repr`` of each cell in a slice of ``column``.
 
-    Floats are told apart by bit pattern, so ``-0.0`` keeps its sign.
+    Each distinct value is formatted once per column; a slice finds its
+    values by binary search. Floats are told apart by bit pattern, so
+    ``-0.0`` keeps its sign.
     """
     keys = column.view(np.int64) if column.dtype == np.float64 else column
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    # return_counts keeps np.unique on its sorting path: a bare call imports numpy.ma
+    distinct, _ = np.unique(keys, return_counts=True)
     text = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
-    return text[inverse].tolist()
+    return lambda rows: text[np.searchsorted(distinct, keys[rows])].tolist()
 
 
 def emit_csv(table: DatasetTable, sink) -> None:
@@ -449,12 +453,13 @@ def emit_csv(table: DatasetTable, sink) -> None:
             return
     sink.write(",".join(CSV_COLUMNS) + "\n")
     players = np.array([_quoted(p) for p in table.player_ids], dtype=object)
+    formats = [_formatter(table.columns[name]) for name in FIELD_COLUMNS]
     for start in range(0, len(table), _EMIT_ROWS):
         rows = slice(start, start + _EMIT_ROWS)
         lines = map(",".join, zip(
             np.datetime_as_string(table.timestamps[rows], unit="m").tolist(),
             players[table.player_codes[rows]].tolist(),
-            *(_formatted(table.columns[name][rows]) for name in FIELD_COLUMNS),
+            *(cells(rows) for cells in formats),
         ))
         sink.writelines(line + "\n" for line in lines)
 

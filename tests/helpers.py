@@ -251,14 +251,21 @@ class _GramSystem:
     """Sufficient statistics of regressing column ``s`` on the others.
 
     Holds the rows of XᵀX/N, Xᵀy/N and yᵀy/N as Python floats for the
-    inner loop, taken from a Gram matrix over N rows.
+    inner loop, taken from a Gram matrix over N rows. The columns in
+    ``drop`` get zero rows, columns and Xᵀy entries.
     """
 
-    def __init__(self, gram: np.ndarray, s: int, n: int) -> None:
+    def __init__(self, gram: np.ndarray, s: int, n: int, drop=()) -> None:
         others = [j for j in range(gram.shape[0]) if j != s]
         self.rows = (gram[np.ix_(others, others)] / n).tolist()
-        self.nu = [row[j] for j, row in enumerate(self.rows)]
         self.grad0 = (gram[others, s] / n).tolist()
+        for i, j in enumerate(others):
+            if j in drop:
+                self.rows[i] = [0.0] * len(others)
+                self.grad0[i] = 0.0
+                for row in self.rows:
+                    row[i] = 0.0
+        self.nu = [row[j] for j, row in enumerate(self.rows)]
         self.yy = float(gram[s, s]) / n
 
     def lambda_max(self) -> float:
@@ -269,6 +276,37 @@ class _GramSystem:
         """(yᵀy − βᵀXᵀy − N·βᵀgrad)/(2N) + λ‖β‖₁, with grad = (Xᵀy − XᵀXβ)/N."""
         fit = sum(map(mul, beta, map(add, self.grad0, grad)))
         return 0.5 * (self.yy - fit) + lam * sum(map(abs, beta))
+
+    def gradient(self, beta: list[float]) -> list[float]:
+        """(Xᵀy − XᵀXβ)/N, each row's products summed left to right."""
+        return [g0 - sum(map(mul, row, beta)) for g0, row in zip(self.grad0, self.rows)]
+
+    def finish(self, beta: list[float], lam: float):
+        """(β, gradient, objective) of the active-set solve from ``beta``'s signs, or None.
+
+        Solves R_AA·x_A = g0_A − λ·sign(β_A) with inactive coordinates held
+        at 0 by identity rows, by the LAPACK call the batched path makes,
+        and keeps x only when it is finite, keeps every sign, and leaves
+        every inactive |gradient| ≤ λ.
+        """
+        signs = np.sign(beta)
+        active = signs != 0.0
+        block = np.where(np.outer(active, active), np.array(self.rows), np.eye(len(beta)))
+        rhs = np.where(active, np.array(self.grad0) - np.copysign(lam, beta), 0.0)
+        try:
+            x = np.linalg.solve(block[None], rhs[None, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(x).all():
+            return None
+        x = np.where(active, x, 0.0)
+        if not np.array_equal(np.sign(x), signs):
+            return None
+        x = x.tolist()
+        grad = self.gradient(x)
+        if any(abs(g) > lam for g, b in zip(grad, x) if not b):
+            return None
+        return x, grad, self.objective(x, grad, lam)
 
 
 def _gram_descent(
@@ -283,8 +321,11 @@ def _gram_descent(
     Same updates, objective stall test and KKT gate as
     :func:`_coordinate_descent`, but each update maintains the gradient
     rather than the residual, so a sweep costs O(p²) and never touches the
-    data rows; the KKT gate reads that maintained gradient. At p ≈ 14 the
-    cost is interpreter overhead, so the loop runs on Python floats.
+    data rows; the KKT gate reads that maintained gradient. After a sweep
+    that leaves a sign pattern not tried before at this λ, the active-set
+    solve (:meth:`_GramSystem.finish`) ends the descent when it is certified
+    and does not raise the objective. At p ≈ 14 the cost is interpreter
+    overhead, so the loop runs on Python floats.
     """
     rows, nu = system.rows, system.nu
     if beta0 is None or not beta0.any():
@@ -292,11 +333,12 @@ def _gram_descent(
         grad = list(system.grad0)
     else:
         beta = beta0.tolist()
-        grad = [g0 - sum(map(mul, row, beta)) for g0, row in zip(system.grad0, rows)]
+        grad = system.gradient(beta)
     kkt_tol = 5.0 * tol
 
     path: list[float] = []
     prev_obj = obj = system.objective(beta, grad, lam)
+    tried = np.zeros(len(nu))
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -310,6 +352,15 @@ def _gram_descent(
                 step = new - old
                 grad = [g - step * h for g, h in zip(grad, rows[j])]
         obj = system.objective(beta, grad, lam)
+        signs = np.sign(beta)
+        if not np.array_equal(signs, tried):
+            tried = signs
+            finished = system.finish(beta, lam)
+            if finished is not None and finished[2] <= obj:
+                beta, grad, obj = finished
+                path.append(obj)
+                converged = True
+                break
         path.append(obj)
         if prev_obj - obj < tol * max(abs(prev_obj), 1e-300):
             if all(
@@ -323,9 +374,9 @@ def _gram_descent(
 
 
 def scalar_cross_validate(
-    matrix, s, grid, folds=5, tol=1e-6, max_sweeps=1000, seed=0, rule="min", gram=None
+    matrix, s, grid, folds=5, tol=1e-6, max_sweeps=1000, seed=0, rule="min", gram=None, drop=()
 ) -> CvResult:
-    """Cross-validation of vertex ``s`` with one scalar solve per fold."""
+    """Cross-validation of vertex ``s`` with one scalar solve per fold, ``drop`` columns zeroed."""
     values = matrix.values
     n, p = values.shape
     if gram is None:
@@ -337,7 +388,7 @@ def scalar_cross_validate(
     errors = np.zeros((len(grid.values), folds))
     for f, test_rows in enumerate(fold_rows):
         test = values[test_rows]
-        train = _GramSystem(gram - test.T @ test, s, n - len(test_rows))
+        train = _GramSystem(gram - test.T @ test, s, n - len(test_rows), drop)
         X_test = test[:, others]
         y_test = test[:, s]
         beta = None
@@ -362,15 +413,24 @@ def scalar_vertex_fits(matrix, config, seed):
 
     The fit is a warm-started walk down the vertex's grid to the λ its
     cross-validation selects; a vertex with no penalty grid gets an empty
-    fit and ``None``.
+    fit and ``None``. A nonzero column equal to an earlier one up to sign is
+    the regressor of no other vertex.
     """
     values = matrix.values
     n, p = values.shape
     gram = values.T @ values
+    later = {
+        b
+        for a in range(p)
+        for b in range(a + 1, p)
+        if values[:, a].any()
+        and any(np.array_equal(values[:, a], sign * values[:, b]) for sign in (1.0, -1.0))
+    }
     out = []
     for s in range(p):
         others = tuple(j for j in range(p) if j != s)
-        system = _GramSystem(gram, s, n)
+        drop = later - {s}
+        system = _GramSystem(gram, s, n, drop)
         try:
             grid = _grid_from_max(system.lambda_max(), s)
         except DegenerateColumn:
@@ -379,7 +439,7 @@ def scalar_vertex_fits(matrix, config, seed):
             continue
         cv = scalar_cross_validate(
             matrix, s, grid, config.folds, config.tol, config.max_sweeps, seed,
-            config.selection, gram,
+            config.selection, gram, drop,
         )
         beta = None
         for lam in grid.values[: cv.best_index + 1]:

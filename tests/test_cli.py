@@ -434,6 +434,27 @@ _SMALL_RUN = (
 )
 
 
+def test_run_loads_no_numpy_ma(tmp_path):
+    # numpy imports numpy.ma on the first bare np.unique call, about 15 ms
+    # and 1.6 MB in a fresh interpreter; no command needs it
+    script = (
+        "import sys\n"
+        "from energyseg.cli import main\n"
+        f"for argv in {list(_SMALL_RUN)!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_import_loads_no_scipy():
     probe = (
         "import sys, energyseg.cli\n"

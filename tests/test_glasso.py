@@ -13,6 +13,7 @@ from helpers import (
     chain_sample,
     fm,
     kkt_violation,
+    random_psd,
     scalar_cross_validate,
     scalar_vertex_fits,
     std_fm,
@@ -310,6 +311,22 @@ class TestGraphicalLasso:
         assert twins[0].startswith("columns a and a_copy ")
         assert twins[1].startswith("columns b and b_negated ")
 
+    def test_later_twin_touches_only_its_pair(self):
+        # x and −x: only the later twin's own regression may use its column
+        raw = chain_sample(np.random.default_rng(94), 400, 4)
+        raw = np.column_stack([raw[:, :2], -raw[:, 1], raw[:, 2:]])
+        matrix = std_fm(raw, ["v0", "v1", "v1_negated", "v2", "v3"])
+        graph = graphical_lasso(matrix)
+        assert [e for e in graph.edges if 2 in e] == [(1, 2)]
+        assert graph.weights[1, 2] < 0.0
+        for fit in graph.per_vertex_fits:
+            if fit.vertex != 2:
+                assert fit.beta[fit.others.index(2)] == 0.0
+        assert graph.warnings[0] == (
+            "columns v1 and v1_negated are identical up to sign; "
+            "v1_negated is the regressor of no other vertex"
+        )
+
     def test_partial_correlation_symmetry_bounds(self):
         graph = graphical_lasso(chain_matrix(87, n=500))
         pc = np.asarray(graph.weights)
@@ -383,35 +400,6 @@ def _graph_and_cv(matrix, options):
     return graph, seen
 
 
-class TestGramPathProperties:
-    """Invariants of the Gram-form solver that graphical_lasso runs."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(20, 300),
-        p=st.integers(2, 10),
-        seed=st.integers(0, 2**32 - 1),
-        mixed=st.booleans(),
-    )
-    def test_kkt_and_exact_zero_at_lambda_max(self, n, p, seed, mixed):
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((n, p))
-        if mixed:
-            raw = raw @ rng.standard_normal((p, p))
-        matrix = std_fm(raw, [f"v{j}" for j in range(p)])
-        options = GlassoConfig()
-        graph, seen = _graph_and_cv(matrix, options)
-        assert len(seen) == p  # one CV per non-degenerate vertex
-        for fit in graph.per_vertex_fits:
-            if fit.converged:
-                viol = kkt_violation(matrix.values, fit.vertex, fit.others, fit.beta, fit.lam)
-                assert viol <= 10 * options.tol
-            grid, cv = seen[fit.vertex]
-            if fit.lam == grid.lambda_max:
-                assert cv.best_index == 0
-                assert np.all(fit.beta == 0.0)
-
-
 @st.composite
 def _awkward_matrices(draw):
     """Matrices flagged standardized, with CV settings.
@@ -444,6 +432,80 @@ def _awkward_matrices(draw):
         tol=draw(st.sampled_from([1e-6, 1e-3, 1e-10])),
     )
     return matrix, config
+
+
+class TestGramPathProperties:
+    """Invariants of the Gram-form solver that graphical_lasso runs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(20, 300),
+        p=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        mixed=st.booleans(),
+    )
+    def test_kkt_and_exact_zero_at_lambda_max(self, n, p, seed, mixed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, p))
+        if mixed:
+            raw = raw @ rng.standard_normal((p, p))
+        matrix = std_fm(raw, [f"v{j}" for j in range(p)])
+        options = GlassoConfig()
+        certified = set()  # every β an active-set solve certified
+        solve = glasso_mod._active_set_solve
+
+        def spy(*args):
+            x, grad, obj = solve(*args)
+            certified.update(x[:, i].tobytes() for i in np.flatnonzero(np.isfinite(obj)))
+            return x, grad, obj
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(glasso_mod, "_active_set_solve", spy)
+            graph, seen = _graph_and_cv(matrix, options)
+        assert len(seen) == p  # one CV per non-degenerate vertex
+        for fit in graph.per_vertex_fits:
+            viol = kkt_violation(matrix.values, fit.vertex, fit.others, fit.beta, fit.lam)
+            if fit.beta.tobytes() in certified:
+                # solve-finished: exact to roundoff, far inside descent's 10·tol
+                assert fit.converged
+                assert viol <= 1e-12 * (1.0 + np.abs(fit.beta).sum())
+            elif fit.converged:
+                assert viol <= 10 * options.tol
+            grid, cv = seen[fit.vertex]
+            if fit.lam == grid.lambda_max:
+                assert cv.best_index == 0
+                assert np.all(fit.beta == 0.0)
+        nonzero = [fit for fit in graph.per_vertex_fits if fit.beta.any()]
+        assert sum(fit.beta.tobytes() in certified for fit in nonzero) >= len(nonzero) // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_awkward_matrices(), seed=st.integers(0, 2**16))
+    def test_objective_path_nonincreasing(self, case, seed):
+        matrix, config = case
+        for fit in graphical_lasso(matrix, config, seed=seed).per_vertex_fits:
+            path = np.asarray(fit.objective_path)
+            assert len(path) == fit.iterations
+            increases = np.diff(path) / np.abs(path[:-1])
+            assert increases.max(initial=-np.inf) <= 1e-12
+
+    def test_singular_block_neither_raises_nor_blocks(self):
+        # system 0's two active columns are equal, so its block is exactly
+        # singular and LAPACK raises for the whole stack; system 1 is regular
+        R = np.array([random_psd(np.random.default_rng(95), 3) + np.eye(3)] * 2)
+        R[0, :2, :2] = 1.0
+        R[0, 2, :2] = R[0, :2, 2] = 0.25
+        grad0 = np.array([[0.9, 0.9, 0.1], [0.5, -0.4, 0.3]])
+        beta = np.array([[0.3, 0.2, 0.0], [0.1, -0.2, 0.05]])
+        yy, lam = np.ones(2), np.array([0.05, 0.05])
+        blocks = np.where((beta != 0.0)[0, :, None] & (beta != 0.0)[0, None], R[0], np.eye(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(blocks, np.zeros(3))
+        parts = R.transpose(1, 2, 0), grad0.T, yy, lam, beta.T
+        x, grad, obj = glasso_mod._active_set_solve(*parts)
+        assert np.isnan(obj[0]) and np.isfinite(obj[1])
+        alone = glasso_mod._active_set_solve(*(part[..., 1:] for part in parts))
+        for got, want in zip((x, grad, obj), alone):
+            assert got[..., 1].tobytes() == want[..., 0].tobytes()
 
 
 def _bits(*values):
