@@ -72,6 +72,10 @@ class ClusteringConfig:
         require_int("k_range high", k_hi, k_lo)
         if self.k != "auto":
             require_int("k", self.k, 1)
+        elif k_hi - k_lo < 2:
+            raise InvalidConfig(
+                f"k='auto' needs a k_range spanning at least 3 values, got {list(self.k_range)}"
+            )
         if self.pca_variance is not None:
             require_number("pca_variance", self.pca_variance)
             if not 0.0 < self.pca_variance <= 1.0:
@@ -134,10 +138,6 @@ def pca_fit(matrix, dim: int | None = None, variance: float | None = None) -> Pc
 
 def pca_transform(model: PcaModel, values: np.ndarray) -> np.ndarray:
     return (np.asarray(values, dtype=np.float64) - model.mean) @ model.components.T
-
-
-def pca_inverse_transform(model: PcaModel, scores: np.ndarray) -> np.ndarray:
-    return np.asarray(scores, dtype=np.float64) @ model.components + model.mean
 
 
 def _canonical_order(values: np.ndarray) -> np.ndarray:

@@ -108,16 +108,13 @@ class FeatureMatrix:
     """N×p design matrix with named columns.
 
     ``row_players`` holds each row's player id. After :func:`standardize`,
-    ``column_means``/``column_stds`` hold the inverse-transform parameters
-    and ``constant_columns`` names the columns that were zeroed because they
-    had no variance.
+    ``constant_columns`` names the columns that were zeroed because they had
+    no variance.
     """
 
     values: np.ndarray
     column_names: tuple[str, ...]
     standardized: bool = False
-    column_means: np.ndarray | None = None
-    column_stds: np.ndarray | None = None
     constant_columns: frozenset[str] = frozenset()
     row_players: tuple[str, ...] | None = None
 
@@ -206,23 +203,9 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
         values=out,
         column_names=matrix.column_names,
         standardized=True,
-        column_means=means,
-        column_stds=stds,
         constant_columns=frozenset(
             name for name, const in zip(matrix.column_names, constant) if const
         ),
-        row_players=matrix.row_players,
-    )
-
-
-def destandardize(matrix: FeatureMatrix) -> FeatureMatrix:
-    """Invert :func:`standardize` using the stored means/stds."""
-    if not matrix.standardized:
-        raise ValueError("matrix is not standardized")
-    values = matrix.values * matrix.column_stds + matrix.column_means
-    return FeatureMatrix(
-        values=values,
-        column_names=matrix.column_names,
         row_players=matrix.row_players,
     )
 

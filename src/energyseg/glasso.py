@@ -170,9 +170,9 @@ def _design(values: np.ndarray, others: list[int]) -> np.ndarray:
     return X
 
 
-def _grid_from_max(lam_max: float, s: int) -> LambdaGrid:
+def _grid_from_max(lam_max: float, column: str) -> LambdaGrid:
     if lam_max <= 0.0:
-        raise DegenerateColumn(f"vertex {s} is orthogonal to every other column")
+        raise DegenerateColumn(f"column {column} is orthogonal to every other column")
     grid = np.geomspace(lam_max, lam_max / GRID_RATIO, GRID_SIZE)
     return LambdaGrid(
         lambda_max=lam_max,
@@ -199,7 +199,7 @@ def lambda_grid(matrix: FeatureMatrix, s: int) -> LambdaGrid:
     X = _design(values, others)
     r = values[:, s].astype(np.float64, copy=True)
     lam_max = max(abs(float(r @ X[:, k]) / n) for k in range(p - 1))
-    return _grid_from_max(lam_max, s)
+    return _grid_from_max(lam_max, matrix.column_names[s])
 
 
 def _objective(r: np.ndarray, beta: np.ndarray, lam: float, n: int) -> float:
@@ -595,23 +595,20 @@ def cross_validate(
     max_sweeps: int = 1000,
     seed: int = 0,
     rule: str = "min",
-    gram: np.ndarray | None = None,
 ) -> CvResult:
     """K-fold prediction error along the penalty grid for vertex ``s``.
 
     Folds are a contiguous split of a seeded shuffle (the stream is derived
     from (seed, s), so per-vertex results do not depend on call order).
-    Each fold is fitted in Gram form on ``gram`` (VᵀV of the whole matrix,
-    computed here when not given) minus the held-out rows' Gram, and scored
-    on the held-out rows themselves.
+    Each fold is fitted in Gram form on VᵀV of the whole matrix minus the
+    held-out rows' Gram, and scored on the held-out rows themselves.
     ``rule="min"`` picks the error-minimizing λ (exact ties break toward the
     larger λ); ``rule="one_se"`` picks the largest λ whose error is within
     one standard error of the minimum.
     """
     values = matrix.values
     fold_rows = _fold_rows(len(values), s, folds, seed)
-    if gram is None:
-        gram = values.T @ values
+    gram = values.T @ values
     rows, grad0, yy = map(np.array, zip(*_fold_systems(values, gram, s, fold_rows)))
     lams = np.tile(grid.values, (folds, 1))
     states = _gram_path(rows, grad0, yy, lams, tol, max_sweeps)
@@ -680,7 +677,7 @@ def graphical_lasso(
         drop[s] = False
         full = _system(gram, s, n, drop)
         try:
-            grid = _grid_from_max(float(np.abs(full[1]).max()), s)
+            grid = _grid_from_max(float(np.abs(full[1]).max()), names[s])
         except DegenerateColumn:
             fits[s] = NeighborhoodFit(
                 vertex=s,
@@ -691,7 +688,7 @@ def graphical_lasso(
                 iterations=0,
                 converged=True,
             )
-            notes.append(f"vertex {s} has no correlated columns; kept an empty neighborhood")
+            notes.append(f"column {names[s]} has no correlated columns; kept an empty neighborhood")
             continue
         fold_rows = _fold_rows(n, s, config.folds, seed)
         vertices.append((s, grid, fold_rows))

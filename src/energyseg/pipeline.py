@@ -29,7 +29,7 @@ from . import clustering as clustering_mod
 from . import glasso as glasso_mod
 from . import segmentation as segmentation_mod
 from .config import OUTPUT_ROOT_ENV, PipelineConfig
-from .errors import InvalidConfig
+from .errors import InvalidConfig, TooFewRows
 from .features import (
     FeatureMatrix,
     FeatureSpec,
@@ -211,7 +211,10 @@ def run_segment(
 
         k = suggested_k if cl_cfg.k == "auto" else cl_cfg.k
         if k is None:
-            raise InvalidConfig("k='auto' needs a k_range spanning at least 3 values")
+            raise TooFewRows(
+                f"k='auto' needs 3 candidate k values, but k_range {list(cl_cfg.k_range)} "
+                f"over {n_rows} clustering rows gives {len(ks)}"
+            )
         if k not in models:
             models[k] = clustering_mod.minibatch_kmeans(scores, k, cl_cfg, config.seed)
         model = models[k]

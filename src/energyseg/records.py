@@ -16,8 +16,8 @@ from datetime import datetime, timedelta
 from enum import Enum
 from functools import cache
 from itertools import islice
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -103,44 +103,6 @@ _ENDS_QUOTED = (
 _NUMPY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
-@dataclass(slots=True, frozen=True)
-class OccupantRecord:
-    """One per-minute observation of a single player.
-
-    ``statuses``, ``usage_today`` and ``baselines`` are indexed in
-    ``RESOURCES`` order.
-    """
-
-    timestamp: datetime
-    player_id: str
-    statuses: tuple[int, int, int, int]
-    usage_today: tuple[float, float, float, float]
-    baselines: tuple[float, float, float, float]
-    points_total: float
-    rank: int
-    portal_visits: int
-    humidity: float
-    temperature: float
-    solar_radiation: float
-    is_weekend: int
-    is_morning: int
-    is_afternoon: int
-    is_evening: int
-    is_break: int
-    is_midterm: int
-    is_final: int
-
-    def __getattr__(self, name: str) -> int:
-        # a STATUS_COLUMNS name reads its entry of ``statuses``
-        if name in STATUS_COLUMNS:
-            return self.statuses[STATUS_COLUMNS.index(name)]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-
-# OccupantRecord's fields after the resource tuples, in CSV order
-_RECORD_SCALARS = attrgetter(*FIELD_COLUMNS[12:])
-
-
 @dataclass(eq=False)
 class DatasetTable:
     """Per-minute occupant rows, stored by column.
@@ -161,34 +123,6 @@ class DatasetTable:
         default_factory=lambda: dict.fromkeys(DROP_REASONS, 0)
     )
 
-    @classmethod
-    def from_records(cls, rows: Iterable[OccupantRecord]) -> "DatasetTable":
-        """A table of ``rows``, stably sorted by (player, timestamp)."""
-        rows = sorted(rows, key=lambda r: (r.player_id, r.timestamp))
-        player_ids = tuple(sorted({r.player_id for r in rows}))
-        code = {p: i for i, p in enumerate(player_ids)}
-        values = list(
-            zip(*((*r.statuses, *r.usage_today, *r.baselines, *_RECORD_SCALARS(r)) for r in rows))
-        ) or [()] * len(FIELD_COLUMNS)
-        return cls(
-            player_ids=player_ids,
-            player_codes=np.array([code[r.player_id] for r in rows], dtype=np.intp),
-            timestamps=np.array([r.timestamp for r in rows], dtype="datetime64[m]"),
-            columns={
-                name: np.array(col, dtype=np.int64 if name in INT_COLUMNS else np.float64)
-                for name, col in zip(FIELD_COLUMNS, values)
-            },
-        )
-
-    @property
-    def records(self) -> list[OccupantRecord]:
-        """The rows as :class:`OccupantRecord` objects, built on each access."""
-        cols = [self.columns[name].tolist() for name in FIELD_COLUMNS]
-        return [
-            OccupantRecord(ts, player, tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12]), *v[12:])
-            for ts, player, *v in zip(self.timestamps.tolist(), self.row_players(), *cols)
-        ]
-
     @property
     def dropped_rows(self) -> int:
         return sum(self.dropped_by_reason.values())
@@ -206,9 +140,6 @@ class DatasetTable:
             and all(np.array_equal(self.columns[n], other.columns[n]) for n in FIELD_COLUMNS)
             and self.dropped_by_reason == other.dropped_by_reason
         )
-
-    def players(self) -> list[str]:
-        return list(self.player_ids)
 
     def row_players(self, rows: slice | np.ndarray = slice(None)) -> list[str]:
         """The player id of each row, or of each row in ``rows``."""

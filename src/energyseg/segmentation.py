@@ -63,13 +63,6 @@ class ClassLabel(IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_label(cls, label: str) -> "ClassLabel":
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise MissingRank(f"unknown class label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class RankBands:
@@ -85,14 +78,10 @@ class RankBands:
     boundaries: tuple[int, int]
     invert_rank: bool = False
 
-    def band_of(self, rank: int) -> ClassLabel:
-        if self.invert_rank:
-            rank = self.rank_min + self.rank_max - rank
-        if rank <= self.boundaries[0]:
-            return ClassLabel.HIGH
-        if rank <= self.boundaries[1]:
-            return ClassLabel.MEDIUM
-        return ClassLabel.LOW
+    def classes_of(self, ranks: np.ndarray) -> np.ndarray:
+        """The :class:`ClassLabel` value of each rank: 2 High, 1 Medium, 0 Low."""
+        r = self.rank_min + self.rank_max - ranks if self.invert_rank else ranks
+        return np.where(r <= self.boundaries[0], 2, np.where(r <= self.boundaries[1], 1, 0))
 
 
 def make_rank_bands(rank_min: int, rank_max: int, invert_rank: bool = False) -> RankBands:
@@ -119,12 +108,8 @@ def assign_classes(
         raise MissingRank("every record needs a rank >= 1")
     bands = make_rank_bands(int(ranks.min()), int(ranks.max()), invert_rank)
 
-    # vectorized band id per record: 2=High, 1=Medium, 0=Low
-    r = bands.rank_min + bands.rank_max - ranks if invert_rank else ranks
-    band = np.where(r <= bands.boundaries[0], 2, np.where(r <= bands.boundaries[1], 1, 0))
-
     counts = np.bincount(
-        table.player_codes * 3 + band, minlength=3 * len(table.player_ids)
+        table.player_codes * 3 + bands.classes_of(ranks), minlength=3 * len(table.player_ids)
     ).reshape(-1, 3)
     result: dict[str, ClassLabel] = {}
     for player, (low, medium, high) in zip(table.player_ids, counts.tolist()):

@@ -8,14 +8,18 @@ solver (``_GramSystem``, ``_gram_descent``) is the reference the batched
 solver must match bit for bit: one system at a time, on Python floats. The
 full N×N silhouette pass (``streamed_silhouette``) is the one the
 distinct-row silhouette must match bit for bit on rows without repeats.
+The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
+one object per row, the oracle that ``DatasetTable``'s columns are checked
+against.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import io
+from dataclasses import dataclass
 from math import copysign
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 import numpy as np
 from scipy import integrate, special
@@ -24,9 +28,86 @@ from energyseg import clustering
 from energyseg.errors import DegenerateColumn, SingleCluster, TooFewRows
 from energyseg.features import FeatureMatrix, standardize
 from energyseg.glasso import CvResult, NeighborhoodFit, _grid_from_max, soft_threshold
-from energyseg.records import DatasetTable, OccupantRecord, emit_csv
+from energyseg.records import (
+    FIELD_COLUMNS,
+    INT_COLUMNS,
+    STATUS_COLUMNS,
+    DatasetTable,
+    emit_csv,
+)
 
 BASE_DATE = dt.date(2018, 9, 3)
+
+
+# ---------------------------------------------------------------------------
+# the row view: a table as one object per row, the oracle its columns are
+# checked against
+
+
+@dataclass(slots=True, frozen=True)
+class OccupantRecord:
+    """One per-minute observation of a single player.
+
+    ``statuses``, ``usage_today`` and ``baselines`` are indexed in
+    ``RESOURCES`` order.
+    """
+
+    timestamp: dt.datetime
+    player_id: str
+    statuses: tuple[int, int, int, int]
+    usage_today: tuple[float, float, float, float]
+    baselines: tuple[float, float, float, float]
+    points_total: float
+    rank: int
+    portal_visits: int
+    humidity: float
+    temperature: float
+    solar_radiation: float
+    is_weekend: int
+    is_morning: int
+    is_afternoon: int
+    is_evening: int
+    is_break: int
+    is_midterm: int
+    is_final: int
+
+    def __getattr__(self, name: str) -> int:
+        # a STATUS_COLUMNS name reads its entry of ``statuses``
+        if name in STATUS_COLUMNS:
+            return self.statuses[STATUS_COLUMNS.index(name)]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+# OccupantRecord's fields after the resource tuples, in CSV order
+_RECORD_SCALARS = attrgetter(*FIELD_COLUMNS[12:])
+
+
+def make_table(records) -> DatasetTable:
+    """A table of ``records``, stably sorted by (player, timestamp)."""
+    rows = sorted(records, key=lambda r: (r.player_id, r.timestamp))
+    player_ids = tuple(sorted({r.player_id for r in rows}))
+    code = {p: i for i, p in enumerate(player_ids)}
+    values = list(
+        zip(*((*r.statuses, *r.usage_today, *r.baselines, *_RECORD_SCALARS(r)) for r in rows))
+    ) or [()] * len(FIELD_COLUMNS)
+    return DatasetTable(
+        player_ids=player_ids,
+        player_codes=np.array([code[r.player_id] for r in rows], dtype=np.intp),
+        timestamps=np.array([r.timestamp for r in rows], dtype="datetime64[m]"),
+        columns={
+            name: np.array(col, dtype=np.int64 if name in INT_COLUMNS else np.float64)
+            for name, col in zip(FIELD_COLUMNS, values)
+        },
+    )
+
+
+def table_records(table: DatasetTable) -> list[OccupantRecord]:
+    """The rows of ``table`` as :class:`OccupantRecord` objects."""
+    cols = [table.columns[name].tolist() for name in FIELD_COLUMNS]
+    return [
+        OccupantRecord(ts, player, tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12]), *v[12:])
+        for ts, player, *v in zip(table.timestamps.tolist(), table.row_players(), *cols)
+    ]
 
 
 def make_record(player_id: str = "p1", minute: int = 0, day: int = 0, **overrides) -> OccupantRecord:
@@ -54,10 +135,6 @@ def make_record(player_id: str = "p1", minute: int = 0, day: int = 0, **override
     )
     fields.update(overrides)
     return OccupantRecord(**fields)
-
-
-def make_table(records) -> DatasetTable:
-    return DatasetTable.from_records(records)
 
 
 def table_to_csv(table: DatasetTable) -> str:
@@ -432,7 +509,7 @@ def scalar_vertex_fits(matrix, config, seed):
         drop = later - {s}
         system = _GramSystem(gram, s, n, drop)
         try:
-            grid = _grid_from_max(system.lambda_max(), s)
+            grid = _grid_from_max(system.lambda_max(), matrix.column_names[s])
         except DegenerateColumn:
             fit = NeighborhoodFit(s, others, np.zeros(p - 1), 0.0, 0.5 * system.yy, 0, True)
             out.append((fit, None))

@@ -22,6 +22,7 @@ from helpers import (
     random_psd,
     std_fm,
     t_tail_quad,
+    table_records,
 )
 
 from energyseg.causality import f_survival, granger_test, t_survival, two_sample_ttest
@@ -358,7 +359,7 @@ def test_criterion_11_released_dataset():
 def _daily_minutes(table, column):
     """Average minutes/day of a status column, per (player, day), weekdays only."""
     minutes = {}
-    for record in table.records:
+    for record in table_records(table):
         if record.is_weekend:
             continue
         key = (record.player_id, record.timestamp.date())

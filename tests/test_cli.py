@@ -183,6 +183,18 @@ class TestSegment:
         clusters = json.loads((out / "clusters.json").read_text())
         assert clusters["k"] == suggested
 
+    def test_auto_k_capped_by_rows_exit_code(self, tmp_path, capsys):
+        # 1 player x 2 days gives 2 daily clustering rows, so k_range [1, 3] holds 2 k values
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "synth": {"players_per_class": [1, 0, 0], "n_days": 2},
+            "clustering": {"k": "auto", "k_range": [1, 3]},
+        }))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "[report] TooFewRows: k='auto' needs 3 candidate k values" in err
+        assert "k_range [1, 3] over 2 clustering rows gives 2" in err
+
     def test_chosen_k_outside_range_gets_silhouette(self, tmp_path, dataset_csv):
         config = PipelineConfig(input=str(dataset_csv))
         config.clustering.k_range = (1, 3)
@@ -355,6 +367,11 @@ class TestReport:
                 assert f"[{stage}] warning: {warning}" in err
         for name, ws in stage_warnings.items():
             assert len(ws) == len(set(ws)), (name, ws)
+        # the empty neighbourhood is named by its column, is_weekend on a weekday
+        assert (
+            "column is_weekend has no correlated columns; kept an empty neighborhood"
+            in stage_warnings["glasso"]
+        )
 
     def test_csv_artifacts_parse(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -66,6 +66,7 @@ class TestValidation:
 
     def test_k_auto_allowed(self):
         assert ClusteringConfig(k="auto").k == "auto"
+        assert ClusteringConfig(k="auto", k_range=(2, 4)).k_range == (2, 4)
 
 
 class TestSerialization:
@@ -169,6 +170,7 @@ class TestSerialization:
             {"features": {"clustering_features": ["portal_visits", "portal_visits"]}},
             {"clustering": {"pca_dim": 40}},
             {"features": {"clustering_features": ["portal_visits"]}, "clustering": {"pca_dim": 2}},
+            {"clustering": {"k": "auto", "k_range": [1, 2]}},  # elbow needs 3 k values
         ],
     )
     def test_malformed_value_rejected_at_load(self, tmp_path, data):

@@ -97,7 +97,7 @@ class TestLambdaGrid:
         # target orthogonal to every other column -> lambda_max would be 0
         values = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         matrix = fm(values, ["s", "a"], standardized=True)
-        with pytest.raises(DegenerateColumn):
+        with pytest.raises(DegenerateColumn, match="column s is orthogonal"):
             lambda_grid(matrix, s=0)
 
     def test_too_few(self):
@@ -396,7 +396,8 @@ def _graph_and_cv(matrix, options):
     seen = {}
     for s, cv in enumerate(graph.cv):
         if cv is not None:
-            seen[s] = (_grid_from_max(_GramSystem(gram, s, len(values)).lambda_max(), s), cv)
+            name = matrix.column_names[s]
+            seen[s] = (_grid_from_max(_GramSystem(gram, s, len(values)).lambda_max(), name), cv)
     return graph, seen
 
 
@@ -549,7 +550,7 @@ class TestBatchedMatchesScalar:
         systems = list(glasso_mod._fold_systems(values, gram, 0, folds))
         assert min(np.diag(rows).min() for rows, _, _ in systems) < 0.0
         # every state on the path, fold systems included, is the scalar walk's
-        grid = _grid_from_max(_GramSystem(gram, 0, 12).lambda_max(), 0)
+        grid = _grid_from_max(_GramSystem(gram, 0, 12).lambda_max(), matrix.column_names[0])
         rows, grad0, yy = map(np.array, zip(*systems))
         states = glasso_mod._gram_path(rows, grad0, yy, np.tile(grid.values, (2, 1)), 1e-6, 1000)
         for i, test_rows in enumerate(folds):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BASE_DATE, make_record, make_table, table_to_csv
+from helpers import BASE_DATE, OccupantRecord, make_record, make_table, table_records, table_to_csv
 from test_acceptance import _daily_minutes
 
 from energyseg.errors import (
@@ -27,9 +27,7 @@ from energyseg.records import (
     CSV_COLUMNS,
     DROP_REASONS,
     INT_COLUMNS,
-    DatasetTable,
     STATUS_COLUMNS,
-    OccupantRecord,
     compute_points,
     emit_csv,
     ingest_csv,
@@ -99,7 +97,7 @@ class TestIngest:
         table = ingest_csv(io.StringIO(small_csv()))
         assert len(table) == 3
         assert table.dropped_rows == 0
-        assert table.records == make_table(small_records()).records
+        assert table_records(table) == table_records(make_table(small_records()))
 
     def test_duplicate_player_timestamp_keeps_first(self):
         lines = small_csv().strip().split("\n")
@@ -108,7 +106,7 @@ class TestIngest:
         table = ingest_csv(io.StringIO("\n".join(lines) + "\n"))
         assert len(table) == 3
         assert table.dropped_rows == 1
-        kept = [r for r in table.records if r.player_id == "a"][0]
+        kept = [r for r in table_records(table) if r.player_id == "a"][0]
         assert kept.humidity == 50.0
 
     def test_missing_rank_column(self):
@@ -128,7 +126,7 @@ class TestIngest:
         with pytest.raises(MissingColumn):
             ingest_csv(io.StringIO(text))
         table = ingest_csv(io.StringIO(text), schema={"rank": "position"})
-        assert [r.rank for r in table.records] == [1, 1, 2]
+        assert [r.rank for r in table_records(table)] == [1, 1, 2]
 
     def test_malformed_rows_skipped_and_counted(self):
         records = small_records() + [make_record("b", 1, rank=2)]
@@ -139,7 +137,7 @@ class TestIngest:
         table = ingest_csv(io.StringIO("\n".join(lines) + "\n"))
         assert len(table) == 4
         assert table.dropped_rows == 1
-        assert all(r.player_id != "c" for r in table.records)
+        assert all(r.player_id != "c" for r in table_records(table))
 
     @pytest.mark.parametrize(
         "column,value",
@@ -191,7 +189,7 @@ class TestIngest:
         assert table.dropped_by_reason == expected
         assert table.dropped_rows == len(DROP_REASONS) + 1
         assert len(table) == len(good)
-        assert table.records == make_table(good).records
+        assert table_records(table) == table_records(make_table(good))
 
     def test_parse_error_when_majority_malformed(self):
         lines = small_csv().strip().split("\n")[:2]  # header + one valid row
@@ -203,7 +201,7 @@ class TestIngest:
         lines = small_csv().strip().split("\n")
         shuffled = [lines[0]] + list(reversed(lines[1:]))
         table = ingest_csv(io.StringIO("\n".join(shuffled) + "\n"))
-        keys = [(r.player_id, r.timestamp) for r in table.records]
+        keys = [(r.player_id, r.timestamp) for r in table_records(table)]
         assert keys == sorted(keys)
 
     def test_extra_columns_ignored(self):
@@ -291,7 +289,7 @@ class TestQuotedIds:
         text = "\n".join([header, stray, quoted_start, quoted_end]) + "\n"
         with patch("energyseg.records._BLOCK_ROWS", 2):
             table = ingest_csv(io.StringIO(text))
-        assert table.players() == ["a\nb", 'x"y']
+        assert list(table.player_ids) == ["a\nb", 'x"y']
         assert table.dropped_rows == 0
 
 
@@ -321,7 +319,7 @@ class TestStatusAttributes:
 class TestRequireNonempty:
     def test_empty_raises(self):
         with pytest.raises(EmptyTable):
-            require_nonempty(DatasetTable.from_records([]))
+            require_nonempty(make_table([]))
         assert issubclass(EmptyTable, DataSizeError)
 
     def test_nonempty_passes(self):

@@ -16,7 +16,6 @@ from energyseg.errors import (
     TooFewRows,
     ZeroMatrix,
 )
-from energyseg.records import DatasetTable
 from energyseg.segmentation import (
     ClassLabel,
     assign_classes,
@@ -35,30 +34,25 @@ class TestClassLabel:
 
     def test_label_round_trip(self):
         for cl in ClassLabel:
-            assert ClassLabel.from_label(cl.label) is cl
+            assert ClassLabel[cl.label.upper()] is cl
         assert ClassLabel.HIGH.label == "high"
-
-    def test_from_label_rejects_unknown(self):
-        with pytest.raises(MissingRank):
-            ClassLabel.from_label("bogus")
 
 
 class TestRankBands:
     def test_even_split(self):
         bands = make_rank_bands(1, 30)
         assert bands.boundaries == (10, 20)
-        assert bands.band_of(1) is ClassLabel.HIGH
-        assert bands.band_of(10) is ClassLabel.HIGH
-        assert bands.band_of(11) is ClassLabel.MEDIUM
-        assert bands.band_of(20) is ClassLabel.MEDIUM
-        assert bands.band_of(21) is ClassLabel.LOW
-        assert bands.band_of(30) is ClassLabel.LOW
+        classes = bands.classes_of(np.array([1, 10, 11, 20, 21, 30]))
+        assert classes.tolist() == [ClassLabel.HIGH] * 2 + [ClassLabel.MEDIUM] * 2 + [
+            ClassLabel.LOW
+        ] * 2
 
     def test_uneven_split_widths_differ_by_at_most_one(self):
         for lo, hi in ((1, 10), (1, 11), (3, 9), (1, 4), (2, 2)):
             bands = make_rank_bands(lo, hi)
+            classes = bands.classes_of(np.arange(lo, hi + 1))
             widths = [
-                sum(1 for r in range(lo, hi + 1) if bands.band_of(r) is cl)
+                int((classes == cl).sum())
                 for cl in (ClassLabel.HIGH, ClassLabel.MEDIUM, ClassLabel.LOW)
             ]
             assert sum(widths) == hi - lo + 1
@@ -68,8 +62,7 @@ class TestRankBands:
 
     def test_inverted_orientation(self):
         bands = make_rank_bands(1, 30, invert_rank=True)
-        assert bands.band_of(1) is ClassLabel.LOW
-        assert bands.band_of(30) is ClassLabel.HIGH
+        assert bands.classes_of(np.array([1, 30])).tolist() == [ClassLabel.LOW, ClassLabel.HIGH]
 
 
 def ranked_records(player, ranks, start_minute=0):
@@ -113,14 +106,14 @@ class TestAssignClasses:
 
     def test_record_order_invariance(self):
         records = anchor_records() + ranked_records("mixed", [25] * 3 + [5] * 4)
-        forward = assign_classes(DatasetTable.from_records(list(records)))[0]
-        backward = assign_classes(DatasetTable.from_records(list(reversed(records))))[0]
+        forward = assign_classes(make_table(list(records)))[0]
+        backward = assign_classes(make_table(list(reversed(records))))[0]
         assert forward == backward
 
     def test_duplication_invariance(self):
         records = anchor_records() + ranked_records("mixed", [25] * 3 + [5] * 4)
-        once = assign_classes(DatasetTable.from_records(list(records)))[0]
-        twice = assign_classes(DatasetTable.from_records(records + records))[0]
+        once = assign_classes(make_table(list(records)))[0]
+        twice = assign_classes(make_table(records + records))[0]
         assert once == twice
 
     def test_missing_rank(self):
@@ -130,7 +123,7 @@ class TestAssignClasses:
 
     def test_empty_table(self):
         with pytest.raises(EmptyTable):
-            assign_classes(DatasetTable.from_records([]))
+            assign_classes(make_table([]))
 
 
 class TestCorrelationMatrix:

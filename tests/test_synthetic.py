@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter, lfiltic
 
-from helpers import table_to_csv
+from helpers import table_records, table_to_csv
 
 from energyseg.errors import InvalidConfig
 from energyseg.records import compute_points, ingest_csv
@@ -26,29 +26,29 @@ class TestDeterminismAndShape:
         cfg = GeneratorConfig(players_per_class=(1, 1, 1), n_days=2)
         a = generate_synthetic(cfg, seed=42)
         b = generate_synthetic(cfg, seed=42)
-        assert a.records == b.records
+        assert table_records(a) == table_records(b)
         assert table_to_csv(a) == table_to_csv(b)
 
     def test_different_seed_differs(self):
         cfg = GeneratorConfig(players_per_class=(1, 1, 1), n_days=2)
         a = generate_synthetic(cfg, seed=1)
         b = generate_synthetic(cfg, seed=2)
-        assert a.records != b.records
+        assert table_records(a) != table_records(b)
 
     def test_row_count_and_players(self, synth_table):
         assert len(synth_table) == 6 * 7 * 1440
-        assert synth_table.players() == sorted(
+        assert list(synth_table.player_ids) == sorted(
             ["low_01", "low_02", "medium_01", "medium_02", "high_01", "high_02"]
         )
 
     def test_sorted_and_unique(self, synth_table):
-        keys = [(r.player_id, r.timestamp) for r in synth_table.records]
+        keys = [(r.player_id, r.timestamp) for r in table_records(synth_table)]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
     def test_csv_round_trip(self, tiny_table):
         again = ingest_csv(io.StringIO(table_to_csv(tiny_table)))
-        assert again.records == tiny_table.records
+        assert table_records(again) == table_records(tiny_table)
 
 
 class TestConfigValidation:
@@ -110,14 +110,14 @@ class TestRecordInvariants:
         assert cols["rank"].min() >= 1 and cols["rank"].max() <= 6
 
     def test_usage_bounded_by_elapsed_minutes(self, tiny_table):
-        for rec in tiny_table.records:
+        for rec in table_records(tiny_table):
             elapsed = rec.timestamp.hour * 60 + rec.timestamp.minute + 1
             for u in rec.usage_today:
                 assert 0.0 <= u <= elapsed
             assert all(b > 0 for b in rec.baselines)
 
     def test_usage_today_is_cumulative_status_sum(self, tiny_table):
-        day_one = tiny_table.records[:1440]
+        day_one = table_records(tiny_table)[:1440]
         running = np.zeros(4)
         for rec in day_one:
             running += np.asarray(rec.statuses, dtype=float)
@@ -131,7 +131,7 @@ class TestRecordInvariants:
         for name in ("is_weekend", "is_morning", "is_afternoon", "is_evening", "is_break", "is_midterm", "is_final"):
             per_player = cols[name].reshape(n_players, T)
             assert (per_player == per_player[0]).all(), f"{name} differs across players"
-        for rec in tiny_table.records[:T]:
+        for rec in table_records(tiny_table)[:T]:
             minute = rec.timestamp.hour * 60 + rec.timestamp.minute
             assert rec.is_morning == (1 if 360 <= minute < 720 else 0)
             assert rec.is_afternoon == (1 if 720 <= minute < 1080 else 0)
@@ -143,7 +143,7 @@ class TestPointsAndRanks:
     def recompute(self, table, booster=1.0, clamp=False):
         """Re-derive per-day points and competition ranks from raw records."""
         per = {}
-        for rec in table.records:
+        for rec in table_records(table):
             per.setdefault((rec.player_id, rec.timestamp.date()), []).append(rec)
         players = sorted({p for p, _ in per})
         days = sorted({d for _, d in per})
@@ -176,8 +176,9 @@ class TestPointsAndRanks:
             assert all(r.rank == ranks[(p, d)] for r in recs[::240])
 
     def test_day_zero_everyone_rank_one(self, synth_table):
-        first_day = synth_table.records[0].timestamp.date()
-        for rec in synth_table.records:
+        records = table_records(synth_table)
+        first_day = records[0].timestamp.date()
+        for rec in records:
             if rec.timestamp.date() == first_day:
                 assert rec.points_total == 0.0
                 assert rec.rank == 1
@@ -187,7 +188,7 @@ class TestPointsAndRanks:
         boosted = generate_synthetic(
             GeneratorConfig(players_per_class=(1, 1, 0), n_days=3, booster=2.0), seed=11
         )
-        for a, b in zip(base.records, boosted.records):
+        for a, b in zip(table_records(base), table_records(boosted)):
             assert a.statuses == b.statuses
             assert b.points_total == 2.0 * a.points_total
             assert a.rank == b.rank
@@ -197,9 +198,9 @@ class TestPointsAndRanks:
             GeneratorConfig(players_per_class=(2, 0, 0), n_days=4, clamp_points_at_zero=True),
             seed=2,
         )
-        assert all(r.points_total >= 0.0 for r in table.records)
+        assert all(r.points_total >= 0.0 for r in table_records(table))
         _, prior, _ = self.recompute(table, clamp=True)
-        for rec in table.records[:: 1440 // 2]:
+        for rec in table_records(table)[:: 1440 // 2]:
             assert rec.points_total == prior[(rec.player_id, rec.timestamp.date())]
 
 
@@ -211,7 +212,7 @@ class TestLatentStructure:
         players = np.asarray(table.row_players())
         fan = cols["status_fan"]
         hum = cols["humidity"]
-        for player in table.players():
+        for player in table.player_ids:
             mask = players == player
             corr = np.corrcoef(hum[mask], fan[mask])[0, 1]
             if latent_class_name(player) == "low":
