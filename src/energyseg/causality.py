@@ -56,7 +56,7 @@ DEFAULT_CAUSALITY_PAIRS: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CausalityConfig:
     """Settings of the Granger tests; the ``causality`` config section."""
 
@@ -66,7 +66,7 @@ class CausalityConfig:
     first_difference: bool = False
 
     def __post_init__(self) -> None:
-        self.pairs = tuple((str(a), str(b)) for a, b in self.pairs)
+        object.__setattr__(self, "pairs", tuple((str(a), str(b)) for a, b in self.pairs))
         unknown = sorted({name for pair in self.pairs for name in pair} - set(MINUTE_FEATURES))
         if unknown:
             raise InvalidConfig(f"causality pairs name unknown or non-minute feature(s): {unknown}")

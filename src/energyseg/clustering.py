@@ -50,7 +50,7 @@ class ClusterModel:
     converged: bool  # its assignments repeated within max_iters steps
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusteringConfig:
     """Settings of the segment stage's PCA and k-means; the ``clustering`` config section.
 
@@ -66,7 +66,7 @@ class ClusteringConfig:
     n_init: int = 10
 
     def __post_init__(self) -> None:
-        self.k_range = tuple(self.k_range)
+        object.__setattr__(self, "k_range", tuple(self.k_range))
         k_lo, k_hi = self.k_range
         require_int("k_range low", k_lo, 1)
         require_int("k_range high", k_hi, k_lo)

@@ -51,7 +51,7 @@ DEFAULT_GRAPH_FEATURES: tuple[str, ...] = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureConfig:
     """Feature sets and granularities; the ``features`` config section."""
 
@@ -61,8 +61,8 @@ class FeatureConfig:
     graph_granularity: str = "minute"
 
     def __post_init__(self) -> None:
-        self.clustering_features = tuple(self.clustering_features)
-        self.graph_features = tuple(self.graph_features)
+        for key in ("clustering_features", "graph_features"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         for name in self.clustering_features + self.graph_features:
             if name not in ALL_FEATURES:
                 raise InvalidConfig(f"unknown feature name {name!r}")

@@ -10,9 +10,10 @@ solution is all-zero) and λ_max/100, scored by 5-fold cross-validation.
 Neighborhood supports are then symmetrized (OR/AND) into an undirected
 graph.
 
-:func:`graphical_lasso` takes G = VᵀV once in O(Np²). Each vertex has one
-system per fold (G minus the held-out rows' Gram) and one full-data system,
-and every vertex's systems are solved in one call of :func:`_gram_path`:
+:func:`graphical_lasso` takes G = VᵀV and, from one K-fold split shared by
+every vertex, each fold's held-out Gram T_f; no row is read after that. Each
+vertex's fold systems (G − T_f, scored on T_f) and full-data system are
+solved in one call of :func:`_gram_path`:
 Gram-form coordinate descent ("covariance updates", Friedman, Hastie &
 Tibshirani 2010, JSS 33(1), §2.2) that walks the whole stack down the grid
 together, warm-starting each λ from the last, one coordinate at a time
@@ -124,7 +125,7 @@ class GraphEstimate:
     cv: tuple[CvResult | None, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlassoConfig:
     """Settings for :func:`graphical_lasso`; the ``glasso`` config section."""
 
@@ -310,24 +311,19 @@ def _system(
     return rows, grad0, gram[s, s] / n
 
 
-def _fold_rows(n: int, s: int, folds: int, seed: int) -> list[np.ndarray]:
-    """Held-out row indices of each fold: a contiguous split of a shuffle drawn from (seed, s)."""
+def _fold_grams(values: np.ndarray, folds: int, seed: int) -> list[tuple[np.ndarray, int]]:
+    """Each fold's held-out Gram and row count: a contiguous split of a shuffle drawn from ``seed``.
+
+    Cross-validation's one pass over the rows; everything after it reads these Grams.
+    """
+    n = len(values)
     if folds < 2 or folds > n:
         raise TooFewRows(f"need 2 <= folds <= {n}, got {folds}")
-    return np.array_split(np.random.default_rng([seed, s]).permutation(n), folds)
-
-
-def _fold_systems(
-    values: np.ndarray,
-    gram: np.ndarray,
-    s: int,
-    fold_rows: list[np.ndarray],
-    drop: np.ndarray | None = None,
-):
-    """Each fold's training system: ``gram`` minus the held-out rows' Gram."""
-    for test_rows in fold_rows:
-        test = np.take(values, test_rows, axis=0)  # values[test_rows], gathered faster
-        yield _system(gram - test.T @ test, s, len(values) - len(test_rows), drop)
+    held_out = []
+    for rows in np.array_split(np.random.default_rng(seed).permutation(n), folds):
+        test = np.take(values, rows, axis=0)  # values[rows], gathered faster
+        held_out.append((test.T @ test, len(rows)))
+    return held_out
 
 
 def _left_sum(terms: np.ndarray) -> np.ndarray:
@@ -457,7 +453,8 @@ def _gram_path(
                 tried[:, retry] = signs[:, retry]
                 parts = R[:, :, retry], g0[:, retry], y[retry], lam[retry], beta[:, retry]
                 x, x_grad, x_obj = _active_set_solve(*parts)
-                ok = x_obj <= obj[retry]  # False for NaN: no finite certified solution
+                # a solve may end a few ulps above the sweep; NaN (no certified solution) fails
+                ok = x_obj <= obj[retry] + 1e-13 * np.abs(obj[retry])
                 if np.count_nonzero(ok):
                     at = retry[ok]
                     beta[:, at], grad[:, at], obj[at] = x[:, ok], x_grad[:, ok], x_obj[ok]
@@ -553,18 +550,19 @@ def _gram_objective(
 
 
 def _held_out_errors(
-    values: np.ndarray, s: int, fold_rows: list[np.ndarray], betas: np.ndarray
+    held_out: list[tuple[np.ndarray, int]], s: int, betas: np.ndarray
 ) -> np.ndarray:
-    """errors[k, f]: mean squared error of fold f's β at grid index k on its held-out rows."""
-    others = [j for j in range(values.shape[1]) if j != s]
-    errors = np.zeros((betas.shape[1], len(fold_rows)))
-    for f, test_rows in enumerate(fold_rows):
-        test = np.take(values, test_rows, axis=0)
-        X_test, y_test = test[:, others], test[:, s]
-        for k, beta in enumerate(betas[f]):
-            resid = y_test - X_test @ beta
-            errors[k, f] = float(resid @ resid) / len(test_rows)
-    return errors
+    """errors[k, f]: mean squared error of fold f's β at grid index k on its held-out rows.
+
+    From fold f's held-out Gram T over n_f rows: (T_ss − 2βᵀT_os + βᵀT_ooβ)/n_f,
+    twice the λ = 0 objective that :func:`_gram_objective` sums in a fixed order.
+    """
+    rows, grad0, yy = map(np.array, zip(*(_system(gram, s, n) for gram, n in held_out)))
+    beta = betas.transpose(2, 0, 1)  # coordinate-major: beta[i, f, k]
+    g0 = grad0.T[:, :, None]
+    grad = g0 - _left_sum((rows.transpose(1, 2, 0)[..., None] * beta).swapaxes(0, 1))
+    errors = 2.0 * _gram_objective(beta, grad, g0, yy[:, None], 0.0)
+    return errors.T.copy()  # row-major: a row's mean adds its folds in the reference's order
 
 
 def _select(errors: np.ndarray, grid: LambdaGrid, rule: str) -> CvResult:
@@ -598,21 +596,20 @@ def cross_validate(
 ) -> CvResult:
     """K-fold prediction error along the penalty grid for vertex ``s``.
 
-    Folds are a contiguous split of a seeded shuffle (the stream is derived
-    from (seed, s), so per-vertex results do not depend on call order).
+    The folds are :func:`graphical_lasso`'s split, drawn from ``seed`` alone.
     Each fold is fitted in Gram form on VᵀV of the whole matrix minus the
-    held-out rows' Gram, and scored on the held-out rows themselves.
+    held-out rows' Gram, and its held-out error is read from that Gram.
     ``rule="min"`` picks the error-minimizing λ (exact ties break toward the
     larger λ); ``rule="one_se"`` picks the largest λ whose error is within
     one standard error of the minimum.
     """
     values = matrix.values
-    fold_rows = _fold_rows(len(values), s, folds, seed)
-    gram = values.T @ values
-    rows, grad0, yy = map(np.array, zip(*_fold_systems(values, gram, s, fold_rows)))
+    held_out = _fold_grams(values, folds, seed)
+    gram, n = values.T @ values, len(values)
+    rows, grad0, yy = map(np.array, zip(*(_system(gram - t, s, n - n_t) for t, n_t in held_out)))
     lams = np.tile(grid.values, (folds, 1))
     states = _gram_path(rows, grad0, yy, lams, tol, max_sweeps)
-    return _select(_held_out_errors(values, s, fold_rows, states.beta), grid, rule)
+    return _select(_held_out_errors(held_out, s, states.beta), grid, rule)
 
 
 def _twin_columns(matrix: FeatureMatrix) -> list[tuple[int, int]]:
@@ -640,8 +637,9 @@ def graphical_lasso(
 ) -> GraphEstimate:
     """Estimate the dependency graph over the matrix's columns.
 
-    ``seed`` derives each vertex's cross-validation fold shuffle. Every
-    vertex's fold systems and its full-data system go through one
+    ``seed`` draws the one K-fold split of every vertex's cross-validation
+    (none when no vertex has a penalty grid). Every vertex's fold systems
+    and its full-data system go through one
     :func:`_gram_path` call; a vertex's fit is its full-data system's state
     at the λ its cross-validation selects, which is where warm starts down
     the grid to that λ lead. Of two columns identical up to sign, the later
@@ -670,8 +668,7 @@ def graphical_lasso(
     ]
     later = np.zeros(p, dtype=bool)
     later[[b for _, b in twins]] = True
-    vertices = []  # (s, grid, fold_rows) of each vertex with a penalty grid
-    systems = []  # each such vertex's fold systems, then its full-data system
+    vertices = []  # (s, grid, drop, full-data system) of each vertex with a penalty grid
     for s in range(p):
         drop = later.copy()
         drop[s] = False
@@ -690,20 +687,21 @@ def graphical_lasso(
             )
             notes.append(f"column {names[s]} has no correlated columns; kept an empty neighborhood")
             continue
-        fold_rows = _fold_rows(n, s, config.folds, seed)
-        vertices.append((s, grid, fold_rows))
-        systems.extend(_fold_systems(values, gram, s, fold_rows, drop))
-        systems.append(full)
+        vertices.append((s, grid, drop, full))
 
     cvs: list[CvResult | None] = [None] * p
     if vertices:
+        held_out = _fold_grams(values, config.folds, seed)
+        systems = []  # each vertex's fold systems, then its full-data system
+        for s, _, drop, full in vertices:
+            systems.extend(_system(gram - t, s, n - n_t, drop) for t, n_t in held_out)
+            systems.append(full)
         rows, grad0, yy = map(np.array, zip(*systems))
-        lams = np.repeat([grid.values for _, grid, _ in vertices], config.folds + 1, axis=0)
+        lams = np.repeat([grid.values for _, grid, _, _ in vertices], config.folds + 1, axis=0)
         states = _gram_path(rows, grad0, yy, lams, config.tol, config.max_sweeps)
-        for v, (s, grid, fold_rows) in enumerate(vertices):
+        for v, (s, grid, _, _) in enumerate(vertices):
             first = v * (config.folds + 1)
-            fold_betas = states.beta[first : first + config.folds]
-            errors = _held_out_errors(values, s, fold_rows, fold_betas)
+            errors = _held_out_errors(held_out, s, states.beta[first : first + config.folds])
             cv = cvs[s] = _select(errors, grid, config.selection)
             others = tuple(j for j in range(p) if j != s)
             fits[s] = states.fit(first + config.folds, cv.best_index, s, others, cv.best_lambda)

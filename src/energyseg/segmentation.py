@@ -34,7 +34,7 @@ from .features import FeatureMatrix
 from .records import DatasetTable
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentationConfig:
     """Rank bands and proportion buckets; the ``segmentation`` config section."""
 
@@ -45,7 +45,8 @@ class SegmentationConfig:
         require_bool("invert_rank", self.invert_rank)
         for edge in self.bucket_edges:
             require_number("bucket_edges entry", edge)
-        self.bucket_edges = edges = tuple(float(e) for e in self.bucket_edges)
+        edges = tuple(float(e) for e in self.bucket_edges)
+        object.__setattr__(self, "bucket_edges", edges)
         if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
             raise InvalidConfig(
                 f"bucket_edges must be at least 2 strictly increasing numbers, got {list(edges)}"

@@ -5,7 +5,9 @@ Pearson, brute-force silhouette, quadrature distribution tails, lasso KKT
 subgradient conditions) with none of the package's shortcuts, so the
 implementation and its tests cannot share a bug. The scalar Gram-form
 solver (``_GramSystem``, ``_gram_descent``) is the reference the batched
-solver must match bit for bit: one system at a time, on Python floats. The
+solver must match bit for bit: one system at a time, on Python floats.
+``row_scored_errors`` scores each fold's β on its held-out rows, the
+reference for the errors read from the held-out Grams. The
 full N×N silhouette pass (``streamed_silhouette``) is the one the
 distinct-row silhouette must match bit for bit on rows without repeats.
 The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
@@ -433,7 +435,8 @@ def _gram_descent(
         if not np.array_equal(signs, tried):
             tried = signs
             finished = system.finish(beta, lam)
-            if finished is not None and finished[2] <= obj:
+            # a certified solve may end a few ulps above the sweep's objective
+            if finished is not None and finished[2] <= obj + 1e-13 * abs(obj):
                 beta, grad, obj = finished
                 path.append(obj)
                 converged = True
@@ -450,29 +453,49 @@ def _gram_descent(
     return np.array(beta), obj, sweeps, converged, path
 
 
+def fold_rows(n: int, folds: int, seed: int) -> list[np.ndarray]:
+    """Held-out row indices of each fold: a contiguous split of one shuffle drawn from ``seed``."""
+    return np.array_split(np.random.default_rng(seed).permutation(n), folds)
+
+
+def row_scored_errors(values, s, folds, betas) -> np.ndarray:
+    """errors[k, f]: mean squared residual of fold f's β at grid index k, on its held-out rows."""
+    others = [j for j in range(values.shape[1]) if j != s]
+    errors = np.zeros((betas.shape[1], len(folds)))
+    for f, test_rows in enumerate(folds):
+        test = values[test_rows]
+        X_test, y_test = test[:, others], test[:, s]
+        for k, beta in enumerate(betas[f]):
+            resid = y_test - X_test @ beta
+            errors[k, f] = float(resid @ resid) / len(test_rows)
+    return errors
+
+
 def scalar_cross_validate(
     matrix, s, grid, folds=5, tol=1e-6, max_sweeps=1000, seed=0, rule="min", gram=None, drop=()
 ) -> CvResult:
-    """Cross-validation of vertex ``s`` with one scalar solve per fold, ``drop`` columns zeroed."""
+    """Cross-validation of vertex ``s`` with one scalar solve per fold, ``drop`` columns zeroed.
+
+    The folds are :func:`fold_rows` of ``seed``, whatever ``s`` is. Each fold's β is
+    scored on the fold's held-out Gram T over n_f rows, as twice the λ = 0 objective
+    of that system: (T_ss − 2βᵀT_os + βᵀT_ooβ)/n_f.
+    """
     values = matrix.values
-    n, p = values.shape
+    n = values.shape[0]
     if gram is None:
         gram = values.T @ values
-    rng = np.random.default_rng([seed, s])
-    fold_rows = np.array_split(rng.permutation(n), folds)
-    others = [j for j in range(p) if j != s]
 
     errors = np.zeros((len(grid.values), folds))
-    for f, test_rows in enumerate(fold_rows):
+    for f, test_rows in enumerate(fold_rows(n, folds, seed)):
         test = values[test_rows]
-        train = _GramSystem(gram - test.T @ test, s, n - len(test_rows), drop)
-        X_test = test[:, others]
-        y_test = test[:, s]
+        held_out = test.T @ test
+        train = _GramSystem(gram - held_out, s, n - len(test_rows), drop)
+        scorer = _GramSystem(held_out, s, len(test_rows))
         beta = None
         for k, lam in enumerate(grid.values):
             beta, _, _, _, _ = _gram_descent(train, lam, tol, max_sweeps, beta0=beta)
-            resid = y_test - X_test @ beta
-            errors[k, f] = float(resid @ resid) / len(test_rows)
+            x = beta.tolist()
+            errors[k, f] = 2.0 * scorer.objective(x, scorer.gradient(x), 0.0)
 
     cv_errors = errors.mean(axis=1)
     cv_se = errors.std(axis=1, ddof=1) / np.sqrt(folds)

@@ -14,6 +14,7 @@ import pytest
 from energyseg.cli import main
 from energyseg.config import PipelineConfig, load_config
 from energyseg import clustering
+from energyseg.clustering import ClusteringConfig
 from energyseg.pipeline import run_causality, run_segment
 from energyseg.records import CSV_COLUMNS
 from energyseg.synthetic import GeneratorConfig, generate_synthetic
@@ -196,9 +197,8 @@ class TestSegment:
         assert "k_range [1, 3] over 2 clustering rows gives 2" in err
 
     def test_chosen_k_outside_range_gets_silhouette(self, tmp_path, dataset_csv):
-        config = PipelineConfig(input=str(dataset_csv))
-        config.clustering.k_range = (1, 3)
-        config.clustering.k = 4
+        clustering_config = ClusteringConfig(k=4, k_range=(1, 3))
+        config = PipelineConfig(input=str(dataset_csv), clustering=clustering_config)
         stage = run_segment(config, str(tmp_path))
         assert [int(r["k"]) for r in read_rows(tmp_path / "elbow.csv")] == [1, 2, 3]
         assert stage.summary["k"] == 4
@@ -220,8 +220,7 @@ class TestSegment:
         assert float(cells[3]) == stage.summary["silhouette"]
 
     def test_kmeans_cap_is_reported(self, tmp_path, dataset_csv):
-        config = PipelineConfig(input=str(dataset_csv))
-        config.clustering.max_iters = 1
+        config = PipelineConfig(input=str(dataset_csv), clustering=ClusteringConfig(max_iters=1))
         stage = run_segment(config, str(tmp_path))
         clusters = json.loads((tmp_path / "clusters.json").read_text())
         assert clusters["iterations"] == 1

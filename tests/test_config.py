@@ -1,6 +1,7 @@
 """Config defaults, validation, serialization, and error-family exit codes."""
 
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -64,6 +65,14 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             build()
 
+    def test_stage_configs_are_frozen(self):
+        # a changed field would skip __post_init__'s checks, so fields cannot be assigned
+        config = PipelineConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.clustering.k = "auto"
+        with pytest.raises(InvalidConfig):
+            replace(ClusteringConfig(), k="auto", k_range=(1, 2))
+
     def test_k_auto_allowed(self):
         assert ClusteringConfig(k="auto").k == "auto"
         assert ClusteringConfig(k="auto", k_range=(2, 4)).k_range == (2, 4)
@@ -72,11 +81,14 @@ class TestValidation:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         # the config.json echo of a run loads back as the config that ran
-        cfg = PipelineConfig(seed=9, synth=GeneratorConfig(players_per_class=(1, 1, 1), n_days=1))
-        cfg.glasso.folds = 4
-        cfg.clustering.k = "auto"
-        cfg.causality.lag = 2
-        cfg.features.clustering_granularity = "daily"
+        cfg = PipelineConfig(
+            seed=9,
+            synth=GeneratorConfig(players_per_class=(1, 1, 1), n_days=1),
+            glasso=GlassoConfig(folds=4),
+            clustering=ClusteringConfig(k="auto"),
+            causality=CausalityConfig(lag=2),
+            features=FeatureConfig(clustering_granularity="daily"),
+        )
         run_command("synth", cfg, str(tmp_path))
         assert load_config(str(tmp_path / "config.json")) == cfg
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -12,8 +12,10 @@ from helpers import (
     _gram_descent,
     chain_sample,
     fm,
+    fold_rows,
     kkt_violation,
     random_psd,
+    row_scored_errors,
     scalar_cross_validate,
     scalar_vertex_fits,
     std_fm,
@@ -327,6 +329,22 @@ class TestGraphicalLasso:
             "v1_negated is the regressor of no other vertex"
         )
 
+    def test_one_fold_split_per_graph(self, monkeypatch):
+        matrix = chain_matrix(96, n=300, p=6)
+        draws = []
+        default_rng = np.random.default_rng
+
+        def spy(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        graphical_lasso(matrix, seed=7)
+        assert draws == [7]
+        # no vertex has a penalty grid: no split is drawn, so 3 rows and 5 folds do not raise
+        graph = graphical_lasso(fm(np.zeros((3, 3)), standardized=True))
+        assert draws == [7] and graph.edges == ()
+
     def test_partial_correlation_symmetry_bounds(self):
         graph = graphical_lasso(chain_matrix(87, n=500))
         pc = np.asarray(graph.weights)
@@ -445,6 +463,10 @@ class TestGramPathProperties:
         seed=st.integers(0, 2**32 - 1),
         mixed=st.booleans(),
     )
+    # certified solves that end 1-3 ulps above their sweep's objective
+    @example(n=147, p=2, seed=157, mixed=True)
+    @example(n=147, p=2, seed=2, mixed=True)
+    @example(n=20, p=2, seed=536240, mixed=True)
     def test_kkt_and_exact_zero_at_lambda_max(self, n, p, seed, mixed):
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((n, p))
@@ -488,6 +510,37 @@ class TestGramPathProperties:
             assert len(path) == fit.iterations
             increases = np.diff(path) / np.abs(path[:-1])
             assert increases.max(initial=-np.inf) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_awkward_matrices(), seed=st.integers(0, 2**16))
+    def test_gram_scored_errors_match_row_scored(self, case, seed):
+        matrix, config = case
+        values = matrix.values
+        fold_betas = {}
+        score = glasso_mod._held_out_errors
+
+        def spy(held_out, s, betas):
+            fold_betas[s] = betas
+            return score(held_out, s, betas)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(glasso_mod, "_held_out_errors", spy)
+            graph = graphical_lasso(matrix, config, seed=seed)
+        folds = fold_rows(len(values), config.folds, seed)
+        for s, betas in fold_betas.items():
+            # relative to (‖y‖ + Σ|β_j|·‖x_j‖)²/n_f, the size of the terms the Gram form cancels
+            others = [j for j in range(values.shape[1]) if j != s]
+            norms = [
+                (np.linalg.norm(values[t, s]), np.linalg.norm(values[t][:, others], axis=0), len(t))
+                for t in folds
+            ]
+            scale = np.mean(
+                [[(y + np.abs(b) @ x) ** 2 / n for b, (y, x, n) in zip(betas[:, k], norms)]
+                 for k in range(betas.shape[1])],
+                axis=1,
+            )
+            reference = row_scored_errors(values, s, folds, betas).mean(axis=1)
+            assert np.all(np.abs(graph.cv[s].cv_errors - reference) <= 1e-12 * scale)
 
     def test_singular_block_neither_raises_nor_blocks(self):
         # system 0's two active columns are equal, so its block is exactly
@@ -546,14 +599,14 @@ class TestBatchedMatchesScalar:
         config = GlassoConfig(folds=2)
         values = matrix.values
         gram = values.T @ values
-        folds = glasso_mod._fold_rows(12, 0, 2, 39)
-        systems = list(glasso_mod._fold_systems(values, gram, 0, folds))
+        grams = glasso_mod._fold_grams(values, 2, 39)
+        systems = [glasso_mod._system(gram - t, 0, 12 - n_t) for t, n_t in grams]
         assert min(np.diag(rows).min() for rows, _, _ in systems) < 0.0
         # every state on the path, fold systems included, is the scalar walk's
         grid = _grid_from_max(_GramSystem(gram, 0, 12).lambda_max(), matrix.column_names[0])
         rows, grad0, yy = map(np.array, zip(*systems))
         states = glasso_mod._gram_path(rows, grad0, yy, np.tile(grid.values, (2, 1)), 1e-6, 1000)
-        for i, test_rows in enumerate(folds):
+        for i, test_rows in enumerate(fold_rows(12, 2, 39)):
             held_out = values[test_rows]
             system = _GramSystem(gram - held_out.T @ held_out, 0, 12 - len(test_rows))
             beta = None
