@@ -145,6 +145,16 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort(values.T[::-1])
 
 
+def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct row's first index, in sorted row order, and each row's distinct row."""
+    order = _canonical_order(values)  # stable: equal rows (-0.0 equals 0.0) keep their order
+    ordered = values[order]
+    new = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - centroids[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
@@ -284,10 +294,10 @@ def silhouette(matrix, assignments) -> tuple[float | np.ndarray, np.ndarray]:
 
     starts = np.concatenate([[0], np.cumsum(widths)])
     columns = labels + starts[:-1, None]  # each sample's cluster column, per labelling
-    _, first, inverse = np.unique(values, axis=0, return_index=True, return_inverse=True)
+    first, inverse = _distinct_rows(values)
     order = np.argsort(first)  # distinct points in first-appearance order
     points = values[first[order]]
-    point_of = np.argsort(order)[inverse.ravel()]
+    point_of = np.argsort(order)[inverse]
     u, width = len(points), starts[-1]
     weights = np.bincount((point_of * width + columns).ravel(), minlength=u * width)
     weights = weights.reshape(u, width).astype(np.float64)

@@ -23,7 +23,7 @@ from .errors import (
     TooFewRows,
     UnknownFeatureName,
 )
-from .records import FLAG_NAMES, RESOURCES, STATUS_COLUMNS, DatasetTable
+from .records import FLAG_NAMES, RESOURCES, DatasetTable
 
 MINUTE_FEATURES: tuple[str, ...] = (
     tuple(f"status_{r.value}" for r in RESOURCES)
@@ -146,36 +146,25 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
 
     Daily granularity yields one row per (player, day); minute granularity
     one row per record. Column order follows ``spec.features``.
+
+    Memory: the table's columns are read in place, with no float64 copy (int
+    columns are summed exactly as int64), and one status column's switch counts at a time.
     """
     if not len(table):
         raise EmptyTable("cannot pool features from an empty table")
     need_pooled = any(f in DAILY_POOLED_FEATURES for f in spec.features)
-    # at minute granularity the matrix takes the table's columns as they are
-    minute_names = [
-        f for f in spec.features if f not in DAILY_POOLED_FEATURES and spec.granularity == "daily"
-    ]
-    cols = raw_columns(table, minute_names + list(STATUS_COLUMNS if need_pooled else ()))
     starts, counts, _ = table.day_runs()
-    pooled = _daily_pooled(cols, starts, counts) if need_pooled else {}
+    pooled = _daily_pooled(table.columns, starts, counts) if need_pooled else {}
 
-    if spec.granularity == "daily":
-        columns = []
-        for name in spec.features:
-            if name in DAILY_POOLED_FEATURES:
-                columns.append(pooled[name])
-            else:
-                columns.append(np.add.reduceat(cols[name], starts) / counts)
-        values = np.column_stack(columns) if columns else np.empty((0, 0))
-        row_players = table.row_players(starts)
-    else:
-        # one column at a time into the matrix: no float64 copy of the table
-        values = np.empty((len(table), len(spec.features)))
-        for j, name in enumerate(spec.features):
-            if name in DAILY_POOLED_FEATURES:
-                values[:, j] = np.repeat(pooled[name], counts)
-            else:
-                values[:, j] = table.columns[name]
-        row_players = table.row_players()
+    daily = spec.granularity == "daily"
+    values = np.empty((len(starts) if daily else len(table), len(spec.features)))
+    for j, name in enumerate(spec.features):  # one column at a time into the matrix
+        if name in pooled:
+            values[:, j] = pooled[name] if daily else np.repeat(pooled[name], counts)
+        else:
+            column = table.columns[name]
+            values[:, j] = np.add.reduceat(column, starts) / counts if daily else column
+    row_players = table.row_players(starts if daily else slice(None))
 
     return FeatureMatrix(values=values, column_names=spec.features, row_players=tuple(row_players))
 

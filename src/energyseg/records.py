@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -86,7 +87,7 @@ DROP_REASONS: tuple[str, ...] = (
 
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
-_BLOCK_ROWS = 8192  # physical lines parsed per ingest block
+_BLOCK_ROWS = 1024  # physical lines parsed per ingest block: about 0.2 MB of text
 _EMIT_ROWS = 2048  # rows written per emit block, bounding the strings held
 
 # One field as csv's default dialect reads it: a quote opens a quoted field
@@ -240,12 +241,20 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
     occurrence in the file. Raises :class:`MissingColumn` when a required
     header is absent and :class:`ParseError` when more than half the data
     rows are dropped.
+
+    Memory: blocks of ``_BLOCK_ROWS`` lines are parsed into the table's columns, sized from
+    the file's bytes; beside them are one block, per-row times, players and drop checks, and
+    one cache entry per timestamp. Rows in (player, minute) order are not sorted or gathered.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return ingest_csv(handle, schema)
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        size = os.fstat(source.fileno()).st_size
+    except (AttributeError, OSError):  # a stream with no file behind it
+        size = None
 
     lines = iter(source)
     header = next(csv.reader(lines), [])
@@ -267,10 +276,9 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
     dtype = np.dtype([(name, conv[1] if name in FIELD_COLUMNS else object)
                       for name, conv in zip(CSV_COLUMNS, converters)])
 
-    def parse(block: list[str]) -> list[np.ndarray]:
+    def parse(block: list[str], text: str) -> list[np.ndarray]:
         # each column's values, then per row: a cell does not parse; the timestamp has an offset
-        text = "".join(block)
-        if text.isascii() and not any(c in text for c in _NUMPY_SPACES):
+        if not any(c in text for c in _NUMPY_SPACES):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # e.g. a block of blank lines
@@ -279,25 +287,39 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
             except (ValueError, Warning):
                 pass  # only the per-cell path below tells which cells fail
             else:
-                stamps, rejected = _parse_cells(cells["timestamp"], *converters[0])
-                player, _ = _parse_cells(cells["player_id"], *converters[1])
-                fields = [cells[name].copy() for name in FIELD_COLUMNS]
-                return [stamps, player, *fields, rejected == 1, rejected == 2]
+                # numpy's numbers hold when every non-ASCII character sits in a
+                # timestamp or an id: the block has those cells' excess UTF-8 bytes
+                ids = "" if text.isascii() else "".join([*cells["timestamp"], *cells["player_id"]])
+                if len(text.encode()) - len(text) == len(ids.encode()) - len(ids):
+                    stamps, rejected = _parse_cells(cells["timestamp"], *converters[0])
+                    player, _ = _parse_cells(cells["player_id"], *converters[1])
+                    fields = [cells[name] for name in FIELD_COLUMNS]
+                    return [stamps, player, *fields, rejected == 1, rejected == 2]
         rows = [pick(row) if len(row) >= width else blank for row in csv.reader(block) if row]
         cells = list(zip(*rows)) or [()] * len(blank)
         values, rejected = zip(*(_parse_cells(col, *conv) for col, conv in zip(cells, converters)))
         return [*values, np.logical_or.reduce([r == 1 for r in rejected]), rejected[0] == 2]
 
-    blocks = [parse(block) for block in _blocks(lines)] or [parse([])]
-    values = [list(parts) for parts in zip(*blocks)]
-    del blocks
-    for i, parts in enumerate(values):  # one column at a time, freeing its blocks as it goes
-        values[i] = np.concatenate(parts)
-        parts.clear()
-    stamps, player, *fields, unparsable, offset = values
+    # stamps, player codes, the fields, unparsable, offset: one array each, for all rows
+    arrays = [np.empty(0, kind) for kind in [conv[1] for conv in converters] + [bool, bool]]
+    total = chars = 0
+    for block in _blocks(lines):
+        text = "".join(block)
+        parts = parse(block, text)
+        start, total, chars = total, total + len(parts[0]), chars + len(text)
+        if total > len(arrays[0]):  # room for the file at the rate so far, or an eighth more
+            capacity = max(total * size // chars if size else 0, total + total // 8 + 1)
+            for array in arrays:  # a realloc: no copy is held beside the old array
+                array.resize(capacity, refcheck=False)
+        for array, part in zip(arrays, parts):
+            array[start:total] = part
+        del block, text, parts  # before the next block is read
+    for array in arrays:
+        array.resize(total, refcheck=False)
+    stamps, player, *fields, unparsable, offset = arrays
     minutes, sub_minute = np.divmod(stamps, 60_000_000)
     columns = dict(zip(FIELD_COLUMNS, fields))
-    del values, fields  # the gather below then holds one copy of the table
+    del arrays, fields, stamps
 
     # first failed rule per row, in DROP_REASONS order; len(DROP_REASONS) = kept
     elapsed = minutes % 1440 + 1
@@ -317,35 +339,44 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
     )
     kept_code = len(DROP_REASONS)
     reason = np.select(checks, list(range(len(checks))), default=kept_code)
+    del checks, elapsed, unparsable, offset
 
-    # stable sort of the valid rows by (player, minute): the first in the file
-    # of each key is kept, and a later one is a duplicate when its timestamp
-    # is the same instant, a truncation onto that minute otherwise
+    # the valid rows by (player, minute): the first in the file of each key is
+    # kept, and a later one is a duplicate when its timestamp is the same
+    # instant, a truncation onto that minute otherwise
     names = sorted(player_index)
     name_order = np.argsort([player_index[name] for name in names])  # code -> position
-    valid = np.flatnonzero(reason == kept_code)
-    rows = valid[np.lexsort((minutes[valid], name_order[player[valid]]))]  # a stable sort
-    row_player = name_order[player[rows]]
-    repeat = np.zeros(len(rows), bool)
-    repeat[1:] = (row_player[1:] == row_player[:-1]) & (minutes[rows[1:]] == minutes[rows[:-1]])
-    first = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(rows))))
-    same_instant = sub_minute[rows] == sub_minute[rows[first]]
-    reason[rows[repeat & same_instant]] = DROP_REASONS.index("duplicate_key")
-    reason[rows[repeat & ~same_instant]] = DROP_REASONS.index("timestamp_truncated")
-    kept = rows[~repeat]
+    player = name_order[player]
+    valid = reason == kept_code
+    kept = slice(None) if valid.all() else np.flatnonzero(valid)
+    row_player, row_minute = player[kept], minutes[kept]
+    if not np.all((row_player[1:] > row_player[:-1]) | (
+        (row_player[1:] == row_player[:-1]) & (row_minute[1:] > row_minute[:-1])
+    )):  # not in order already: a stable sort
+        rows = np.flatnonzero(valid)[np.lexsort((minutes[valid], player[valid]))]
+        row_player = player[rows]
+        repeat = np.zeros(len(rows), bool)
+        repeat[1:] = (row_player[1:] == row_player[:-1]) & (minutes[rows[1:]] == minutes[rows[:-1]])
+        first = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(rows))))
+        same_instant = sub_minute[rows] == sub_minute[rows[first]]
+        reason[rows[repeat & same_instant]] = DROP_REASONS.index("duplicate_key")
+        reason[rows[repeat & ~same_instant]] = DROP_REASONS.index("timestamp_truncated")
+        kept, row_player = rows[~repeat], row_player[~repeat]
+    del valid, row_minute, sub_minute
 
-    total = len(reason)
-    dropped = total - len(kept)
+    dropped = total - len(row_player)
     if total > 0 and dropped > total / 2:
         raise ParseError(f"{dropped} of {total} rows malformed")
     counts = np.bincount(reason, minlength=kept_code + 1)
-    present, player_codes = np.unique(row_player[~repeat], return_inverse=True)
-    for name in FIELD_COLUMNS:  # one column at a time, so the table is held once
+    present = np.zeros(len(names), bool)
+    present[row_player] = True
+    player_codes = (np.cumsum(present) - 1)[row_player]
+    for name in FIELD_COLUMNS:  # one column at a time, so one copy is held beside the table
         columns[name] = columns[name][kept]
     return DatasetTable(
-        player_ids=tuple(names[i] for i in present),
-        player_codes=player_codes.astype(np.intp),
-        timestamps=minutes[kept].astype("datetime64[m]"),
+        player_ids=tuple(name for name, seen in zip(names, present) if seen),
+        player_codes=player_codes,
+        timestamps=minutes[kept].view("datetime64[m]"),
         columns=columns,
         dropped_by_reason=dict(zip(DROP_REASONS, counts[:kept_code].tolist())),
     )

@@ -125,19 +125,16 @@ def _ar1(rng: np.random.Generator, n: int, phi: float, std: float) -> np.ndarray
 
 
 def _run_chain(p_on: np.ndarray, p_off: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Binary Markov chain with per-step switch-on/off hazards, started off."""
-    n = len(uniforms)
-    out = np.empty(n, dtype=np.int8)
-    state = 0
-    for t in range(n):
-        if state:
-            if uniforms[t] < p_off[t]:
-                state = 0
-        else:
-            if uniforms[t] < p_on[t]:
-                state = 1
-        out[t] = state
-    return out
+    """Binary Markov chain with per-step switch-on/off hazards, started off.
+
+    A step where only ``u < p_on`` holds sets the state, only ``u < p_off`` clears it, both
+    flip it. So the state is its value at the last set or clear, flipped once per flip since.
+    """
+    on, off = uniforms < p_on, uniforms < p_off
+    flips = np.concatenate(([0], np.cumsum(on & off)))  # flips up to each step
+    last = np.maximum.accumulate(np.where(on != off, np.arange(1, len(on) + 1), 0))  # 0: none
+    settled = np.concatenate(([False], on))[last]
+    return (settled ^ ((flips[1:] - flips[last]) & 1).astype(bool)).astype(np.int8)
 
 
 @dataclass
@@ -242,7 +239,6 @@ def _simulate_low(
 ) -> np.ndarray:
     T = len(z_lag)
     ev = _lag1(cal.evening)
-    statuses = np.empty((4, T), dtype=np.int8)
 
     # fan: switching hazard driven by lagged humidity
     p_on = jm * 0.06 * _sigmoid(3.0 * z_lag)
@@ -265,8 +261,7 @@ def _simulate_low(
     p_off = 0.05 * _sigmoid(-1.5 * w_lag)
     ac = _run_chain(np.clip(p_on, 0, 0.95), p_off, rng.random(T))
 
-    statuses[0], statuses[1], statuses[2], statuses[3] = ceil, desk, fan, ac
-    return statuses
+    return np.stack([ceil, desk, fan, ac])
 
 
 def _simulate_presence(

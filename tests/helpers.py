@@ -12,7 +12,8 @@ full N×N silhouette pass (``streamed_silhouette``) is the one the
 distinct-row silhouette must match bit for bit on rows without repeats.
 The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
 one object per row, the oracle that ``DatasetTable``'s columns are checked
-against.
+against. ``run_chain_loop`` steps the generator's two-state chain
+one minute at a time, the oracle for its vectorised form.
 """
 
 from __future__ import annotations
@@ -550,4 +551,23 @@ def scalar_vertex_fits(matrix, config, seed):
             s, others, beta, cv.best_lambda, loss, sweeps, converged, tuple(path)
         )
         out.append((fit, cv))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the generator's two-state chain, one step at a time
+
+
+def run_chain_loop(p_on, p_off, uniforms) -> np.ndarray:
+    """The chain ``synthetic._run_chain`` draws, stepped in a loop from off."""
+    out = np.empty(len(uniforms), dtype=np.int8)
+    state = 0
+    for t in range(len(uniforms)):
+        if state:
+            if uniforms[t] < p_off[t]:
+                state = 0
+        else:
+            if uniforms[t] < p_on[t]:
+                state = 1
+        out[t] = state
     return out

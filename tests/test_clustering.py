@@ -338,6 +338,27 @@ def shuffled_repeats(draw):
     return data, np.array(stack)
 
 
+# rows over a few values, signed zeros among them, so most matrices repeat rows
+repeating_rows = st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0]), min_size=d, max_size=d),
+    min_size=1,
+    max_size=40,
+))
+
+
+class TestDistinctRows:
+    @settings(deadline=None, derandomize=True)
+    @given(repeating_rows)
+    def test_groups_match_np_unique(self, rows):
+        values = np.array(rows)
+        first, inverse = clustering._distinct_rows(values)
+        _, unique_first, unique_inverse = np.unique(
+            values, axis=0, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(first, unique_first)
+        assert np.array_equal(inverse, unique_inverse.ravel())
+
+
 class TestSilhouetteProperties:
     @settings(deadline=None, derandomize=True)
     @given(labelled_grids(), st.integers(1, 400))

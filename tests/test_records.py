@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import io
+import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -222,6 +223,24 @@ class TestIngest:
         assert len(table) == 3
 
 
+class TestIngestMemory:
+    def test_peak_beyond_the_table(self, tmp_path):
+        path = tmp_path / "synth.csv"
+        emit_csv(generate_synthetic(GeneratorConfig(players_per_class=(2, 2, 2), n_days=4), seed=42),
+                 str(path))
+        tracemalloc.start()
+        try:
+            table = ingest_csv(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = table.timestamps.nbytes + table.player_codes.nbytes + sum(
+            column.nbytes for column in table.columns.values()
+        )
+        # blocks, per-row temporaries and spare capacity, beside the table itself
+        assert peak - held <= 0.4 * held, (peak, held)
+
+
 class TestEmit:
     def test_round_trip_equality(self):
         records = [
@@ -397,7 +416,9 @@ EDITS = ("none",) * 4 + (
 def edited_csv(draw):
     """A valid table's CSV with some rows edited into cases where numpy's parser
     and the per-cell path might disagree."""
-    header, *rows = csv.reader(io.StringIO(table_to_csv(draw(tables('ab,"\r\n'))), newline=""))
+    header, *rows = csv.reader(
+        io.StringIO(table_to_csv(draw(tables('ab,"\u00e9\r\n'))), newline="")
+    )
     lines = [",".join(header)]
     for row in rows:
         cells = [_field(cell) for cell in row]
@@ -452,6 +473,20 @@ class TestFastPathAgreesWithPerCellPath:
             slow = _ingest_outcome(text, binary)
         assert fast == slow
         assert caught == []
+
+    def test_non_ascii_ids_take_the_fast_path(self, tmp_path):
+        table = generate_synthetic(GeneratorConfig(players_per_class=(1, 1, 1), n_days=1), seed=0)
+        text = table_to_csv(table)
+        for name in table.player_ids:
+            text = text.replace(name, name.replace("o", "\u00f6").replace("i", "\u00ef"))
+        path = tmp_path / "ids.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with patch("energyseg.records.csv.reader", wraps=csv.reader) as reader, \
+                patch("energyseg.records._BLOCK_ROWS", 500):
+            again = ingest_csv(str(path))
+        assert reader.call_count == 1  # the header alone: no block was read cell by cell
+        assert all(not name.isascii() for name in again.player_ids)
+        assert again.dropped_rows == 0 and table_to_csv(again) == text
 
     def test_blank_lines_and_no_rows_record_no_warning(self):
         header, row, _ = small_csv().split("\n", 2)

@@ -4,9 +4,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter, lfiltic
 
-from helpers import table_records, table_to_csv
+from helpers import run_chain_loop, table_records, table_to_csv
 
 from energyseg.errors import InvalidConfig
 from energyseg.records import compute_points, ingest_csv
@@ -15,6 +17,7 @@ from energyseg.synthetic import (
     MINUTES_PER_DAY,
     GeneratorConfig,
     _ar1,
+    _run_chain,
     generate_synthetic,
     latent_class_name,
     player_roster,
@@ -242,3 +245,26 @@ class TestWeather:
             assert np.array_equal(_ar1(rng, n, phi, std), lfilter_ar1(oracle_rng, n, phi, std))
             # later weather draws start from the same generator state
             assert rng.random() == oracle_rng.random()
+
+
+# hazards at and beyond the ends of [0, 1], and draws equal to them
+CHAIN_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), st.floats(0.0, 1.0))
+
+
+class TestRunChain:
+    @settings(deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(CHAIN_VALUES, CHAIN_VALUES, CHAIN_VALUES), max_size=80))
+    def test_matches_the_loop(self, steps):
+        p_on, p_off, uniforms = np.array(steps, dtype=np.float64).reshape(-1, 3).T
+        chain = _run_chain(p_on, p_off, uniforms)
+        assert chain.dtype == np.int8
+        assert np.array_equal(chain, run_chain_loop(p_on, p_off, uniforms))
+
+    def test_generator_sized_chains_match_the_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            p_on, p_off = rng.random((2, 2 * MINUTES_PER_DAY)) ** rng.integers(1, 8, 2)[:, None]
+            uniforms = rng.random(2 * MINUTES_PER_DAY)
+            assert np.array_equal(
+                _run_chain(p_on, p_off, uniforms), run_chain_loop(p_on, p_off, uniforms)
+            )
