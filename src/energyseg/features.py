@@ -137,7 +137,7 @@ def _daily_pooled(cols: dict, starts: np.ndarray, counts: np.ndarray) -> dict[st
         switches_before = np.concatenate(([0], np.cumsum(np.diff(status) != 0)))  # up to each row
         switches = switches_before[starts + counts - 1] - switches_before[starts]
         pooled[f"switch_freq_{r.value}"] = switches.astype(np.float64)
-        pooled[f"usage_pct_{r.value}"] = np.add.reduceat(status, starts) / counts
+        pooled[f"usage_pct_{r.value}"] = np.add.reduceat(status, starts, dtype=np.int64) / counts
     return pooled
 
 
@@ -148,7 +148,8 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
     one row per record. Column order follows ``spec.features``.
 
     Memory: the table's columns are read in place, with no float64 copy (int
-    columns are summed exactly as int64), and one status column's switch counts at a time.
+    columns, int8 ones too, are summed exactly as int64), and one status column's switch
+    counts at a time.
     """
     if not len(table):
         raise EmptyTable("cannot pool features from an empty table")
@@ -163,7 +164,10 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
             values[:, j] = pooled[name] if daily else np.repeat(pooled[name], counts)
         else:
             column = table.columns[name]
-            values[:, j] = np.add.reduceat(column, starts) / counts if daily else column
+            if daily:  # int columns sum as int64: a day of int8 ones would wrap
+                sums = np.add.reduceat(column, starts, dtype=np.result_type(column.dtype, np.int64))
+                column = sums / counts
+            values[:, j] = column
     row_players = table.row_players(starts if daily else slice(None))
 
     return FeatureMatrix(values=values, column_names=spec.features, row_players=tuple(row_players))
@@ -175,6 +179,9 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     Constant columns are mapped to all-zero and reported in
     ``constant_columns`` instead of raising; downstream sparse regressions
     simply never select them.
+
+    Memory: one N×p array beside the input, the result, which first holds the squared
+    deviations of ``np.std(ddof=1)``; the values are those of ``(values - mean) / std``.
     """
     if matrix.standardized:
         raise AlreadyStandardized("matrix is already standardized")
@@ -182,10 +189,11 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
         raise TooFewRows(f"need at least 2 rows to standardize, got {matrix.n_rows}")
     values = matrix.values
     means = values.mean(axis=0)
-    stds = values.std(axis=0, ddof=1)
+    out = values - means
+    stds = np.sqrt(np.square(out, out=out).sum(axis=0) / (matrix.n_rows - 1))
     constant = stds == 0.0
-    safe = np.where(constant, 1.0, stds)
-    out = (values - means) / safe
+    np.subtract(values, means, out=out)
+    out /= np.where(constant, 1.0, stds)
     if constant.any():
         out[:, constant] = 0.0
     return FeatureMatrix(

@@ -15,9 +15,9 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
-from functools import cache
+from functools import cache, reduce
 from itertools import islice
-from operator import itemgetter
+from operator import ior, itemgetter
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -66,9 +66,13 @@ CSV_COLUMNS: tuple[str, ...] = (
 
 # every CSV field but timestamp and player_id: one array each in a table
 FIELD_COLUMNS: tuple[str, ...] = CSV_COLUMNS[2:]
-INT_COLUMNS: frozenset[str] = frozenset(
-    STATUS_COLUMNS + ("rank", "portal_visits") + FLAG_NAMES
-)
+# 0/1 by ingest's bad_binary check, so a table holds them as int8
+BINARY_COLUMNS: tuple[str, ...] = STATUS_COLUMNS + FLAG_NAMES
+INT_COLUMNS: frozenset[str] = frozenset(BINARY_COLUMNS + ("rank", "portal_visits"))
+COLUMN_DTYPES: dict[str, type] = {
+    name: np.int8 if name in BINARY_COLUMNS else np.int64 if name in INT_COLUMNS else np.float64
+    for name in FIELD_COLUMNS
+}
 
 # Why ingest leaves a row out. A row is counted once, under the first reason
 # in this order that applies to it.
@@ -87,7 +91,7 @@ DROP_REASONS: tuple[str, ...] = (
 
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
-_BLOCK_ROWS = 1024  # physical lines parsed per ingest block: about 0.2 MB of text
+_BLOCK_ROWS = 512  # physical lines parsed per ingest block: about 0.1 MB of text
 _EMIT_ROWS = 2048  # rows written per emit block, bounding the strings held
 
 # One field as csv's default dialect reads it: a quote opens a quoted field
@@ -111,7 +115,8 @@ class DatasetTable:
     Rows are sorted by (player, timestamp). ``player_ids`` is sorted and
     ``player_codes`` indexes it per row; ``timestamps`` are
     ``datetime64[m]``; ``columns`` holds one array per ``FIELD_COLUMNS``
-    name, int64 for those in ``INT_COLUMNS`` and float64 for the rest.
+    name, of its ``COLUMN_DTYPES`` type: int8 for the 0/1 ``BINARY_COLUMNS``,
+    int64 for ``rank`` and ``portal_visits`` and float64 for the rest.
     ``dropped_by_reason`` counts the rows ingest left out, per
     ``DROP_REASONS`` entry.
     """
@@ -243,8 +248,10 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
     rows are dropped.
 
     Memory: blocks of ``_BLOCK_ROWS`` lines are parsed into the table's columns, sized from
-    the file's bytes; beside them are one block, per-row times, players and drop checks, and
-    one cache entry per timestamp. Rows in (player, minute) order are not sorted or gathered.
+    the file's bytes and stored at their ``COLUMN_DTYPES`` width; a block's 0/1 cells are
+    checked as int64 first, so none wraps. Beside the columns are one block, per-row times
+    and players, one bool array per drop check and one cache entry per timestamp. Rows in
+    (player, minute) order are not sorted or gathered.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -290,7 +297,7 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
                 # numpy's numbers hold when every non-ASCII character sits in a
                 # timestamp or an id: the block has those cells' excess UTF-8 bytes
                 ids = "" if text.isascii() else "".join([*cells["timestamp"], *cells["player_id"]])
-                if len(text.encode()) - len(text) == len(ids.encode()) - len(ids):
+                if text.isascii() or len(text.encode()) - len(text) == len(ids.encode()) - len(ids):
                     stamps, rejected = _parse_cells(cells["timestamp"], *converters[0])
                     player, _ = _parse_cells(cells["player_id"], *converters[1])
                     fields = [cells[name] for name in FIELD_COLUMNS]
@@ -298,14 +305,18 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
         rows = [pick(row) if len(row) >= width else blank for row in csv.reader(block) if row]
         cells = list(zip(*rows)) or [()] * len(blank)
         values, rejected = zip(*(_parse_cells(col, *conv) for col, conv in zip(cells, converters)))
-        return [*values, np.logical_or.reduce([r == 1 for r in rejected]), rejected[0] == 2]
+        return [*values, reduce(ior, (r == 1 for r in rejected)), rejected[0] == 2]
 
-    # stamps, player codes, the fields, unparsable, offset: one array each, for all rows
-    arrays = [np.empty(0, kind) for kind in [conv[1] for conv in converters] + [bool, bool]]
+    # stamps, player codes, the fields, unparsable, offset, not binary: one array each, for
+    # all rows; a 0/1 column's int64 cells are checked before they are stored as int8
+    kinds = (np.int64, np.intp, *COLUMN_DTYPES.values(), bool, bool, bool)
+    arrays = [np.empty(0, kind) for kind in kinds]
+    binary_parts = [2 + FIELD_COLUMNS.index(name) for name in BINARY_COLUMNS]
     total = chars = 0
     for block in _blocks(lines):
         text = "".join(block)
         parts = parse(block, text)
+        parts.append(reduce(ior, ((parts[i] < 0) | (parts[i] > 1) for i in binary_parts)))
         start, total, chars = total, total + len(parts[0]), chars + len(text)
         if total > len(arrays[0]):  # room for the file at the rate so far, or an eighth more
             capacity = max(total * size // chars if size else 0, total + total // 8 + 1)
@@ -316,30 +327,28 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
         del block, text, parts  # before the next block is read
     for array in arrays:
         array.resize(total, refcheck=False)
-    stamps, player, *fields, unparsable, offset = arrays
+    stamps, player, *fields, unparsable, offset, not_binary = arrays
     minutes, sub_minute = np.divmod(stamps, 60_000_000)
     columns = dict(zip(FIELD_COLUMNS, fields))
     del arrays, fields, stamps
 
-    # first failed rule per row, in DROP_REASONS order; len(DROP_REASONS) = kept
-    elapsed = minutes % 1440 + 1
+    # first failed rule per row, in DROP_REASONS order; len(DROP_REASONS) = kept. A rule
+    # over several columns ORs each new mask into its first in place (reduce with ior).
+    elapsed = np.remainder(minutes, 1440, out=np.empty(total, np.int16), casting="unsafe")
+    elapsed += 1
     checks = (
         unparsable,
         offset,
-        np.logical_or.reduce(
-            [~np.isfinite(columns[n]) for n in FIELD_COLUMNS if n not in INT_COLUMNS]
-        ),
-        np.logical_or.reduce(
-            [(columns[n] != 0) & (columns[n] != 1) for n in STATUS_COLUMNS + FLAG_NAMES]
-        ),
-        np.logical_or.reduce([(columns[n] < 0) | (columns[n] > elapsed) for n in USAGE_COLUMNS]),
-        np.logical_or.reduce([columns[n] <= 0 for n in BASELINE_COLUMNS]),
+        reduce(ior, (~np.isfinite(columns[n]) for n in FIELD_COLUMNS if n not in INT_COLUMNS)),
+        not_binary,
+        reduce(ior, ((columns[n] < 0) | (columns[n] > elapsed) for n in USAGE_COLUMNS)),
+        reduce(ior, (columns[n] <= 0 for n in BASELINE_COLUMNS)),
         columns["rank"] < 1,
         columns["portal_visits"] < 0,
     )
     kept_code = len(DROP_REASONS)
     reason = np.select(checks, list(range(len(checks))), default=kept_code)
-    del checks, elapsed, unparsable, offset
+    del checks, elapsed, unparsable, offset, not_binary
 
     # the valid rows by (player, minute): the first in the file of each key is
     # kept, and a later one is a duplicate when its timestamp is the same

@@ -120,21 +120,25 @@ def assign_classes(
 
 
 def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
-    """Pearson correlations with unit diagonal; constant columns zeroed."""
+    """Pearson correlations with unit diagonal; constant columns zeroed.
+
+    Memory: one N×p working copy beside the input. It holds the squared deviations for
+    the column norms, then the deviations over their norms, whose Gram is the result.
+    """
     values = matrix.values
     n = values.shape[0]
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
     means = values.mean(axis=0)
-    centered = values - means
-    norms = np.sqrt((centered**2).sum(axis=0))
+    z = values - means
+    norms = np.sqrt(np.square(z, out=z).sum(axis=0))
     constant = norms == 0.0
     if constant.any():
         names = [matrix.column_names[i] for i in np.flatnonzero(constant)]
         warnings.warn(f"constant columns have undefined correlations: {names}",
                       RuntimeWarning, stacklevel=2)
-    safe = np.where(constant, 1.0, norms)
-    z = centered / safe
+    np.subtract(values, means, out=z)
+    z /= np.where(constant, 1.0, norms)
     corr = z.T @ z
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0

@@ -371,7 +371,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> DatasetTable:
     # rows run by player, then minute, so each array flattens in row order
     columns = {}
     for r, resource in enumerate(RESOURCES):
-        columns[f"status_{resource.value}"] = statuses[:, r, :].reshape(-1).astype(np.int64)
+        columns[f"status_{resource.value}"] = statuses[:, r, :].reshape(-1)
         columns[f"usage_{resource.value}"] = usage_cum[:, r].reshape(-1).astype(np.float64)
         columns[f"baseline_{resource.value}"] = np.repeat(baselines[:, r], T)
     columns["points_total"] = np.repeat(prior_total.reshape(-1), MINUTES_PER_DAY)
@@ -382,7 +382,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> DatasetTable:
     columns["solar_radiation"] = np.tile(solar, n_players)
     flags = (cal.weekend, cal.morning, cal.afternoon, cal.evening, cal.is_break, cal.midterm, cal.final)
     for name, values in zip(FLAG_NAMES, flags):
-        columns[name] = np.tile(values.astype(np.int64), n_players)
+        columns[name] = np.tile(values.astype(np.int8), n_players)
     start = np.datetime64(_START_DATE, "m")
     return DatasetTable(
         player_ids=tuple(roster[i][0] for i in order),

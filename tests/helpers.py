@@ -14,6 +14,9 @@ The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
 one object per row, the oracle that ``DatasetTable``'s columns are checked
 against. ``run_chain_loop`` steps the generator's two-state chain
 one minute at a time, the oracle for its vectorised form.
+``standardize_formula`` and ``correlation_formula`` make a new array per
+step, the results that the one-working-copy forms must match bit for bit
+on ``awkward_matrices``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from math import copysign
 from operator import add, attrgetter, mul
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, special
 
 from energyseg import clustering
@@ -32,8 +37,8 @@ from energyseg.errors import DegenerateColumn, SingleCluster, TooFewRows
 from energyseg.features import FeatureMatrix, standardize
 from energyseg.glasso import CvResult, NeighborhoodFit, _grid_from_max, soft_threshold
 from energyseg.records import (
+    COLUMN_DTYPES,
     FIELD_COLUMNS,
-    INT_COLUMNS,
     STATUS_COLUMNS,
     DatasetTable,
     emit_csv,
@@ -98,7 +103,7 @@ def make_table(records) -> DatasetTable:
         player_codes=np.array([code[r.player_id] for r in rows], dtype=np.intp),
         timestamps=np.array([r.timestamp for r in rows], dtype="datetime64[m]"),
         columns={
-            name: np.array(col, dtype=np.int64 if name in INT_COLUMNS else np.float64)
+            name: np.array(col, dtype=COLUMN_DTYPES[name])
             for name, col in zip(FIELD_COLUMNS, values)
         },
     )
@@ -307,6 +312,47 @@ def t_tail_quad(x: float, df: float) -> float:
 
     val, _ = integrate.quad(pdf, x, np.inf, epsabs=1e-13, epsrel=1e-13, limit=500)
     return float(val)
+
+
+def standardize_formula(values) -> tuple[np.ndarray, np.ndarray]:
+    """``standardize``'s values and constant-column mask, with a new array per step."""
+    means = values.mean(axis=0)
+    stds = values.std(axis=0, ddof=1)
+    constant = stds == 0.0
+    out = (values - means) / np.where(constant, 1.0, stds)
+    out[:, constant] = 0.0
+    return out, constant
+
+
+def correlation_formula(values) -> np.ndarray:
+    """``correlation_matrix``'s result, with a new array per step."""
+    centered = values - values.mean(axis=0)
+    norms = np.sqrt((centered**2).sum(axis=0))
+    constant = norms == 0.0
+    z = centered / np.where(constant, 1.0, norms)
+    corr = z.T @ z
+    corr[constant, :] = 0.0
+    corr[:, constant] = 0.0
+    np.fill_diagonal(corr, 1.0)
+    return np.clip(corr, -1.0, 1.0)
+
+
+@st.composite
+def awkward_matrices(draw) -> np.ndarray:
+    """An n×p float64 matrix, n in 2..60 and p in 1..6, with constant columns,
+    -0.0 cells, repeated rows and column offsets up to 1e9."""
+    n, p = draw(st.integers(2, 60)), draw(st.integers(1, 6))
+    cells = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3))
+    values = draw(hnp.arrays(np.float64, (n, p), elements=cells))
+    if draw(st.booleans()):
+        values = values[draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))]
+    for j in range(p):
+        kind = draw(st.sampled_from(["as drawn", "constant", "offset"]))
+        if kind == "constant":
+            values[:, j] = values[0, j]
+        elif kind == "offset":
+            values[:, j] += draw(st.sampled_from([1.0, 1e6, -1e6, 123456.789, 1e9, -1e9]))
+    return values
 
 
 def two_pass_pearson(values) -> np.ndarray:

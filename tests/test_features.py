@@ -1,11 +1,20 @@
 """Feature catalog, pooling, standardization, and per-segment extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fm, make_record, make_table, table_records
+from helpers import (
+    awkward_matrices,
+    fm,
+    make_record,
+    make_table,
+    standardize_formula,
+    table_records,
+)
 
 from energyseg.errors import (
     AlreadyStandardized,
@@ -102,6 +111,20 @@ class TestPoolFeatures:
         out = pool_features(make_table(records), FeatureSpec(("usage_pct_fan",)))
         assert out.values[0, 0] == 0.25
 
+    def test_int8_statuses_pool_without_wrapping(self):
+        # a status on for all 1,440 minutes: an int8 sum would wrap past 127
+        fan = [(d, m, int(d == 0 or m < 1000)) for d in range(2) for m in range(1440)]
+        table = make_table(
+            [make_record("p1", minute=m, day=d, statuses=(0, 0, on, 0)) for d, m, on in fan]
+        )
+        assert table.columns["status_fan"].dtype == np.int8
+        names = ("usage_pct_fan", "switch_freq_fan", "status_fan", "usage_pct_desk_light")
+        daily = pool_features(table, FeatureSpec(names))
+        assert daily.values.tolist() == [[1.0, 0.0, 1.0, 0.0], [1000 / 1440, 1.0, 1000 / 1440, 0.0]]
+        minute = pool_features(table, FeatureSpec(names[:2], granularity="minute"))
+        assert minute.values[:1440].tolist() == [[1.0, 0.0]] * 1440
+        assert minute.values[1440:].tolist() == [[1000 / 1440, 1.0]] * 1440
+
     def test_usage_pct_on_partial_day(self):
         records = toggle_day_records()
         out = pool_features(make_table(records), FeatureSpec(("usage_pct_desk_light",)))
@@ -176,6 +199,28 @@ class TestStandardize:
         out = standardize(fm(rng.standard_normal((100, 5)) * 7.0 + 3.0))
         assert np.abs(out.values.mean(axis=0)).max() <= 1e-9
         assert np.abs(out.values.std(axis=0, ddof=1) - 1.0).max() <= 1e-9
+
+    @settings(deadline=None, derandomize=True)
+    @given(awkward_matrices())
+    def test_bytes_match_the_formula(self, values):
+        out = standardize(fm(values))
+        expected, constant = standardize_formula(values)
+        assert np.array_equal(out.values, expected)
+        assert out.values.tobytes() == expected.tobytes()  # the sign of each zero too
+        assert out.constant_columns == {f"c{j}" for j in np.flatnonzero(constant)}
+
+    def test_one_working_copy(self):
+        matrix = fm(np.random.default_rng(3).standard_normal((20_000, 6)) * 4.0 + 1e6)
+        tracemalloc.start()
+        try:
+            out = standardize(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == matrix.values.nbytes
+        # the result is the one working copy: no second N×p array beside it
+        # slack for the reductions' buffer of np.getbufsize() doubles, 64 KiB
+        assert peak <= matrix.values.nbytes + 128 * 1024, peak
 
 
 class TestSegmentsAndColumns:

@@ -5,6 +5,7 @@ import datetime as dt
 import io
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -25,6 +26,8 @@ from energyseg.errors import (
     SchemaError,
 )
 from energyseg.records import (
+    BINARY_COLUMNS,
+    COLUMN_DTYPES,
     CSV_COLUMNS,
     DROP_REASONS,
     INT_COLUMNS,
@@ -223,6 +226,35 @@ class TestIngest:
         assert len(table) == 3
 
 
+class TestNarrowColumns:
+    @pytest.mark.parametrize("per_cell", [False, True])
+    def test_cells_beyond_int8_are_bad_binary(self, per_cell):
+        # each is checked as int64 before it is stored as int8, where 256 would wrap to 0
+        values = ("2", "-1", "127", "128", "255", "256", "300", str(2**62))
+        cases = [(column, value) for column in ("status_fan", "is_evening") for value in values]
+        good = [make_record("a", m) for m in range(len(cases) + 1)]
+        lines = table_to_csv(make_table(good)).strip().split("\n")
+        bad = table_to_csv(make_table([make_record("b", m) for m in range(len(cases))]))
+        for line, (column, value) in zip(bad.strip().split("\n")[1:], cases):
+            lines.append(corrupt_cell(line, column, value))
+        # the per-cell path alone: numpy's parser fails every block
+        numpy_fails = patch("numpy.loadtxt", side_effect=ValueError) if per_cell else nullcontext()
+        with numpy_fails, patch("energyseg.records.csv.reader", wraps=csv.reader) as reader:
+            table = ingest_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert (reader.call_count > 1) == per_cell  # the header alone on the numpy path
+        expected = dict.fromkeys(DROP_REASONS, 0)
+        expected["bad_binary"] = len(cases)
+        assert table.dropped_by_reason == expected
+        assert table_records(table) == table_records(make_table(good))
+
+    def test_column_dtypes(self):
+        table = generate_synthetic(GeneratorConfig(players_per_class=(1, 1, 1), n_days=1), seed=0)
+        for made in (table, ingest_csv(io.StringIO(table_to_csv(table)))):
+            assert {name: column.dtype for name, column in made.columns.items()} == COLUMN_DTYPES
+            assert all(made.columns[name].dtype == np.int8 for name in BINARY_COLUMNS)
+            assert made.columns["rank"].dtype == made.columns["portal_visits"].dtype == np.int64
+
+
 class TestIngestMemory:
     def test_peak_beyond_the_table(self, tmp_path):
         path = tmp_path / "synth.csv"
@@ -405,7 +437,7 @@ def _field(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
 
 
-INT_CASES = ("1.0", "1e0", "1_0", "+1", " 1 ", str(2**63), "\u0661", "1\x1c")
+INT_CASES = ("1.0", "1e0", "1_0", "+1", " 1 ", str(2**63), "\u0661", "1\x1c", "256", "-1")
 FLOAT_CASES = ("nan", "inf", "Infinity", "1_0", " 2.5 ", "\u0661", "1\x1c")
 EDITS = ("none",) * 4 + (
     "timestamp", "repeat", "player_id", "int", "float", "quoted", "short", "extra", "space", "blank"

@@ -1,11 +1,22 @@
 """Rank bands, class assignment, correlations, RV matching, proportions."""
 
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import fm, make_record, make_table, random_psd, two_pass_pearson
+from helpers import (
+    awkward_matrices,
+    correlation_formula,
+    fm,
+    make_record,
+    make_table,
+    random_psd,
+    two_pass_pearson,
+)
 
 from energyseg.errors import (
     DimensionMismatch,
@@ -151,6 +162,27 @@ class TestCorrelationMatrix:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             correlation_matrix(fm([[1.0, 2.0]]))
+
+    @settings(deadline=None, derandomize=True)
+    @given(awkward_matrices())
+    def test_bytes_match_the_formula(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # constant columns
+            corr = correlation_matrix(fm(values))
+        expected = correlation_formula(values)
+        assert np.array_equal(corr, expected)
+        assert corr.tobytes() == expected.tobytes()
+
+    def test_one_working_copy(self):
+        matrix = fm(np.random.default_rng(3).standard_normal((20_000, 6)) * 4.0 + 1e6)
+        tracemalloc.start()
+        try:
+            correlation_matrix(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # slack for the reductions' buffer of np.getbufsize() doubles, 64 KiB
+        assert peak <= matrix.values.nbytes + 128 * 1024, peak
 
 
 class TestRvCoefficient:
