@@ -5,8 +5,16 @@ only versus own lags plus lagged x — with
 
     F = ((RSS_r − RSS_u)/L) / (RSS_u/(n − 2L − 1)),   n = T − L,
 
-and an F(L, n−2L−1) survival-function p-value. Collinear designs are
-reported as inconclusive rather than raised.
+and an F(L, n−2L−1) survival-function p-value, from no stacked design. Each
+segment's rows [y_{t−1..t−L}, x_{t−1..t−L}, y_t] are centred (which absorbs
+the intercept) and their (n, mean, cross products) merged over segments by the
+pairwise update of Chan, Golub & LeVeque (1983, Am. Stat. 37). The merged
+matrix is factored by Cholesky in the order [own, cross, y]: RSS_u is y's last
+pivot squared and RSS_r − RSS_u the squared norm of y's row on the cross
+block, not a difference of two RSS values in which digits cancel. No sum runs
+through a threaded BLAS, so the bytes do not depend on the thread count. A
+regressor pivot² ≤ τ = 1e-10 of its uncentred sum of squares, or
+RSS_u ≤ 1e-12·(Σ y_t² + 1), makes the test inconclusive.
 
 Both tails are the regularized incomplete beta I_x(a, b), computed with the
 standard library alone: the continued fraction of Numerical Recipes (3rd ed.,
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +52,7 @@ from .features import MINUTE_FEATURES
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 _CF_MAX_STEPS = 10_000
 _TINY = 1e-300
+_PIVOT_TOL = 1e-10  # τ, the collinearity bound on a regressor's Cholesky pivot²
 
 DEFAULT_CAUSALITY_PAIRS: tuple[tuple[str, str], ...] = (
     ("status_fan", "status_ceiling_light"),
@@ -185,39 +194,62 @@ class CausalityResult:
         return "0" if self.p_value < 5e-4 else f"{self.p_value:.4g}"
 
 
-def _lagged_design(
-    segments: Sequence[tuple[np.ndarray, np.ndarray]], lag: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack y_t rows with own-lag and cross-lag regressors per segment.
+def _segment_moments(
+    segments: Sequence[tuple[np.ndarray, np.ndarray]], lag: int, first_difference: bool
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(n, mean, centred cross products) of each segment's T − L lagged rows.
 
-    The first ``lag`` samples of every segment are dropped, so no row mixes
-    observations across a segment (day) boundary.
+    No row mixes samples across a segment (day) boundary. Segments are cast to
+    float64 one at a time.
     """
-    y_rows, own_rows, cross_rows = [], [], []
     for x, y in segments:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.shape != y.shape or x.ndim != 1:
             raise SeriesTooShort(f"segments need equal-length 1-D series, got {x.shape} vs {y.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise SeriesTooShort("series contain non-finite values")
+        if first_difference:
+            x, y = np.diff(x), np.diff(y)
         T = len(y)
         if T <= lag:
             continue
-        y_rows.append(y[lag:])
-        own_rows.append(np.column_stack([y[lag - j - 1 : T - j - 1] for j in range(lag)]))
-        cross_rows.append(np.column_stack([x[lag - j - 1 : T - j - 1] for j in range(lag)]))
-    if not y_rows:
-        raise SeriesTooShort("no usable samples after lag trimming")
-    return (
-        np.concatenate(y_rows),
-        np.vstack(own_rows),
-        np.vstack(cross_rows),
-    )
+        lagged = [series[lag - j - 1 : T - j - 1] for series in (y, x) for j in range(lag)]
+        rows = np.array(lagged + [y[lag:]])  # one variable per row
+        mean = rows.mean(axis=1)
+        rows -= mean[:, None]
+        # einsum sums in its own fixed order, never through a threaded BLAS
+        yield T - lag, mean, np.einsum("ik,jk->ij", rows, rows)
 
 
-def _ols_rss(design: np.ndarray, y: np.ndarray) -> float:
-    coef = np.linalg.lstsq(design, y, rcond=None)[0]
-    resid = y - design @ coef
-    return float(resid @ resid)
+def _merge(
+    moments: Iterable[tuple[int, np.ndarray, np.ndarray]], width: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Pooled (n, mean, centred cross products) by the update of Chan, Golub & LeVeque."""
+    n, mean, cross = 0, np.zeros(width), np.zeros((width, width))
+    for n_b, mean_b, cross_b in moments:
+        total = n + n_b
+        delta = mean_b - mean
+        cross = cross + cross_b + np.multiply.outer(delta, delta) * (n * n_b / total)
+        mean = mean + delta * (n_b / total)
+        n = total
+    return n, mean, cross
+
+
+def _f_parts(cross: np.ndarray, squares: np.ndarray, lag: int) -> tuple[float, float] | None:
+    """(RSS_r − RSS_u, RSS_u) from the Cholesky factor of [own, cross, y] cross products.
+
+    None when a regressor is, to τ, a combination of the intercept and the
+    regressors before it: its pivot² ≤ τ·``squares``, its uncentred sum of squares.
+    """
+    try:
+        factor = np.linalg.cholesky(cross)
+    except np.linalg.LinAlgError:  # a pivot ≤ 0
+        return None
+    pivots = np.square(np.diagonal(factor))
+    if (pivots[:-1] <= _PIVOT_TOL * squares[:-1]).any():
+        return None
+    return float(np.square(factor[-1, lag:-1]).sum()), float(pivots[-1])
 
 
 def granger_test_segments(
@@ -231,37 +263,20 @@ def granger_test_segments(
     """Granger F-test pooled over independent (x, y) segments."""
     if lag < 1:
         raise InvalidDof(f"lag must be >= 1, got {lag}")
-    if first_difference:
-        segments = [(np.diff(x), np.diff(y)) for x, y in segments]
-    for x, y in segments:
-        if not (np.isfinite(np.asarray(x)).all() and np.isfinite(np.asarray(y)).all()):
-            raise SeriesTooShort("series contain non-finite values")
-
-    y_t, own, cross = _lagged_design(segments, lag)
-    n = len(y_t)
+    n, mean, cross = _merge(_segment_moments(segments, lag, first_difference), 2 * lag + 1)
     dof2 = n - 2 * lag - 1
     if dof2 < 1:
         raise SeriesTooShort(f"need T - lag > 2*lag + 1 samples, got n={n} at lag={lag}")
 
-    intercept = np.ones((n, 1))
-    restricted = np.hstack([intercept, own])
-    unrestricted = np.hstack([intercept, own, cross])
-
-    def _inconclusive() -> CausalityResult:
+    squares = np.diagonal(cross) + n * mean * mean
+    parts = _f_parts(cross, squares, lag)
+    if parts is None or parts[1] <= 1e-12 * (squares[-1] + 1.0):
         return CausalityResult(
             cause=cause, effect=effect, lag=lag, f_statistic=0.0, p_value=1.0,
             reject_h0=False, alpha=alpha, n_effective=n, inconclusive=True,
         )
-
-    if np.linalg.matrix_rank(unrestricted) < unrestricted.shape[1]:
-        return _inconclusive()
-    rss_r = _ols_rss(restricted, y_t)
-    rss_u = _ols_rss(unrestricted, y_t)
-    scale = float(y_t @ y_t) + 1.0
-    if rss_u <= 1e-12 * scale:
-        return _inconclusive()
-
-    f_stat = max(0.0, (rss_r - rss_u) / lag) / (rss_u / dof2)
+    numerator, rss_u = parts
+    f_stat = (numerator / lag) / (rss_u / dof2)
     p = f_survival(f_stat, lag, dof2)
     return CausalityResult(
         cause=cause, effect=effect, lag=lag, f_statistic=float(f_stat),

@@ -212,14 +212,15 @@ def player_day_segments(
 ) -> list[tuple[str, str, dict[str, np.ndarray]]]:
     """Per-(player, day) contiguous minute series for the named raw columns.
 
-    Used to build lagged designs that never cross a day boundary.
+    Used to build lagged designs that never cross a day boundary. Each series
+    is a slice of ``table.columns`` at its stored width, not a float64 copy.
     """
     unknown = [n for n in names if n not in MINUTE_FEATURES]
     if unknown:
         raise UnknownFeatureName(f"unknown minute feature(s): {unknown}")
     if not len(table):
         raise EmptyTable("cannot segment an empty table")
-    cols = raw_columns(table, names)
+    cols = table.columns
     starts, lengths, days = table.day_runs()
     segments = []
     for player, day, start, stop in zip(

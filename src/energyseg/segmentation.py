@@ -79,10 +79,16 @@ class RankBands:
     boundaries: tuple[int, int]
     invert_rank: bool = False
 
-    def classes_of(self, ranks: np.ndarray) -> np.ndarray:
-        """The :class:`ClassLabel` value of each rank: 2 High, 1 Medium, 0 Low."""
-        r = self.rank_min + self.rank_max - ranks if self.invert_rank else ranks
-        return np.where(r <= self.boundaries[0], 2, np.where(r <= self.boundaries[1], 1, 0))
+    def classes_of(self, ranks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The :class:`ClassLabel` value of each rank: 2 High, 1 Medium, 0 Low.
+
+        That is the count of band boundaries the rank lies within, added into
+        ``out`` (int64) in place when given, so no other N-length int64 array is made.
+        """
+        out = np.zeros(len(ranks), dtype=np.int64) if out is None else out
+        for b in self.boundaries:  # inverted: rank_min + rank_max − rank ≤ b
+            out += ranks >= self.rank_min + self.rank_max - b if self.invert_rank else ranks <= b
+        return out
 
 
 def make_rank_bands(rank_min: int, rank_max: int, invert_rank: bool = False) -> RankBands:
@@ -109,9 +115,8 @@ def assign_classes(
         raise MissingRank("every record needs a rank >= 1")
     bands = make_rank_bands(int(ranks.min()), int(ranks.max()), invert_rank)
 
-    counts = np.bincount(
-        table.player_codes * 3 + bands.classes_of(ranks), minlength=3 * len(table.player_ids)
-    ).reshape(-1, 3)
+    keys = bands.classes_of(ranks, out=table.player_codes * 3)  # the one N-length array
+    counts = np.bincount(keys, minlength=3 * len(table.player_ids)).reshape(-1, 3)
     result: dict[str, ClassLabel] = {}
     for player, (low, medium, high) in zip(table.player_ids, counts.tolist()):
         # argmax with ties toward the more efficient class

@@ -14,6 +14,8 @@ The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
 one object per row, the oracle that ``DatasetTable``'s columns are checked
 against. ``run_chain_loop`` steps the generator's two-state chain
 one minute at a time, the oracle for its vectorised form.
+``granger_oracle`` fits the Granger test's two models by ``lstsq`` on one
+stacked lagged design, the reference for the F from merged cross products.
 ``standardize_formula`` and ``correlation_formula`` make a new array per
 step, the results that the one-working-copy forms must match bit for bit
 on ``awkward_matrices``.
@@ -312,6 +314,37 @@ def t_tail_quad(x: float, df: float) -> float:
 
     val, _ = integrate.quad(pdf, x, np.inf, epsabs=1e-13, epsrel=1e-13, limit=500)
     return float(val)
+
+
+def granger_oracle(segments, lag: int, first_difference: bool = False):
+    """(RSS_r − RSS_u, RSS_u, RSS_r, n) of the stacked lagged design, by ``lstsq``.
+
+    RSS_r is None when ``matrix_rank`` finds the unrestricted design
+    [1, own lags, cross lags] collinear; n is its row count.
+    """
+    y_rows, own_rows, cross_rows = [], [], []
+    for x, y in segments:
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        if first_difference:
+            x, y = np.diff(x), np.diff(y)
+        T = len(y)
+        if T <= lag:
+            continue
+        y_rows.append(y[lag:])
+        own_rows.append(np.column_stack([y[lag - j - 1 : T - j - 1] for j in range(lag)]))
+        cross_rows.append(np.column_stack([x[lag - j - 1 : T - j - 1] for j in range(lag)]))
+    y_t = np.concatenate(y_rows)
+    restricted = np.hstack([np.ones((len(y_t), 1)), np.vstack(own_rows)])
+    unrestricted = np.hstack([restricted, np.vstack(cross_rows)])
+
+    def rss(design):
+        resid = y_t - design @ np.linalg.lstsq(design, y_t, rcond=None)[0]
+        return float(resid @ resid)
+
+    if np.linalg.matrix_rank(unrestricted) < unrestricted.shape[1]:
+        return None, None, None, len(y_t)
+    rss_r, rss_u = rss(restricted), rss(unrestricted)
+    return rss_r - rss_u, rss_u, rss_r, len(y_t)
 
 
 def standardize_formula(values) -> tuple[np.ndarray, np.ndarray]:

@@ -518,8 +518,8 @@ def test_runs_with_scipy_blocked(tmp_path, monkeypatch):
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # standardize, the correlations, the Gram, PCA and the silhouette matmul
-    # must give the same bytes with one BLAS thread as with two
+    # standardize, the correlations, the Gram, PCA, the silhouette matmul and the
+    # Granger tests must give the same bytes with one BLAS thread as with two
     argvs = (
         ["synth", "--players-per-class", "2,2,2", "--days", "2", "--seed", "5", "--out", "synth"],
         ["report", "--input", "synth/dataset.csv", "--seed", "5", "--out", "report"],
@@ -541,9 +541,8 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     one, two = tmp_path / "1", tmp_path / "2"
     names = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
     assert names == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
-    # report.json holds wall times; causality.csv and causality.json still move in
-    # their last digits with the thread count (ROADMAP.md, item 5)
-    compared = [n for n in names if n.name != "report.json" and n.stem != "causality"]
+    # report.json holds wall times
+    compared = [n for n in names if n.name != "report.json"]
     assert len(compared) > 10
     for name in compared:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name

@@ -75,6 +75,20 @@ class TestRankBands:
         bands = make_rank_bands(1, 30, invert_rank=True)
         assert bands.classes_of(np.array([1, 30])).tolist() == [ClassLabel.LOW, ClassLabel.HIGH]
 
+    def test_classes_match_the_nested_where(self):
+        for lo, hi, invert in itertools.product(range(1, 6), range(1, 12), (False, True)):
+            if hi < lo:
+                continue
+            bands = make_rank_bands(lo, hi, invert_rank=invert)
+            ranks = np.arange(lo, hi + 1)
+            r = lo + hi - ranks if invert else ranks
+            b1, b2 = bands.boundaries
+            expected = np.where(r <= b1, 2, np.where(r <= b2, 1, 0))
+            for out in (None, np.full(len(ranks), 30)):
+                got = bands.classes_of(ranks, out=out)
+                assert got.dtype == np.int64
+                assert got.tolist() == (expected + (0 if out is None else 30)).tolist()
+
 
 def ranked_records(player, ranks, start_minute=0):
     return [
@@ -135,6 +149,17 @@ class TestAssignClasses:
     def test_empty_table(self):
         with pytest.raises(EmptyTable):
             assign_classes(make_table([]))
+
+    def test_one_n_length_key_array(self, synth_table):
+        n = len(synth_table)
+        tracemalloc.start()
+        try:
+            assign_classes(synth_table, invert_rank=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the int64 keys and one bool mask; slack for the cast's ufunc buffer, 64 KiB
+        assert peak <= 9 * n + 128 * 1024, peak
 
 
 class TestCorrelationMatrix:
