@@ -19,6 +19,7 @@ from .errors import (
     DegenerateColumn,
     InvalidConfig,
     KTooLarge,
+    NonFiniteValue,
     RangeTooNarrow,
     SingleCluster,
     TooFewRows,
@@ -87,9 +88,11 @@ class ClusteringConfig:
 
 
 def _as_values(matrix) -> np.ndarray:
-    if isinstance(matrix, FeatureMatrix):
-        return matrix.values
-    return np.asarray(matrix, dtype=np.float64)
+    """The values of a :class:`FeatureMatrix` or array; :class:`NonFiniteValue` on NaN or inf."""
+    values = matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, np.float64)
+    if not np.isfinite(values).all():
+        raise NonFiniteValue("matrix contains NaN or infinite entries")
+    return values
 
 
 def pca_fit(matrix, dim: int | None = None, variance: float | None = None) -> PcaModel:

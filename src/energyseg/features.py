@@ -105,17 +105,11 @@ class FeatureSpec:
 
 @dataclass
 class FeatureMatrix:
-    """N×p design matrix with named columns.
-
-    ``row_players`` holds each row's player id. After :func:`standardize`,
-    ``constant_columns`` names the columns that were zeroed because they had
-    no variance.
-    """
+    """N×p design matrix with named columns; ``row_players`` holds each row's player id."""
 
     values: np.ndarray
     column_names: tuple[str, ...]
     standardized: bool = False
-    constant_columns: frozenset[str] = frozenset()
     row_players: tuple[str, ...] | None = None
 
     @property
@@ -173,36 +167,40 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
     return FeatureMatrix(values=values, column_names=spec.features, row_players=tuple(row_players))
 
 
+def _scaled_deviations(values: np.ndarray, divisor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's deviations from its mean over its scale √(Σ deviation² / ``divisor``).
+
+    Also returns which columns are constant (scale 0); they come out all-zero.
+    Memory: one N×p array beside ``values``, the result, which first holds the
+    squared deviations; its values are those of ``(values - mean) / scale``.
+    """
+    means = values.mean(axis=0)
+    out = values - means
+    scales = np.sqrt(np.square(out, out=out).sum(axis=0) / divisor)
+    constant = scales == 0.0
+    np.subtract(values, means, out=out)
+    out /= np.where(constant, 1.0, scales)
+    if constant.any():
+        out[:, constant] = 0.0
+    return out, constant
+
+
 def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     """Zero-mean, unit-sample-std copy of ``matrix``.
 
-    Constant columns are mapped to all-zero and reported in
-    ``constant_columns`` instead of raising; downstream sparse regressions
-    simply never select them.
-
-    Memory: one N×p array beside the input, the result, which first holds the squared
-    deviations of ``np.std(ddof=1)``; the values are those of ``(values - mean) / std``.
+    Constant columns are mapped to all-zero instead of raising; downstream
+    sparse regressions simply never select them. Memory: that of
+    :func:`_scaled_deviations`.
     """
     if matrix.standardized:
         raise AlreadyStandardized("matrix is already standardized")
     if matrix.n_rows < 2:
         raise TooFewRows(f"need at least 2 rows to standardize, got {matrix.n_rows}")
-    values = matrix.values
-    means = values.mean(axis=0)
-    out = values - means
-    stds = np.sqrt(np.square(out, out=out).sum(axis=0) / (matrix.n_rows - 1))
-    constant = stds == 0.0
-    np.subtract(values, means, out=out)
-    out /= np.where(constant, 1.0, stds)
-    if constant.any():
-        out[:, constant] = 0.0
+    values, _ = _scaled_deviations(matrix.values, matrix.n_rows - 1)
     return FeatureMatrix(
-        values=out,
+        values=values,
         column_names=matrix.column_names,
         standardized=True,
-        constant_columns=frozenset(
-            name for name, const in zip(matrix.column_names, constant) if const
-        ),
         row_players=matrix.row_players,
     )
 

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import (
     DegenerateColumn,
+    DimensionMismatch,
     InvalidConfig,
     NonFiniteValue,
     NotStandardized,
@@ -48,7 +49,7 @@ from .errors import (
     require_int,
     require_number,
 )
-from .features import FeatureMatrix, standardize
+from .features import FeatureMatrix
 
 GRID_SIZE = 10
 GRID_RATIO = 100.0  # lambda_max / lambda_min
@@ -147,9 +148,24 @@ class GlassoConfig:
         require_int("folds", self.folds, 2)
 
 
-def _check_finite(values: np.ndarray) -> None:
+def _graph_input(matrix: FeatureMatrix, s: int | None = None) -> np.ndarray:
+    """The values of ``matrix``, checked as every entry point of the graph layer takes them.
+
+    Raises :class:`NotStandardized` unless it comes from ``standardize``,
+    :class:`TooFewRows` below 2 rows or 2 columns, :class:`DimensionMismatch`
+    unless 0 ≤ s < p (when ``s`` is given), and :class:`NonFiniteValue` on NaN or inf.
+    """
+    if not matrix.standardized:
+        raise NotStandardized("the graph layer takes the output of standardize")
+    values = matrix.values
+    n, p = values.shape
+    if n < 2 or p < 2:
+        raise TooFewRows(f"need at least 2 rows and 2 columns, got {n} x {p}")
+    if s is not None and not 0 <= s < p:
+        raise DimensionMismatch(f"vertex must lie in [0, {p}), got {s}")
     if not np.isfinite(values).all():
         raise NonFiniteValue("matrix contains NaN or infinite entries")
+    return values
 
 
 # Rows per block when gathering design columns; a block's source rows stay
@@ -190,12 +206,8 @@ def lambda_grid(matrix: FeatureMatrix, s: int) -> LambdaGrid:
     :func:`fit_neighborhood` at λ_max is all-zero exactly, not merely within
     rounding.
     """
-    values = matrix.values
+    values = _graph_input(matrix, s)
     n, p = values.shape
-    if p < 2:
-        raise TooFewRows(f"need at least 2 columns, got {p}")
-    if n < 2:
-        raise TooFewRows(f"need at least 2 rows, got {n}")
     others = [j for j in range(p) if j != s]
     X = _design(values, others)
     r = values[:, s].astype(np.float64, copy=True)
@@ -267,13 +279,11 @@ def fit_neighborhood(
     max_sweeps: int = 1000,
     beta0: np.ndarray | None = None,
 ) -> NeighborhoodFit:
-    """Lasso regression of column ``s`` on all other columns (residual form)."""
-    if not matrix.standardized:
-        raise NotStandardized("fit_neighborhood requires a standardized matrix")
-    values = matrix.values
-    _check_finite(values)
+    """Lasso regression of column ``s`` on all other columns (residual form), at λ > 0."""
+    values = _graph_input(matrix, s)
+    require_number("lambda", lam)
     if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+        raise InvalidConfig(f"lambda must be > 0, got {lam}")
     p = values.shape[1]
     others = tuple(j for j in range(p) if j != s)
     X = _design(values, list(others))
@@ -298,8 +308,8 @@ def _system(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Rows of XᵀX/N, Xᵀy/N and yᵀy/N for regressing column ``s`` on the others.
 
-    A column flagged in ``drop`` gets a zero row and column: descent skips a
-    zero diagonal, so its β stays 0 and it is no regressor of ``s``.
+    A column other than ``s`` flagged in ``drop`` gets a zero row and column:
+    descent skips a zero diagonal, so its β stays 0 and it is no regressor of ``s``.
     """
     others = [j for j in range(len(gram)) if j != s]
     rows, grad0 = gram[np.ix_(others, others)] / n, gram[others, s] / n
@@ -317,8 +327,8 @@ def _fold_grams(values: np.ndarray, folds: int, seed: int) -> list[tuple[np.ndar
     Cross-validation's one pass over the rows; everything after it reads these Grams.
     """
     n = len(values)
-    if folds < 2 or folds > n:
-        raise TooFewRows(f"need 2 <= folds <= {n}, got {folds}")
+    if folds > n:
+        raise TooFewRows(f"need folds <= {n} rows, got {folds}")
     held_out = []
     for rows in np.array_split(np.random.default_rng(seed).permutation(n), folds):
         test = np.take(values, rows, axis=0)  # values[rows], gathered faster
@@ -601,9 +611,11 @@ def cross_validate(
     held-out rows' Gram, and its held-out error is read from that Gram.
     ``rule="min"`` picks the error-minimizing λ (exact ties break toward the
     larger λ); ``rule="one_se"`` picks the largest λ whose error is within
-    one standard error of the minimum.
+    one standard error of the minimum. The other arguments are checked as
+    :class:`GlassoConfig` checks them.
     """
-    values = matrix.values
+    values = _graph_input(matrix, s)
+    GlassoConfig(tol=tol, max_sweeps=max_sweeps, folds=folds, selection=rule)
     held_out = _fold_grams(values, folds, seed)
     gram, n = values.T @ values, len(values)
     rows, grad0, yy = map(np.array, zip(*(_system(gram - t, s, n - n_t) for t, n_t in held_out)))
@@ -635,7 +647,7 @@ def _twin_columns(matrix: FeatureMatrix) -> list[tuple[int, int]]:
 def graphical_lasso(
     matrix: FeatureMatrix, config: GlassoConfig | None = None, seed: int = 0
 ) -> GraphEstimate:
-    """Estimate the dependency graph over the matrix's columns.
+    """Estimate the dependency graph over the columns of a standardized matrix.
 
     ``seed`` draws the one K-fold split of every vertex's cross-validation
     (none when no vertex has a penalty grid). Every vertex's fold systems
@@ -647,15 +659,8 @@ def graphical_lasso(
     pair keeps the one edge of its own regression on the earlier.
     """
     config = config or GlassoConfig()
-    if not matrix.standardized:
-        matrix = standardize(matrix)
-    _check_finite(matrix.values)
-    values = matrix.values
+    values = _graph_input(matrix)
     n, p = values.shape
-    if p < 2:
-        raise TooFewRows(f"need at least 2 columns, got {p}")
-    if n < 2:
-        raise TooFewRows(f"need at least 2 rows, got {n}")
 
     gram = values.T @ values
     fits: list[NeighborhoodFit | None] = [None] * p
@@ -668,11 +673,9 @@ def graphical_lasso(
     ]
     later = np.zeros(p, dtype=bool)
     later[[b for _, b in twins]] = True
-    vertices = []  # (s, grid, drop, full-data system) of each vertex with a penalty grid
+    vertices = []  # (s, grid, full-data system) of each vertex with a penalty grid
     for s in range(p):
-        drop = later.copy()
-        drop[s] = False
-        full = _system(gram, s, n, drop)
+        full = _system(gram, s, n, later)
         try:
             grid = _grid_from_max(float(np.abs(full[1]).max()), names[s])
         except DegenerateColumn:
@@ -687,19 +690,19 @@ def graphical_lasso(
             )
             notes.append(f"column {names[s]} has no correlated columns; kept an empty neighborhood")
             continue
-        vertices.append((s, grid, drop, full))
+        vertices.append((s, grid, full))
 
     cvs: list[CvResult | None] = [None] * p
     if vertices:
         held_out = _fold_grams(values, config.folds, seed)
         systems = []  # each vertex's fold systems, then its full-data system
-        for s, _, drop, full in vertices:
-            systems.extend(_system(gram - t, s, n - n_t, drop) for t, n_t in held_out)
+        for s, _, full in vertices:
+            systems.extend(_system(gram - t, s, n - n_t, later) for t, n_t in held_out)
             systems.append(full)
         rows, grad0, yy = map(np.array, zip(*systems))
-        lams = np.repeat([grid.values for _, grid, _, _ in vertices], config.folds + 1, axis=0)
+        lams = np.repeat([grid.values for _, grid, _ in vertices], config.folds + 1, axis=0)
         states = _gram_path(rows, grad0, yy, lams, config.tol, config.max_sweeps)
-        for v, (s, grid, _, _) in enumerate(vertices):
+        for v, (s, grid, _) in enumerate(vertices):
             first = v * (config.folds + 1)
             errors = _held_out_errors(held_out, s, states.beta[first : first + config.folds])
             cv = cvs[s] = _select(errors, grid, config.selection)

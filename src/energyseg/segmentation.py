@@ -30,7 +30,7 @@ from .errors import (
     require_bool,
     require_number,
 )
-from .features import FeatureMatrix
+from .features import FeatureMatrix, _scaled_deviations
 from .records import DatasetTable
 
 
@@ -127,23 +127,17 @@ def assign_classes(
 def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
     """Pearson correlations with unit diagonal; constant columns zeroed.
 
-    Memory: one N×p working copy beside the input. It holds the squared deviations for
-    the column norms, then the deviations over their norms, whose Gram is the result.
+    Memory: one N×p working copy beside the input, the deviations over their
+    column norms from :func:`features._scaled_deviations`, whose Gram is the result.
     """
-    values = matrix.values
-    n = values.shape[0]
+    n = matrix.n_rows
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
-    means = values.mean(axis=0)
-    z = values - means
-    norms = np.sqrt(np.square(z, out=z).sum(axis=0))
-    constant = norms == 0.0
+    z, constant = _scaled_deviations(matrix.values, 1)
     if constant.any():
         names = [matrix.column_names[i] for i in np.flatnonzero(constant)]
         warnings.warn(f"constant columns have undefined correlations: {names}",
                       RuntimeWarning, stacklevel=2)
-    np.subtract(values, means, out=z)
-    z /= np.where(constant, 1.0, norms)
     corr = z.T @ z
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0

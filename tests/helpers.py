@@ -347,14 +347,14 @@ def granger_oracle(segments, lag: int, first_difference: bool = False):
     return rss_r - rss_u, rss_u, rss_r, len(y_t)
 
 
-def standardize_formula(values) -> tuple[np.ndarray, np.ndarray]:
-    """``standardize``'s values and constant-column mask, with a new array per step."""
+def standardize_formula(values) -> np.ndarray:
+    """``standardize``'s values, with a new array per step."""
     means = values.mean(axis=0)
     stds = values.std(axis=0, ddof=1)
     constant = stds == 0.0
     out = (values - means) / np.where(constant, 1.0, stds)
     out[:, constant] = 0.0
-    return out, constant
+    return out
 
 
 def correlation_formula(values) -> np.ndarray:

@@ -23,6 +23,7 @@ from energyseg.clustering import (
 from energyseg.errors import (
     InvalidConfig,
     KTooLarge,
+    NonFiniteValue,
     RangeTooNarrow,
     SingleCluster,
     TooFewRows,
@@ -240,6 +241,24 @@ class TestElbow:
         i1, s1 = elbow_curve(data, (1, 5), seed=11)
         i2, s2 = elbow_curve(data, (1, 5), seed=11)
         assert np.array_equal(i1, i2) and s1 == s2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda data: pca_fit(data, dim=1),
+        lambda data: minibatch_kmeans(data, k=2, seed=0),
+        lambda data: elbow_curve(data, (1, 4), seed=0),
+        lambda data: silhouette(data, np.arange(len(data)) % 2),
+    ],
+    ids=["pca_fit", "minibatch_kmeans", "elbow_curve", "silhouette"],
+)
+def test_non_finite_input_raises(call, bad):
+    data = np.random.default_rng(64).standard_normal((30, 3))
+    data[4, 1] = bad
+    with pytest.raises(NonFiniteValue):
+        call(data)
 
 
 class TestSilhouette:

@@ -24,6 +24,7 @@ from helpers import (
 import energyseg.glasso as glasso_mod
 from energyseg.errors import (
     DegenerateColumn,
+    DimensionMismatch,
     InvalidConfig,
     NonFiniteValue,
     NotStandardized,
@@ -252,6 +253,65 @@ class TestCrossValidate:
         assert np.all(np.asarray(result.cv_se) >= 0.0)
 
 
+_GRID = _grid_from_max(0.5, "v0")
+
+_ENTRY_POINTS = {
+    "graphical_lasso": lambda matrix, s: graphical_lasso(matrix),
+    "lambda_grid": lambda_grid,
+    "fit_neighborhood": lambda matrix, s: fit_neighborhood(matrix, s, 0.05),
+    "cross_validate": lambda matrix, s: cross_validate(matrix, s, _GRID),
+}
+
+
+def _with_nan(seed):
+    matrix = noise_matrix(seed, n=200)
+    matrix.values[3, 1] = np.nan
+    return matrix
+
+
+_BAD_INPUTS = {  # name: (matrix, vertex, expected error)
+    "nan cell": (_with_nan, 0, NonFiniteValue),
+    "raw matrix": (
+        lambda seed: fm(np.random.default_rng(seed).standard_normal((200, 3)) * 3 + 1),
+        0,
+        NotStandardized,
+    ),
+    "vertex -1": (lambda seed: noise_matrix(seed, n=200), -1, DimensionMismatch),
+    "vertex p": (lambda seed: noise_matrix(seed, n=200), 3, DimensionMismatch),
+}
+
+
+class TestGraphInput:
+    """Every entry point of the graph layer takes its input through one check."""
+
+    @pytest.mark.parametrize(
+        "entry, case",
+        [
+            (entry, case)
+            for entry in _ENTRY_POINTS
+            for case in _BAD_INPUTS
+            if entry != "graphical_lasso" or not case.startswith("vertex")
+        ],
+    )
+    def test_bad_input_raises(self, entry, case):
+        make, s, error = _BAD_INPUTS[case]
+        with pytest.raises(error):
+            _ENTRY_POINTS[entry](make(0), s)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"rule": "bogus"}, {"max_sweeps": 0}, {"tol": -1.0}, {"folds": 1}],
+    )
+    def test_cross_validate_checks_its_settings(self, options):
+        with pytest.raises(InvalidConfig):
+            cross_validate(noise_matrix(0, n=200), 0, _GRID, **options)
+
+    @pytest.mark.parametrize("lam", [0.0, np.nan])
+    def test_fit_neighborhood_checks_lambda(self, lam):
+        with pytest.raises(InvalidConfig):
+            fit_neighborhood(noise_matrix(0, n=200), 0, lam)
+
+
 class TestGraphicalLasso:
     def test_chain_recovery(self):
         f1s = []
@@ -365,7 +425,6 @@ class TestGraphicalLasso:
         raw = rng.standard_normal((200, 3))
         matrix = std_fm(raw, ["a", "b", "c"])
         matrix.values[:, 1] = 0.0  # standardized constant column
-        matrix.constant_columns = frozenset({"b"})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             graph = graphical_lasso(matrix)
