@@ -41,6 +41,7 @@ from .errors import (
     InvalidConfig,
     InvalidDof,
     NoConvergence,
+    NonFiniteValue,
     SeriesTooShort,
     TooFewSamples,
     require_bool,
@@ -208,7 +209,7 @@ def _segment_moments(
         if x.shape != y.shape or x.ndim != 1:
             raise SeriesTooShort(f"segments need equal-length 1-D series, got {x.shape} vs {y.shape}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise SeriesTooShort("series contain non-finite values")
+            raise NonFiniteValue("series contain NaN or infinite values")
         if first_difference:
             x, y = np.diff(x), np.diff(y)
         T = len(y)
@@ -323,7 +324,7 @@ def two_sample_ttest(before: Sequence[float], after: Sequence[float]) -> TTestRe
     if len(a) < 2 or len(b) < 2:
         raise TooFewSamples(f"need >= 2 samples per group, got {len(a)} and {len(b)}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise TooFewSamples("samples contain non-finite values")
+        raise NonFiniteValue("samples contain NaN or infinite values")
 
     m1, m2 = float(a.mean()), float(b.mean())
     v1, v2 = float(a.var(ddof=1)), float(b.var(ddof=1))

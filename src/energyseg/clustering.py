@@ -24,9 +24,10 @@ from .errors import (
     SingleCluster,
     TooFewRows,
     require_int,
-    require_number,
 )
 from .features import FeatureMatrix
+
+_N_INIT = 10  # k-means++ restarts per k; the fit of least inertia wins
 
 
 @dataclass
@@ -53,18 +54,11 @@ class ClusterModel:
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    """Settings of the segment stage's PCA and k-means; the ``clustering`` config section.
-
-    :func:`minibatch_kmeans` and :func:`elbow_curve` read ``max_iters`` and
-    ``n_init``.
-    """
+    """Settings of the segment stage's k-means; the ``clustering`` config section."""
 
     k: Any = 3  # cluster count, or "auto" for the elbow suggestion
     k_range: tuple[int, int] = (1, 6)
-    pca_variance: float | None = 0.9
-    pca_dim: int | None = None
     max_iters: int = 200
-    n_init: int = 10
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_range", tuple(self.k_range))
@@ -77,14 +71,7 @@ class ClusteringConfig:
             raise InvalidConfig(
                 f"k='auto' needs a k_range spanning at least 3 values, got {list(self.k_range)}"
             )
-        if self.pca_variance is not None:
-            require_number("pca_variance", self.pca_variance)
-            if not 0.0 < self.pca_variance <= 1.0:
-                raise InvalidConfig(f"pca_variance must be in (0, 1], got {self.pca_variance}")
-        if self.pca_dim is not None:
-            require_int("pca_dim", self.pca_dim, 1)
         require_int("max_iters", self.max_iters, 1)
-        require_int("n_init", self.n_init, 1)
 
 
 def _as_values(matrix) -> np.ndarray:
@@ -208,7 +195,7 @@ def _run_lloyd(
 def minibatch_kmeans(
     matrix, k: int, config: ClusteringConfig | None = None, seed: int = 0
 ) -> ClusterModel:
-    """Best-of-``n_init`` Lloyd k-means (named for the mini-batch solver it replaced)."""
+    """Best-of-``_N_INIT`` Lloyd k-means (named for the mini-batch solver it replaced)."""
     values = _as_values(matrix)
     config = config or ClusteringConfig()
     n = values.shape[0]
@@ -219,7 +206,7 @@ def minibatch_kmeans(
     canonical = values[order]
 
     best = None
-    for restart in range(config.n_init):
+    for restart in range(_N_INIT):
         rng = np.random.default_rng([seed, restart])
         fit = _run_lloyd(canonical, k, config.max_iters, rng)
         if best is None or fit[2] < best[2]:

@@ -55,11 +55,6 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise InvalidConfig(f"{name} must be a string or null, got {value!r}")
-        n_features = len(self.features.clustering_features)
-        if self.clustering.pca_dim is not None and self.clustering.pca_dim > n_features:
-            raise InvalidConfig(
-                f"pca_dim {self.clustering.pca_dim} exceeds the {n_features} clustering features"
-            )
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

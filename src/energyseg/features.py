@@ -60,20 +60,26 @@ class FeatureConfig:
     clustering_granularity: str = "daily"
     graph_granularity: str = "minute"
 
+    @property
+    def clustering_spec(self) -> FeatureSpec:
+        return FeatureSpec(self.clustering_features, self.clustering_granularity)
+
+    @property
+    def graph_spec(self) -> FeatureSpec:
+        return FeatureSpec(self.graph_features, self.graph_granularity)
+
     def __post_init__(self) -> None:
         for key in ("clustering_features", "graph_features"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
-        for name in self.clustering_features + self.graph_features:
-            if name not in ALL_FEATURES:
-                raise InvalidConfig(f"unknown feature name {name!r}")
+        try:  # FeatureSpec checks the names and granularities
+            _ = self.clustering_spec, self.graph_spec
+        except UnknownFeatureName as exc:
+            raise InvalidConfig(str(exc)) from None
         for key in ("clustering_features", "graph_features"):
             names = getattr(self, key)
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise InvalidConfig(f"{key} names a feature more than once: {repeated}")
-        for gran in (self.clustering_granularity, self.graph_granularity):
-            if gran not in ("daily", "minute"):
-                raise InvalidConfig(f"granularity must be daily or minute, got {gran!r}")
         if not self.clustering_features:
             raise InvalidConfig("clustering_features must name at least 1 feature")
         if len(self.graph_features) < 2:

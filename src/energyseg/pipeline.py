@@ -32,7 +32,6 @@ from .config import OUTPUT_ROOT_ENV, PipelineConfig
 from .errors import InvalidConfig, TooFewRows
 from .features import (
     FeatureMatrix,
-    FeatureSpec,
     player_day_segments,
     pool_features,
     standardize,
@@ -182,13 +181,10 @@ def run_segment(
         cl_cfg = config.clustering
 
         # -- features for clustering ----------------------------------------
-        spec = FeatureSpec(
-            features=config.features.clustering_features,
-            granularity=config.features.clustering_granularity,
-        )
+        spec = config.features.clustering_spec
         matrix = standardize(pool_features(table, spec))
 
-        pca = clustering_mod.pca_fit(matrix, dim=cl_cfg.pca_dim, variance=cl_cfg.pca_variance)
+        pca = clustering_mod.pca_fit(matrix)
         scores = clustering_mod.pca_transform(pca, matrix.values)
         write(
             "pca.json",
@@ -270,10 +266,7 @@ def run_segment(
         )
 
         # -- correlation matrices per class and per cluster -------------------
-        graph_spec = FeatureSpec(
-            features=config.features.graph_features,
-            granularity=config.features.graph_granularity,
-        )
+        graph_spec = config.features.graph_spec
         graph_matrix = pool_features(table, graph_spec)
         row_class = np.array([int(class_map[p]) for p in graph_matrix.row_players])
         row_cluster = model.assignments
@@ -354,11 +347,7 @@ def run_glasso(
 ) -> StageResult:
     """Dependency-graph estimation artifacts (graph.json, edges.csv)."""
     with _stage("glasso", out_dir, config, table) as (stage, table, write):
-        spec = FeatureSpec(
-            features=config.features.graph_features,
-            granularity=config.features.graph_granularity,
-        )
-        matrix = standardize(pool_features(table, spec))
+        matrix = standardize(pool_features(table, config.features.graph_spec))
         graph = glasso_mod.graphical_lasso(matrix, config.glasso, seed=config.seed)
         write("graph.json", glasso_mod.graph_to_dict(graph))
         write("edges.csv", [("a", "b", "weight", "sign"), *glasso_mod.edges_to_csv_rows(graph)])

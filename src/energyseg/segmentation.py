@@ -25,6 +25,7 @@ from .errors import (
     FeatureOrderMismatch,
     InvalidConfig,
     MissingRank,
+    NonFiniteValue,
     TooFewRows,
     ZeroMatrix,
     require_bool,
@@ -127,12 +128,15 @@ def assign_classes(
 def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
     """Pearson correlations with unit diagonal; constant columns zeroed.
 
-    Memory: one N×p working copy beside the input, the deviations over their
-    column norms from :func:`features._scaled_deviations`, whose Gram is the result.
+    Raises :class:`NonFiniteValue` on a NaN or infinite cell. Memory: one N×p
+    working copy beside the input, the deviations over their column norms
+    from :func:`features._scaled_deviations`, whose Gram is the result.
     """
     n = matrix.n_rows
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
+    if not np.isfinite(matrix.values).all():
+        raise NonFiniteValue("matrix contains NaN or infinite entries")
     z, constant = _scaled_deviations(matrix.values, 1)
     if constant.any():
         names = [matrix.column_names[i] for i in np.flatnonzero(constant)]

@@ -43,23 +43,20 @@ _BASE_BASELINES = (400.0, 300.0, 400.0, 350.0)  # minutes/day per RESOURCES orde
 _PORTAL_RATES = {"low": 0.7, "medium": 3.0, "high": 8.0}  # visits/day
 _START_DATE = dt.date(2018, 9, 3)  # a Monday
 _BASELINE_JITTER = 0.08  # per-player multiplicative spread of the baselines
+_BEHAVIOR_JITTER = 0.07  # per-player multiplicative spread of the switching hazards
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Settings for :func:`generate_synthetic`; the ``synth`` config section.
 
-    ``players_per_class`` is (low, medium, high). ``weather_noise`` scales
-    the AR innovation level of the weather streams; ``behavior_jitter`` is
-    the per-player multiplicative spread applied to switching hazards.
+    ``players_per_class`` is (low, medium, high).
     """
 
     players_per_class: tuple[int, int, int] = (2, 2, 2)
     n_days: int = 7
     booster: float = 1.0
     clamp_points_at_zero: bool = False
-    weather_noise: float = 1.0
-    behavior_jitter: float = 0.07
 
     def __post_init__(self) -> None:
         counts = tuple(self.players_per_class)
@@ -72,12 +69,9 @@ class GeneratorConfig:
             raise InvalidConfig("at least one player is required")
         require_int("n_days", self.n_days, 1)
         require_bool("clamp_points_at_zero", self.clamp_points_at_zero)
-        for name in ("booster", "weather_noise", "behavior_jitter"):
-            require_number(name, getattr(self, name))
+        require_number("booster", self.booster)
         if self.booster <= 0:
             raise InvalidConfig(f"booster must be positive, got {self.booster}")
-        if self.weather_noise < 0 or self.behavior_jitter < 0:
-            raise InvalidConfig("noise levels must be nonnegative")
 
 
 def player_roster(config: GeneratorConfig) -> list[tuple[str, str]]:
@@ -112,8 +106,6 @@ def _lag1(arr: np.ndarray) -> np.ndarray:
 
 def _ar1(rng: np.random.Generator, n: int, phi: float, std: float) -> np.ndarray:
     """Stationary AR(1) path x_t = eps_t + phi * x_{t-1}, marginal standard deviation ``std``."""
-    if std == 0.0:
-        return np.zeros(n)
     innov_std = std * np.sqrt(1.0 - phi * phi)
     x = std * rng.standard_normal()
     eps = innov_std * rng.standard_normal(n)
@@ -189,17 +181,16 @@ def _build_weather(
     config: GeneratorConfig, cal: _Calendar, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T = config.n_days * MINUTES_PER_DAY
-    noise = config.weather_noise
-    humidity = _HUM_MEAN + _ar1(rng, T, phi=0.97, std=_HUM_SCALE * noise)
+    humidity = _HUM_MEAN + _ar1(rng, T, phi=0.97, std=_HUM_SCALE)
     humidity = np.clip(humidity, 2.0, 98.0)
 
     temp_cycle = 4.0 * np.sin(2.0 * np.pi * (cal.minute_of_day - 540.0) / MINUTES_PER_DAY)
-    temperature = _TEMP_MEAN + temp_cycle + _ar1(rng, T, phi=0.95, std=1.0 * noise)
+    temperature = _TEMP_MEAN + temp_cycle + _ar1(rng, T, phi=0.95, std=1.0)
 
     cloud = 0.55 + 0.45 * rng.random(config.n_days)
     daylight = np.sin(np.pi * (cal.minute_of_day - 360.0) / 720.0)
     daylight = np.where((cal.minute_of_day >= 360) & (cal.minute_of_day < 1080), daylight, 0.0)
-    ripple = 1.0 + 0.08 * noise * rng.standard_normal(T)
+    ripple = 1.0 + 0.08 * rng.standard_normal(T)
     solar = np.clip(800.0 * cloud[cal.day_index] * daylight * ripple, 0.0, None)
     return humidity, temperature, solar
 
@@ -332,7 +323,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> DatasetTable:
     for row, i in enumerate(order):
         class_name = roster[i][1]
         rng = np.random.default_rng([seed, 1 + i])
-        jm = 1.0 + config.behavior_jitter * (2.0 * rng.random() - 1.0)
+        jm = 1.0 + _BEHAVIOR_JITTER * (2.0 * rng.random() - 1.0)
         baselines[row] = np.asarray(_BASE_BASELINES) * (
             1.0 + _BASELINE_JITTER * (2.0 * rng.random(4) - 1.0)
         )

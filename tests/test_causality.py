@@ -23,7 +23,14 @@ from energyseg.causality import (
     t_survival,
     two_sample_ttest,
 )
-from energyseg.errors import InvalidDof, NoConvergence, NumericError, SeriesTooShort, TooFewSamples
+from energyseg.errors import (
+    InvalidDof,
+    NoConvergence,
+    NonFiniteValue,
+    NumericError,
+    SeriesTooShort,
+    TooFewSamples,
+)
 
 # F statistics of the default report (seed 42), all at F(1, 20143)
 REPORT_F_STATISTICS = (
@@ -227,6 +234,19 @@ class TestGranger:
         with pytest.raises(SeriesTooShort):
             granger_test(np.arange(10.0), np.arange(11.0), lag=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample(self, bad):
+        # a numeric error (exit 5), not a data-size one: the series are long enough
+        y = np.random.default_rng(46).standard_normal(100)
+        x = y.copy()
+        x[40] = bad
+        with pytest.raises(NonFiniteValue):
+            granger_test(x, np.roll(y, 1), lag=1)
+        with pytest.raises(NonFiniteValue):
+            granger_test(np.roll(y, 1), x, lag=1)
+        with pytest.raises(NonFiniteValue):
+            granger_test_segments([(y, np.roll(y, 1)), (x, y)], lag=1)
+
     def test_lag_validation(self):
         with pytest.raises(InvalidDof):
             granger_test(np.arange(10.0), np.arange(10.0), lag=0)
@@ -396,8 +416,10 @@ class TestTTest:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             two_sample_ttest([1.0], [2.0, 3.0])
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(NonFiniteValue):
             two_sample_ttest([1.0, float("nan")], [2.0, 3.0])
+        with pytest.raises(NonFiniteValue):
+            two_sample_ttest([1.0, 2.0], [2.0, float("inf")])
 
     def test_zero_variance_distinct_means(self):
         res = two_sample_ttest([3.0, 3.0, 3.0], [5.0, 5.0])

@@ -405,6 +405,25 @@ class TestReport:
         assert main(["synth", "--days", "3", "--seed", "4", "--out", str(direct)]) == 0
         assert (with_flag / "dataset.csv").read_bytes() == (direct / "dataset.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("synth", "weather_noise", 1.0),
+            ("synth", "behavior_jitter", 0.07),
+            ("clustering", "pca_variance", 0.9),
+            ("clustering", "pca_dim", None),
+            ("clustering", "n_init", 10),
+        ],
+    )
+    def test_removed_option_exit_code(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"InvalidConfig: unknown {section} option(s): ['{key}']" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # rejected before any stage runs
+
 
 def test_cli_import_skips_scipy_signal():
     # scipy.signal takes about a second and ~47 MB to import and nothing uses

@@ -36,7 +36,7 @@ class TestDefaults:
         assert cfg.glasso.folds == 5
         assert cfg.clustering.k == 3
         assert cfg.clustering.k_range == (1, 6)
-        assert cfg.clustering.pca_variance == 0.9
+        assert cfg.clustering.max_iters == 200
         assert cfg.segmentation.invert_rank is False
         assert len(cfg.segmentation.bucket_edges) == 11
         assert cfg.causality.lag == 1
@@ -54,7 +54,7 @@ class TestValidation:
             lambda: GlassoConfig(symmetrization="XOR"),
             lambda: GlassoConfig(selection="bogus"),
             lambda: ClusteringConfig(k=0),
-            lambda: ClusteringConfig(pca_variance=1.5),
+            lambda: FeatureConfig(graph_granularity="weekly"),
             lambda: ClusteringConfig(max_iters=0),
             lambda: CausalityConfig(lag=0),
             lambda: CausalityConfig(alpha=1.5),
@@ -127,6 +127,23 @@ class TestSerialization:
         ):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("synth", "weather_noise", 1.0),
+            ("synth", "behavior_jitter", 0.07),
+            ("clustering", "pca_variance", 0.9),
+            ("clustering", "pca_dim", None),
+            ("clustering", "n_init", 10),
+        ],
+    )
+    def test_removed_option_rejected(self, tmp_path, section, key, value):
+        # even at its old default: each is a constant now
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(InvalidConfig, match=rf"unknown {section} option\(s\): \['{key}'\]"):
+            load_config(str(path))
+
     def test_invalid_value_in_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"glasso": {"symmetrization": "XOR"}}))
@@ -150,8 +167,8 @@ class TestSerialization:
             {"glasso": {"folds": 2.5}},
             {"glasso": {"max_sweeps": 2.5}},
             {"clustering": {"max_iters": 2.5}},
-            {"clustering": {"n_init": 2.5}},
-            {"clustering": {"pca_dim": 2.5}},
+            {"features": {"graph_granularity": "weekly"}},
+            {"features": {"graph_features": ["humidity", "status_fna"]}},
             {"causality": {"lag": 1.5}},
             {"input": 5},
             {"output_dir": 5},
@@ -167,9 +184,9 @@ class TestSerialization:
             {"synth": {"players_per_class": [1.5, 1, 1]}},
             {"glasso": {"tol": True}},
             {"synth": {"booster": True}},
-            {"synth": {"weather_noise": True}},
-            {"synth": {"behavior_jitter": True}},
-            {"clustering": {"pca_variance": True}},
+            {"synth": {"n_days": True}},
+            {"clustering": {"max_iters": True}},
+            {"features": {"clustering_granularity": "hourly"}},
             {"clustering": {"k": True}},
             {"segmentation": {"bucket_edges": [0.0, 0.5, 0.5, 1.0]}},
             {"segmentation": {"bucket_edges": [0.0]}},
@@ -180,8 +197,8 @@ class TestSerialization:
             {"segmentation": {"bucket_edges": [0.0, float("nan"), 1.0]}},
             {"features": {"graph_features": ["humidity", "humidity", "status_fan"]}},
             {"features": {"clustering_features": ["portal_visits", "portal_visits"]}},
-            {"clustering": {"pca_dim": 40}},
-            {"features": {"clustering_features": ["portal_visits"]}, "clustering": {"pca_dim": 2}},
+            {"features": {"clustering_features": ["portal_visit"]}},
+            {"causality": {"alpha": 0.0}},
             {"clustering": {"k": "auto", "k_range": [1, 2]}},  # elbow needs 3 k values
         ],
     )

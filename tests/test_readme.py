@@ -7,6 +7,7 @@ from fnmatch import fnmatch
 from pathlib import Path
 
 from energyseg.cli import main
+from energyseg.config import PipelineConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,6 +23,19 @@ def test_library_use_example_runs():
     namespace: dict = {}
     exec(_block("Library use", "python"), namespace)
     assert len(namespace["graph"].vertex_names) == 4
+
+
+def test_configuration_block_names_every_option():
+    block = re.sub(r"//.*", "", _block("Configuration", "jsonc"))
+    documented = {
+        name: set(re.findall(r'"(\w+)"\s*:', body))
+        for name, body in re.findall(r'^  "(\w+)":(.*?)(?=^  "|^\})', block, re.M | re.S)
+    }
+    expected = {
+        name: set(value) if isinstance(value, dict) else set()
+        for name, value in PipelineConfig().to_dict().items()
+    }
+    assert documented == expected
 
 
 def test_quick_start_runs(tmp_path, monkeypatch):

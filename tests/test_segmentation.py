@@ -24,6 +24,7 @@ from energyseg.errors import (
     EmptyTable,
     FeatureOrderMismatch,
     MissingRank,
+    NonFiniteValue,
     TooFewRows,
     ZeroMatrix,
 )
@@ -187,6 +188,14 @@ class TestCorrelationMatrix:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             correlation_matrix(fm([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell(self, bad):
+        # one NaN cell would make every correlation of its column NaN
+        X = np.random.default_rng(5).standard_normal((200, 3))
+        X[17, 1] = bad
+        with pytest.raises(NonFiniteValue):
+            correlation_matrix(fm(X))
 
     @settings(deadline=None, derandomize=True)
     @given(awkward_matrices())
