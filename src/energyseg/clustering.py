@@ -3,9 +3,9 @@
 PCA via SVD, Lloyd k-means with k-means++ seeding, the elbow heuristic
 (second-difference argmax of the inertia curve), and silhouette scores.
 
-All seeded operations first sort samples into a canonical row order and then
-shuffle by seed, so permuting the input rows permutes the outputs and
-nothing else.
+K-means works on the distinct rows in sorted order, each weighted by its row
+count, and draws its seeds from ``[seed, restart]``; so permuting the input
+rows permutes the assignments and nothing else.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class ClusterModel:
 
     k: int
     centroids: np.ndarray  # k×d
-    assignments: np.ndarray  # N ints in [0, k)
+    assignments: np.ndarray  # one int in [0, k) per row
     inertia: float
     seed: int
     iterations: int  # Lloyd steps of the winning init
@@ -130,14 +130,9 @@ def pca_transform(model: PcaModel, values: np.ndarray) -> np.ndarray:
     return (np.asarray(values, dtype=np.float64) - model.mean) @ model.components.T
 
 
-def _canonical_order(values: np.ndarray) -> np.ndarray:
-    """Deterministic row order independent of input permutation."""
-    return np.lexsort(values.T[::-1])
-
-
 def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct row's first index, in sorted row order, and each row's distinct row."""
-    order = _canonical_order(values)  # stable: equal rows (-0.0 equals 0.0) keep their order
+    order = np.lexsort(values.T[::-1])  # stable: equal rows (-0.0 equals 0.0) keep their order
     ordered = values[order]
     new = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
     inverse = np.empty(len(values), dtype=np.intp)
@@ -150,75 +145,78 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _kmeans_pp(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = values.shape[0]
-    centroids = np.empty((k, values.shape[1]))
-    first = int(rng.integers(n))
-    centroids[0] = values[first]
-    closest = ((values - centroids[0]) ** 2).sum(axis=1)
+def _kmeans_pp(points: np.ndarray, counts: np.ndarray, k: int, rng: np.random.Generator):
+    # a uniform draw picks a row in sorted order, and ends maps it to its point
+    ends = np.cumsum(counts)
+    n = int(ends[-1])
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[np.searchsorted(ends, rng.integers(n), side="right")]
+    closest = ((points - centroids[0]) ** 2).sum(axis=1)
     for c in range(1, k):
-        total = float(closest.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(n))
+        mass = counts * closest  # a D² draw over the rows
+        total = float(mass.sum())
+        if total <= 0.0:  # every point already holds a seed
+            idx = np.searchsorted(ends, rng.integers(n), side="right")
         else:
-            idx = int(rng.choice(n, p=closest / total))
-        centroids[c] = values[idx]
-        dist = ((values - centroids[c]) ** 2).sum(axis=1)
+            idx = int(rng.choice(len(points), p=mass / total))
+        centroids[c] = points[idx]
+        dist = ((points - centroids[c]) ** 2).sum(axis=1)
         np.minimum(closest, dist, out=closest)
     return centroids
 
 
 def _run_lloyd(
-    values: np.ndarray, k: int, max_iters: int, rng: np.random.Generator
+    points: np.ndarray, counts: np.ndarray, weighted: np.ndarray, k: int, max_iters: int, rng
 ) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
-    """Lloyd steps from k-means++ seeds until the assignments repeat."""
-    centroids = _kmeans_pp(values, k, rng)
-    sq = _squared_distances(values, centroids)
+    """Lloyd steps on count-weighted points from k-means++ seeds until the assignments repeat."""
+    centroids = _kmeans_pp(points, counts, k, rng)
+    sq = _squared_distances(points, centroids)
     assignments = np.argmin(sq, axis=1)
     for iterations in range(1, max_iters + 1):
-        for c in range(k):
-            members = values[assignments == c]
-            m = len(members)
+        sizes = np.bincount(assignments, weights=counts, minlength=k)  # exact: integer counts
+        for c, m in enumerate(sizes):
             if m:  # an empty cluster keeps its centroid
-                # the members' mean, formed as a step from the old centroid
+                # the members' weighted mean, formed as a step from the old centroid
+                members = weighted[assignments == c]
                 centroids[c] += (members.sum(axis=0) - m * centroids[c]) / m
-        sq = _squared_distances(values, centroids)
+        sq = _squared_distances(points, centroids)
         nearest = np.argmin(sq, axis=1)
         converged = bool(np.array_equal(nearest, assignments))
         assignments = nearest
         if converged:
             break
-    inertia = float(sq[np.arange(len(values)), assignments].sum())
+    inertia = float((counts * sq[np.arange(len(points)), assignments]).sum())
     return centroids, assignments, inertia, iterations, converged
 
 
 def minibatch_kmeans(
-    matrix, k: int, config: ClusteringConfig | None = None, seed: int = 0
+    matrix, k: int, config: ClusteringConfig | None = None, seed: int = 0, distinct=None
 ) -> ClusterModel:
-    """Best-of-``_N_INIT`` Lloyd k-means (named for the mini-batch solver it replaced)."""
+    """Best-of-``_N_INIT`` Lloyd k-means (named for the mini-batch solver it replaced).
+
+    Lloyd runs on the distinct rows weighted by their row counts, so without
+    repeated rows it is Lloyd on the rows, bit for bit. ``distinct`` is
+    :func:`_distinct_rows` of the same rows, for callers that fit several k.
+    """
     values = _as_values(matrix)
     config = config or ClusteringConfig()
     n = values.shape[0]
     if k < 1 or k > n:
         raise KTooLarge(f"need 1 <= k <= {n}, got {k}")
 
-    order = _canonical_order(values)
-    canonical = values[order]
-
-    best = None
-    for restart in range(_N_INIT):
-        rng = np.random.default_rng([seed, restart])
-        fit = _run_lloyd(canonical, k, config.max_iters, rng)
-        if best is None or fit[2] < best[2]:
-            best = fit
-
-    centroids, canonical_assignments, inertia, iterations, converged = best
-    assignments = np.empty(n, dtype=np.int64)
-    assignments[order] = canonical_assignments
+    first, inverse = _distinct_rows(values) if distinct is None else distinct
+    points = values[first]
+    counts = np.bincount(inverse).astype(np.float64)
+    weighted = points * counts[:, None]
+    fits = (
+        _run_lloyd(points, counts, weighted, k, config.max_iters, np.random.default_rng([seed, r]))
+        for r in range(_N_INIT)
+    )
+    centroids, point_assignments, inertia, iterations, converged = min(fits, key=lambda f: f[2])
     return ClusterModel(
         k=k,
         centroids=centroids,
-        assignments=assignments,
+        assignments=point_assignments[inverse],
         inertia=inertia,
         seed=seed,
         iterations=iterations,
@@ -247,8 +245,9 @@ def elbow_curve(
     ks = list(range(k_min, k_max + 1))
     if len(ks) < 3:
         raise RangeTooNarrow(f"need at least 3 k values, got {len(ks)}")
+    distinct = _distinct_rows(values)
     inertias = np.array(
-        [minibatch_kmeans(values, k, config, seed).inertia for k in ks]
+        [minibatch_kmeans(values, k, config, seed, distinct).inertia for k in ks]
     )
     return inertias, elbow_k(ks, inertias)
 
@@ -256,7 +255,7 @@ def elbow_curve(
 SILHOUETTE_BLOCK_DOUBLES = 2**20  # size of each distance buffer
 
 
-def silhouette(matrix, assignments) -> tuple[float | np.ndarray, np.ndarray]:
+def silhouette(matrix, assignments, distinct=None) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean and per-sample silhouette s = (b − a)/max(a, b).
 
     ``assignments`` is one labelling of the N rows, or an m×N stack scored
@@ -270,7 +269,8 @@ def silhouette(matrix, assignments) -> tuple[float | np.ndarray, np.ndarray]:
     each row reads its point's score in its own cluster. Equal rows have
     equal distances, so the scores are exact up to summation order; without
     repeated rows U = N, the counts are the one-hot and the bytes are those
-    of a full N×N pass. Singleton-cluster samples score 0.
+    of a full N×N pass. Singleton-cluster samples score 0. ``distinct`` is
+    ``_distinct_rows`` of the same rows, for callers that already hold it.
     """
     values = _as_values(matrix)
     n, d = values.shape
@@ -284,7 +284,7 @@ def silhouette(matrix, assignments) -> tuple[float | np.ndarray, np.ndarray]:
 
     starts = np.concatenate([[0], np.cumsum(widths)])
     columns = labels + starts[:-1, None]  # each sample's cluster column, per labelling
-    first, inverse = _distinct_rows(values)
+    first, inverse = _distinct_rows(values) if distinct is None else distinct
     order = np.argsort(first)  # distinct points in first-appearance order
     points = values[first[order]]
     point_of = np.argsort(order)[inverse]

@@ -200,7 +200,10 @@ def run_segment(
         n_rows = scores.shape[0]
         k_lo, k_hi = cl_cfg.k_range
         ks = list(range(k_lo, min(k_hi, n_rows) + 1))
-        models = {k: clustering_mod.minibatch_kmeans(scores, k, cl_cfg, config.seed) for k in ks}
+        distinct = clustering_mod._distinct_rows(scores)  # for every k-means fit and silhouette
+        models = {
+            k: clustering_mod.minibatch_kmeans(scores, k, cl_cfg, config.seed, distinct) for k in ks
+        }
         suggested_k = None
         if len(ks) >= 3:
             suggested_k = clustering_mod.elbow_k(ks, np.array([models[k].inertia for k in ks]))
@@ -212,7 +215,7 @@ def run_segment(
                 f"over {n_rows} clustering rows gives {len(ks)}"
             )
         if k not in models:
-            models[k] = clustering_mod.minibatch_kmeans(scores, k, cl_cfg, config.seed)
+            models[k] = clustering_mod.minibatch_kmeans(scores, k, cl_cfg, config.seed, distinct)
         model = models[k]
         for fit in models.values():
             if not fit.converged:
@@ -224,7 +227,8 @@ def run_segment(
         scored = [sk for sk in sorted(models) if np.ptp(models[sk].assignments) > 0]
         silhouettes: dict[int, float] = {}
         if scored and n_rows >= 3:
-            means, _ = clustering_mod.silhouette(scores, [models[sk].assignments for sk in scored])
+            labellings = [models[sk].assignments for sk in scored]
+            means, _ = clustering_mod.silhouette(scores, labellings, distinct)
             silhouettes = dict(zip(scored, means.tolist()))
         write(
             "elbow.csv",

@@ -193,13 +193,8 @@ def label_clusters(
         for label in ClassLabel:
             similarity[c, int(label)] = rv_coefficient(cluster_corrs[c], class_corrs[label])
 
-    best_perm = None
-    best_total = -np.inf
-    for perm in permutations(range(3)):
-        total = sum(similarity[c, perm[c]] for c in range(3))
-        if total > best_total:
-            best_total = total
-            best_perm = perm
+    # the first bijection of greatest total similarity
+    best_perm = max(permutations(range(3)), key=lambda p: similarity[range(3), p].sum())
     mapping = {c: ClassLabel(best_perm[c]) for c in range(3)}
     return ClusterLabelling(mapping=mapping, similarity_matrix=similarity)
 

@@ -9,7 +9,9 @@ solver must match bit for bit: one system at a time, on Python floats.
 ``row_scored_errors`` scores each fold's β on its held-out rows, the
 reference for the errors read from the held-out Grams. The
 full N×N silhouette pass (``streamed_silhouette``) is the one the
-distinct-row silhouette must match bit for bit on rows without repeats.
+distinct-row silhouette must match bit for bit on rows without repeats,
+and Lloyd on every row (``row_kmeans``) the one that k-means on
+count-weighted distinct rows must match.
 The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
 one object per row, the oracle that ``DatasetTable``'s columns are checked
 against. ``run_chain_loop`` steps the generator's two-state chain
@@ -35,6 +37,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import integrate, special
 
 from energyseg import clustering
+from energyseg.clustering import ClusterModel
 from energyseg.errors import DegenerateColumn, SingleCluster, TooFewRows
 from energyseg.features import FeatureMatrix, standardize
 from energyseg.glasso import CvResult, NeighborhoodFit, _grid_from_max, soft_threshold
@@ -284,6 +287,71 @@ def streamed_silhouette(matrix, assignments):
     if stack.ndim == 1:
         return float(per_sample[0].mean()), per_sample[0]
     return per_sample.mean(axis=1), per_sample
+
+
+def _row_kmeans_pp(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = values.shape[0]
+    centroids = np.empty((k, values.shape[1]))
+    first = int(rng.integers(n))
+    centroids[0] = values[first]
+    closest = ((values - centroids[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = float(closest.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        centroids[c] = values[idx]
+        dist = ((values - centroids[c]) ** 2).sum(axis=1)
+        np.minimum(closest, dist, out=closest)
+    return centroids
+
+
+def _row_squared_distances(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    diff = values[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def _row_lloyd(values: np.ndarray, k: int, max_iters: int, rng: np.random.Generator):
+    centroids = _row_kmeans_pp(values, k, rng)
+    sq = _row_squared_distances(values, centroids)
+    assignments = np.argmin(sq, axis=1)
+    for iterations in range(1, max_iters + 1):
+        for c in range(k):
+            members = values[assignments == c]
+            m = len(members)
+            if m:
+                centroids[c] += (members.sum(axis=0) - m * centroids[c]) / m
+        sq = _row_squared_distances(values, centroids)
+        nearest = np.argmin(sq, axis=1)
+        converged = bool(np.array_equal(nearest, assignments))
+        assignments = nearest
+        if converged:
+            break
+    inertia = float(sq[np.arange(len(values)), assignments].sum())
+    return centroids, assignments, inertia, iterations, converged
+
+
+def row_kmeans(values, k: int, max_iters: int = 200, seed: int = 0) -> ClusterModel:
+    """Best-of-``clustering._N_INIT`` Lloyd k-means on every row, in sorted row order.
+
+    Each restart draws k-means++ seeds over the rows from ``[seed, restart]``
+    and moves every centroid to its members' mean with an N×k×d distance
+    temporary per step. On rows without repeats, :func:`minibatch_kmeans`
+    must reproduce it bit for bit.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.lexsort(values.T[::-1])
+    canonical = values[order]
+    best = None
+    for restart in range(clustering._N_INIT):
+        fit = _row_lloyd(canonical, k, max_iters, np.random.default_rng([seed, restart]))
+        if best is None or fit[2] < best[2]:
+            best = fit
+    centroids, canonical_assignments, inertia, iterations, converged = best
+    assignments = np.empty(len(values), dtype=np.int64)
+    assignments[order] = canonical_assignments
+    return ClusterModel(k, centroids, assignments, inertia, seed, iterations, converged)
 
 
 def f_tail_quad(x: float, d1: float, d2: float) -> float:

@@ -207,9 +207,9 @@ class TestSegment:
     def test_one_silhouette_call_scores_every_k(self, tmp_path, dataset_csv, monkeypatch):
         calls = []
 
-        def spy(matrix, assignments):
+        def spy(matrix, assignments, distinct=None):
             calls.append(np.shape(assignments))
-            return original(matrix, assignments)
+            return original(matrix, assignments, distinct)
 
         original = clustering.silhouette
         monkeypatch.setattr(clustering, "silhouette", spy)
@@ -218,6 +218,31 @@ class TestSegment:
         cells = {int(r["k"]): r["silhouette"] for r in read_rows(tmp_path / "elbow.csv")}
         assert [k for k, cell in cells.items() if cell] == [2, 3, 4, 5, 6]
         assert float(cells[3]) == stage.summary["silhouette"]
+
+    def test_one_sort_of_the_scores_per_stage(self, tmp_path, monkeypatch):
+        # every k-means fit and the silhouette share one distinct-row index
+        calls = {"_distinct_rows": 0, "lexsort": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+        count(clustering, "_distinct_rows")
+        count(np, "lexsort")
+        config = PipelineConfig.from_dict({
+            "synth": {"players_per_class": [1, 1, 1], "n_days": 2},
+            "features": {"clustering_granularity": "minute"},
+        })
+        stage = run_segment(config, str(tmp_path), generate_synthetic(config.synth, seed=3))
+        assert calls == {"_distinct_rows": 1, "lexsort": 1}
+        elbow = read_rows(tmp_path / "elbow.csv")
+        assert [int(r["k"]) for r in elbow] == [1, 2, 3, 4, 5, 6]
+        assert stage.summary["silhouette"] is not None
 
     def test_kmeans_cap_is_reported(self, tmp_path, dataset_csv):
         config = PipelineConfig(input=str(dataset_csv), clustering=ClusteringConfig(max_iters=1))
@@ -537,11 +562,14 @@ def test_runs_with_scipy_blocked(tmp_path, monkeypatch):
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # standardize, the correlations, the Gram, PCA, the silhouette matmul and the
-    # Granger tests must give the same bytes with one BLAS thread as with two
+    # standardize, the correlations, the Gram, PCA, the silhouette matmul, k-means
+    # on count-weighted distinct rows (minute clustering) and the Granger tests
+    # must give the same bytes with one BLAS thread as with two
     argvs = (
         ["synth", "--players-per-class", "2,2,2", "--days", "2", "--seed", "5", "--out", "synth"],
         ["report", "--input", "synth/dataset.csv", "--seed", "5", "--out", "report"],
+        ["report", "--input", "synth/dataset.csv", "--seed", "5", "--out", "minute",
+         "--config", "minute.json"],
     )
     script = (
         "from energyseg.cli import main\n"
@@ -550,6 +578,9 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     )
     for threads in ("1", "2"):
         (tmp_path / threads).mkdir()
+        (tmp_path / threads / "minute.json").write_text(
+            json.dumps({"features": {"clustering_granularity": "minute"}})
+        )
         subprocess.run(
             [sys.executable, "-c", script],
             cwd=tmp_path / threads,
@@ -563,5 +594,6 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     # report.json holds wall times
     compared = [n for n in names if n.name != "report.json"]
     assert len(compared) > 10
+    assert {Path("minute/clusters.json"), Path("minute/elbow.csv")} <= set(compared)
     for name in compared:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_silhouette, gaussian_blobs, streamed_silhouette
+from helpers import brute_silhouette, gaussian_blobs, row_kmeans, streamed_silhouette
 
 from energyseg import clustering
 from energyseg.clustering import (
@@ -177,6 +177,33 @@ class TestMinibatchKmeans:
         assert model.iterations == 1
         assert not model.converged
 
+    def test_repeated_rows_give_the_row_partition(self):
+        # each row repeated 1-50 times: the points weigh as much as their rows
+        rng = np.random.default_rng(66)
+        blobs, _ = gaussian_blobs(rng, [(0, 0), (10, 0), (0, 10), (10, 10)], 15, scale=0.5)
+        data = np.repeat(blobs, rng.integers(1, 51, len(blobs)), axis=0)
+        data = data[rng.permutation(len(data))]
+        for k in range(1, 5):
+            for seed in range(3):
+                model = minibatch_kmeans(data, k=k, seed=seed)
+                oracle = row_kmeans(data, k=k, seed=seed)
+                pairs = np.unique(np.stack([model.assignments, oracle.assignments]), axis=1)
+                assert len(pairs.T) == len(np.unique(pairs[0])) == len(np.unique(pairs[1]))
+                assert model.inertia == pytest.approx(oracle.inertia, rel=1e-9, abs=0.0)
+
+    def test_k_above_the_distinct_count(self):
+        # 6 rows at 2 points: k may exceed the points but not the rows
+        data = np.repeat(np.array([[0.0, 1.0], [2.0, 3.0]]), 3, axis=0)
+        for seed in range(4):
+            model = minibatch_kmeans(data, k=4, seed=seed)
+            oracle = row_kmeans(data, k=4, seed=seed)
+            assert model.centroids.shape == (4, 2)
+            assert np.array_equal(model.assignments, oracle.assignments)
+            assert np.array_equal(model.centroids, oracle.centroids)
+            assert (model.inertia, model.iterations) == (oracle.inertia, oracle.iterations)
+        with pytest.raises(KTooLarge):
+            minibatch_kmeans(data, k=7)
+
 
 # small integer coordinates make duplicate rows and distance ties common
 grids = st.integers(2, 40).flatmap(
@@ -203,6 +230,20 @@ class TestKmeansProperties:
         dists = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         chosen = dists[np.arange(len(data)), model.assignments]
         assert np.all(chosen <= dists.min(axis=1) + 1e-12)
+
+    @settings(deadline=None, derandomize=True)
+    @given(grids, st.integers(1, 6), st.integers(0, 3))
+    def test_without_repeats_matches_row_lloyd_bitwise(self, data, k, seed):
+        # counts of 1 reduce the weighted arithmetic to the row oracle's exactly
+        _, keep = np.unique(data, axis=0, return_index=True)
+        data = data[np.sort(keep)]
+        assume(k <= len(data))
+        model = minibatch_kmeans(data, k=k, seed=seed)
+        oracle = row_kmeans(data, k=k, seed=seed)
+        assert np.array_equal(model.assignments, oracle.assignments)
+        assert np.array_equal(model.centroids, oracle.centroids)
+        assert np.array_equal(model.inertia, oracle.inertia)
+        assert (model.iterations, model.converged) == (oracle.iterations, oracle.converged)
 
     @settings(deadline=None, derandomize=True)
     @given(grids, st.integers(1, 6), st.integers(0, 3), st.randoms(use_true_random=False))
