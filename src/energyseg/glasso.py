@@ -13,24 +13,28 @@ graph.
 :func:`graphical_lasso` takes G = VᵀV and, from one K-fold split shared by
 every vertex, each fold's held-out Gram T_f; no row is read after that. Each
 vertex's fold systems (G − T_f, scored on T_f) and full-data system are
-solved in one call of :func:`_gram_path`:
-Gram-form coordinate descent ("covariance updates", Friedman, Hastie &
-Tibshirani 2010, JSS 33(1), §2.2) that walks the whole stack down the grid
-together, warm-starting each λ from the last, one coordinate at a time
-across the stack. An update maintains the gradient (Xᵀy − XᵀXβ)/N, so a
-sweep costs O(p²) whatever N is. Once descent has found a system's active
-set and signs, the solution is one linear solve away: after a sweep that
-leaves a sign pattern not tried yet, :func:`_active_set_solve` solves it,
-and a solution that passes the KKT conditions exactly finishes the system
-(the active-set view of Osborne, Presnell & Turlach 2000, IMA J. Numer.
-Anal. 20). A system the solve does not finish keeps sweeping. Each
-system's arithmetic is in a fixed order and its solve is its own LAPACK
-call, so its result does not depend on the rest of the stack; tests keep a
-scalar solver on Python floats, with the same solve, as the bit-for-bit
-reference. :func:`cross_validate` runs the same path for one vertex's
-folds. The residual-form solver, used only by :func:`fit_neighborhood`,
-maintains the full residual instead: one sweep costs O(pN) and nothing
-quadratic.
+gathered from those Grams at once and solved in one call of
+:func:`_gram_path`: Gram-form coordinate descent ("covariance updates",
+Friedman, Hastie & Tibshirani 2010, JSS 33(1), §2.2) that updates one
+coordinate at a time across the stack, each system warm-starting each λ of
+its grid from its own solution at the last and moving on as soon as it
+finishes one, so no system waits for a slower one. An update maintains the
+gradient (Xᵀy − XᵀXβ)/N, so a sweep costs O(p²) whatever N is. Once descent
+has found a system's active set and signs, the solution is one linear solve
+away: after a sweep that leaves a sign pattern not tried yet,
+:func:`_active_set_solve` solves it, and a solution that passes the KKT
+conditions exactly finishes the system (the active-set view of Osborne,
+Presnell & Turlach 2000, IMA J. Numer. Anal. 20). A solve that flips some
+active signs takes their homotopy step instead of failing: it drops the
+first coordinate to cross zero on the way from the sweep's β and solves
+again. A system the solve does not finish keeps sweeping. Each system's
+arithmetic is in a fixed order and its solve is its own LAPACK call, so its
+result does not depend on the rest of the stack; tests keep a scalar solver
+on Python floats, with the same solve, as the bit-for-bit reference.
+Every vertex's held-out errors are then scored in one pass.
+:func:`cross_validate` runs the same path for one vertex's folds. The
+residual-form solver, used only by :func:`fit_neighborhood`, maintains the
+full residual instead: one sweep costs O(pN) and nothing quadratic.
 """
 
 from __future__ import annotations
@@ -112,7 +116,9 @@ class GraphEstimate:
     β_ba, under AND the smaller, 0 off the edges. It is a regression
     coefficient, not a partial correlation. ``cv`` holds each vertex's
     cross-validation result (``None`` for a vertex with no penalty grid);
-    it stays in memory and is not serialized.
+    it stays in memory and is not serialized. ``sweeps`` and ``solves`` are
+    the solver's work: the sweeps of its one stacked path, and the systems
+    it passed to an active-set solve.
     """
 
     vertex_names: tuple[str, ...]
@@ -124,6 +130,8 @@ class GraphEstimate:
     seed: int
     warnings: tuple[str, ...] = ()
     cv: tuple[CvResult | None, ...] = ()
+    sweeps: int = 0
+    solves: int = 0
 
 
 @dataclass(frozen=True)
@@ -303,25 +311,33 @@ def fit_neighborhood(
     )
 
 
-def _system(
-    gram: np.ndarray, s: int, n: int, drop: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rows of XᵀX/N, Xᵀy/N and yᵀy/N for regressing column ``s`` on the others.
+def _systems(
+    grams: np.ndarray, counts: np.ndarray, drop: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of XᵀX/N, Xᵀy/N and yᵀy/N for regressing each column on the others, per Gram.
 
-    A column other than ``s`` flagged in ``drop`` gets a zero row and column:
-    descent skips a zero diagonal, so its β stays 0 and it is no regressor of ``s``.
+    ``rows[s, g]``, ``grad0[s, g]`` and ``yy[s, g]`` regress column ``s`` on
+    the others in Gram ``grams[g]`` over ``counts[g]`` rows, all gathered by
+    one index. A column other than ``s`` flagged in ``drop`` gets a zero row
+    and column: descent skips a zero diagonal, so its β stays 0 and it is no
+    regressor of ``s``.
     """
-    others = [j for j in range(len(gram)) if j != s]
-    rows, grad0 = gram[np.ix_(others, others)] / n, gram[others, s] / n
+    p = grams.shape[-1]
+    # others[s]: every column but s
+    others = np.nonzero(~np.eye(p, dtype=bool))[1].reshape(p, p - 1)
+    n = np.asarray(counts)[:, None]
+    rows = grams[:, others[:, :, None], others[:, None, :]]
+    rows /= n[:, :, None, None]
+    grad0 = grams[:, others, np.arange(p)[:, None]] / n[:, :, None]
+    yy = np.diagonal(grams, axis1=1, axis2=2) / n
     if drop is not None:
         off = drop[others]
-        rows[off] = 0.0
-        rows[:, off] = 0.0
-        grad0[off] = 0.0
-    return rows, grad0, gram[s, s] / n
+        rows[:, off[:, :, None] | off[:, None]] = 0.0
+        grad0[:, off] = 0.0
+    return rows.swapaxes(0, 1), grad0.swapaxes(0, 1), yy.T
 
 
-def _fold_grams(values: np.ndarray, folds: int, seed: int) -> list[tuple[np.ndarray, int]]:
+def _fold_grams(values: np.ndarray, folds: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Each fold's held-out Gram and row count: a contiguous split of a shuffle drawn from ``seed``.
 
     Cross-validation's one pass over the rows; everything after it reads these Grams.
@@ -329,11 +345,12 @@ def _fold_grams(values: np.ndarray, folds: int, seed: int) -> list[tuple[np.ndar
     n = len(values)
     if folds > n:
         raise TooFewRows(f"need folds <= {n} rows, got {folds}")
-    held_out = []
-    for rows in np.array_split(np.random.default_rng(seed).permutation(n), folds):
+    splits = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    grams = np.empty((folds, values.shape[1], values.shape[1]))
+    for f, rows in enumerate(splits):
         test = np.take(values, rows, axis=0)  # values[rows], gathered faster
-        held_out.append((test.T @ test, len(rows)))
-    return held_out
+        grams[f] = test.T @ test
+    return grams, np.array([len(rows) for rows in splits])
 
 
 def _left_sum(terms: np.ndarray) -> np.ndarray:
@@ -351,29 +368,37 @@ class _PathStates:
     """Every system's state at the end of each grid index of :func:`_gram_path`.
 
     ``beta[i, k]``, ``loss``, ``sweeps`` and ``converged`` are system ``i``'s
-    at grid index ``k``; ``history[k][t, i]`` is its objective after sweep
-    ``t + 1`` there (rows past its own sweeps repeat its last value).
+    at grid index ``k``, and ``objective[start[i, k]:][:sweeps[i, k]]`` is its
+    objective after each of those sweeps. ``stack_sweeps`` counts the sweeps
+    of the whole stack, ``solves`` the systems passed to
+    :func:`_active_set_solve`.
     """
 
     beta: np.ndarray
     loss: np.ndarray
     sweeps: np.ndarray
     converged: np.ndarray
-    history: list[np.ndarray]
+    objective: np.ndarray | None = None
+    start: np.ndarray | None = None
+    stack_sweeps: int = 0
+    solves: int = 0
+
+    def path(self, i: int, k: int) -> tuple[float, ...]:
+        start = self.start[i, k]
+        return tuple(self.objective[start : start + self.sweeps[i, k]].tolist())
 
     def fit(
         self, i: int, k: int, vertex: int, others: tuple[int, ...], lam: float
     ) -> NeighborhoodFit:
-        sweeps = int(self.sweeps[i, k])
         return NeighborhoodFit(
             vertex=vertex,
             others=others,
             beta=self.beta[i, k].copy(),
             lam=lam,
             loss=float(self.loss[i, k]),
-            iterations=sweeps,
+            iterations=int(self.sweeps[i, k]),
             converged=bool(self.converged[i, k]),
-            objective_path=tuple(self.history[k][:sweeps, i].tolist()),
+            objective_path=self.path(i, k),
         )
 
 
@@ -390,115 +415,129 @@ def _gram_path(
     System ``i`` is (1/2)yᵀy/N − βᵀXᵀy/N + (1/2)βᵀ(XᵀX/N)β + λ‖β‖₁ with
     ``rows[i]`` = XᵀX/N, ``grad0[i]`` = Xᵀy/N and ``yy[i]`` = yᵀy/N, solved at
     each λ of its descending grid ``lams[i]`` from its solution at the one
-    before. The stack walks the grid together, one coordinate at a time
-    across all systems. An update maintains the gradient (Xᵀy − XᵀXβ)/N, so a
-    sweep costs O(p²) and never touches the data rows. A sweep whose
-    objective stalls converges once a KKT check on that gradient (at half
-    :func:`_coordinate_descent`'s certification tolerance) also passes; the
-    system is then frozen until the next λ, since another sweep would move
-    its β. After each sweep, the systems whose sign pattern differs from the
-    last one they tried at this λ try :func:`_active_set_solve`; a certified
-    solution that does not raise the objective replaces the sweep's state
-    and freezes the system as converged. Each system's arithmetic is
-    elementwise and in a fixed order (sums by :func:`_left_sum`), so its
-    result is the same bytes as solving it alone with the updates written
-    on Python floats.
+    before. A sweep updates one coordinate at a time across the stack, each
+    system at its own grid index: a system that finishes a λ moves to the
+    next one before the next sweep, and leaves the stack after its last, so
+    no system waits for a slower one. An update maintains the gradient
+    (Xᵀy − XᵀXβ)/N, so a sweep costs O(p²) and never touches the data rows.
+    A sweep whose objective stalls finishes the λ once a KKT check on that
+    gradient (at half :func:`_coordinate_descent`'s certification tolerance)
+    also passes. After each sweep, the systems whose sign pattern differs
+    from the last one they tried at this λ try :func:`_active_set_solve`; a
+    certified solution that does not raise the objective replaces the
+    sweep's state and finishes the λ as converged. ``max_sweeps`` sweeps
+    end a λ unconverged. Each system's arithmetic is elementwise and in a
+    fixed order (sums by :func:`_left_sum`), so its result is the same bytes
+    as solving it alone with the updates written on Python floats.
     """
     n_sys, n_lam = lams.shape
     m = grad0.shape[1]
     # coordinate-major layout: row j of every system is one contiguous (m, S) block
-    rows_all = np.ascontiguousarray(rows.transpose(1, 2, 0))
-    grad0_all = np.ascontiguousarray(grad0.T)
-    nu_all = np.ascontiguousarray(np.diagonal(rows, axis1=1, axis2=2).T)
+    R = np.ascontiguousarray(rows.transpose(1, 2, 0))
+    g0 = np.ascontiguousarray(grad0.T)
+    nu = np.ascontiguousarray(np.diagonal(rows, axis1=1, axis2=2).T)
+    y = yy
     kkt_tol = 5.0 * tol
     states = _PathStates(
         beta=np.zeros((n_sys, n_lam, m)),
         loss=np.zeros((n_sys, n_lam)),
         sweeps=np.zeros((n_sys, n_lam), dtype=np.int64),
         converged=np.zeros((n_sys, n_lam), dtype=bool),
-        history=[],
     )
+    keys, objectives = [], []  # each sweep's (system, grid index) keys and objectives
 
-    for k in range(n_lam):
-        beta = states.beta[:, k - 1].T.copy() if k else np.zeros((m, n_sys))
-        beta[:, ~beta.any(axis=0)] = 0.0  # a start of zeros is a cold start: −0.0 becomes 0.0
-        live = np.arange(n_sys)
-        R, g0, nu, y = rows_all, grad0_all, nu_all, yy
-        lam = lams[:, k].copy()
-        grad = g0 - _left_sum((R * beta).swapaxes(0, 1))  # Σ_i R[j, i]·β_i
-        prev = _gram_objective(beta, grad, g0, y, lam)
-        last = prev.copy()  # every system's latest objective, for the history
-        history = []
-        sweep = 0
-        coords = None
-        tried = np.zeros((m, n_sys))  # each system's last solved sign pattern (all-zero: none)
-        while len(live) and sweep < max_sweeps:
-            if coords is None:  # a new λ, or the stack just shrank
-                # a fold's training diagonal is 0, or −roundoff, where the
-                # column is 0 on its training rows; a coordinate whose
-                # diagonal is 0 in every system is skipped
-                used, positive = (nu != 0.0).any(axis=1), (nu > 0.0).all(axis=1)
-                coords = [(j, positive[j]) for j in np.flatnonzero(used).tolist()]
-                neglam = -lam
-            sweep += 1
-            for j, plain in coords:
-                d, old = nu[j], beta[j]
-                theta = old * d + grad[j]
-                new = theta - np.minimum(np.maximum(theta, neglam), lam)  # soft threshold
-                if plain:
-                    new /= d
-                else:  # a zero diagonal skips the coordinate; an unmoved β keeps its bits
-                    skip = d == 0.0
-                    new /= np.where(skip, 1.0, d)
-                    new = np.where(skip | (new == old), old, new)
-                step = new - old
-                if np.count_nonzero(step):
-                    beta[j] = new
-                    grad -= R[j] * step
-            obj = _gram_objective(beta, grad, g0, y, lam)
-            signs = np.sign(beta)
-            retry = np.flatnonzero((signs != tried).any(axis=0))
-            solved = np.zeros(len(live), dtype=bool)
-            if len(retry):  # a sign pattern not tried yet at this λ
-                tried[:, retry] = signs[:, retry]
-                parts = R[:, :, retry], g0[:, retry], y[retry], lam[retry], beta[:, retry]
-                x, x_grad, x_obj = _active_set_solve(*parts)
-                # a solve may end a few ulps above the sweep; NaN (no certified solution) fails
-                ok = x_obj <= obj[retry] + 1e-13 * np.abs(obj[retry])
-                if np.count_nonzero(ok):
-                    at = retry[ok]
-                    beta[:, at], grad[:, at], obj[at] = x[:, ok], x_grad[:, ok], x_obj[ok]
-                    solved[at] = True
-            last[live] = obj
-            history.append(last.copy())
-            stalled = prev - obj < tol * np.maximum(np.abs(prev), 1e-300)
-            done = stalled
-            if np.count_nonzero(stalled):
-                active = beta != 0.0
-                kkt = np.where(
-                    active,
-                    np.abs(grad - np.copysign(lam, beta)) <= kkt_tol,
-                    np.abs(grad) <= lam + kkt_tol,
-                )
-                done = stalled & kkt.all(axis=0)
-            done = done | solved
-            prev = obj
-            if np.count_nonzero(done):
-                finished = live[done]
-                states.beta[finished, k] = beta[:, done].T
-                states.loss[finished, k] = obj[done]
-                states.sweeps[finished, k] = sweep
-                states.converged[finished, k] = True
-                keep = ~done
-                live, R, g0, nu, y = live[keep], R[:, :, keep], g0[:, keep], nu[:, keep], y[keep]
-                beta, grad, lam, prev = beta[:, keep], grad[:, keep], lam[keep], prev[keep]
-                tried = tried[:, keep]
+    live = np.arange(n_sys)  # the system at each stack position
+    k = np.full(n_sys, -1)  # each live system's grid index
+    count = np.zeros(n_sys, dtype=np.int64)  # its sweeps at that index
+    beta, grad, tried = np.zeros((m, n_sys)), np.zeros((m, n_sys)), np.zeros((m, n_sys))
+    lam, prev = np.zeros(n_sys), np.zeros(n_sys)
+    coords = None
+    at = live  # the systems that start their next λ, warm from their solution at the last
+    while len(live):
+        if len(at):
+            k[at] += 1
+            count[at] = 0
+            tried[:, at] = 0.0  # each system's last solved sign pattern (all-zero: none)
+            lam[at] = lams[live[at], k[at]]
+            start = beta[:, at]
+            # a start of zeros is a cold start: −0.0 becomes 0.0
+            start[:, ~start.any(axis=0)] = 0.0
+            beta[:, at] = start
+            grad[:, at] = g0[:, at] - _left_sum((R[:, :, at] * start).swapaxes(0, 1))
+            prev[at] = _gram_objective(start, grad[:, at], g0[:, at], y[at], lam[at])
+        if coords is None:  # the first sweep, or the stack just shrank
+            # a fold's training diagonal is 0, or −roundoff, where the
+            # column is 0 on its training rows; a coordinate whose
+            # diagonal is 0 in every system is skipped
+            used, positive = (nu != 0.0).any(axis=1), (nu > 0.0).all(axis=1)
+            coords = [(j, positive[j]) for j in np.flatnonzero(used).tolist()]
+        states.stack_sweeps += 1
+        count += 1
+        neglam = -lam
+        for j, plain in coords:
+            d, old = nu[j], beta[j]
+            theta = old * d + grad[j]
+            new = theta - np.minimum(np.maximum(theta, neglam), lam)  # soft threshold
+            if plain:
+                new /= d
+            else:  # a zero diagonal skips the coordinate; an unmoved β keeps its bits
+                skip = d == 0.0
+                new /= np.where(skip, 1.0, d)
+                new = np.where(skip | (new == old), old, new)
+            step = new - old
+            if np.count_nonzero(step):
+                beta[j] = new
+                grad -= R[j] * step
+        obj = _gram_objective(beta, grad, g0, y, lam)
+        signs = np.sign(beta)
+        retry = np.flatnonzero((signs != tried).any(axis=0))
+        solved = np.zeros(len(live), dtype=bool)
+        if len(retry):  # a sign pattern not tried yet at this λ
+            states.solves += len(retry)
+            tried[:, retry] = signs[:, retry]
+            parts = R[:, :, retry], g0[:, retry], y[retry], lam[retry], beta[:, retry]
+            x, x_grad, x_obj = _active_set_solve(*parts)
+            # a solve may end a few ulps above the sweep; NaN (no certified solution) fails
+            ok = x_obj <= obj[retry] + 1e-13 * np.abs(obj[retry])
+            if np.count_nonzero(ok):
+                won = retry[ok]
+                beta[:, won], grad[:, won], obj[won] = x[:, ok], x_grad[:, ok], x_obj[ok]
+                solved[won] = True
+        keys.append(live * n_lam + k)
+        objectives.append(obj)
+        stalled = prev - obj < tol * np.maximum(np.abs(prev), 1e-300)
+        done = stalled
+        if np.count_nonzero(stalled):
+            active = beta != 0.0
+            kkt = np.where(
+                active,
+                np.abs(grad - np.copysign(lam, beta)) <= kkt_tol,
+                np.abs(grad) <= lam + kkt_tol,
+            )
+            done = stalled & kkt.all(axis=0)
+        done = done | solved
+        prev = obj.copy()  # the log keeps obj; a system's next λ rewrites its prev
+        ended = done | (count == max_sweeps)
+        if np.count_nonzero(ended):
+            at = np.flatnonzero(ended)
+            ids, ks = live[at], k[at]
+            states.beta[ids, ks] = beta[:, at].T
+            states.loss[ids, ks] = obj[at]
+            states.sweeps[ids, ks] = count[at]
+            states.converged[ids, ks] = done[at]
+            last = ended & (k == n_lam - 1)
+            if np.count_nonzero(last):  # a system leaves the stack after its last λ
+                keep = ~last
+                live, k, count, ended = live[keep], k[keep], count[keep], ended[keep]
+                R, g0, nu, y, lam = R[:, :, keep], g0[:, keep], nu[:, keep], y[keep], lam[keep]
+                beta, grad, prev, tried = beta[:, keep], grad[:, keep], prev[keep], tried[:, keep]
                 coords = None
-        # systems still live ran out of sweeps
-        states.beta[live, k] = beta.T
-        states.loss[live, k] = prev
-        states.sweeps[live, k] = sweep
-        states.history.append(np.array(history).reshape(len(history), n_sys))
+        at = np.flatnonzero(ended)
+
+    # each (system, λ)'s objectives, in sweep order, one pair after another
+    states.objective = np.concatenate(objectives)[np.argsort(np.concatenate(keys), kind="stable")]
+    sweeps = states.sweeps.ravel()
+    states.start = (np.cumsum(sweeps) - sweeps).reshape(n_sys, n_lam)
     return states
 
 
@@ -506,49 +545,74 @@ def _solve_blocks(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x[i] solving blocks[i]·x[i] = rhs[i]; NaN for a block LAPACK finds singular.
 
     ``np.linalg.solve`` raises for a whole stack when one block is singular,
-    so a stack that raises is solved again one block at a time. Each block
-    goes through the same LAPACK call either way, so its bytes do not depend
-    on the stack it sits in.
+    so a stack that raises is solved again in two halves, each the same way.
+    Each block goes through the same LAPACK call either way, so its bytes do
+    not depend on the stack it sits in.
     """
     try:
         return np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        x = np.full(rhs.shape, np.nan)
-        for i, (block, b) in enumerate(zip(blocks, rhs)):
-            try:
-                x[i] = np.linalg.solve(block[None], b[None, :, None])[0, :, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return x
+        if len(blocks) == 1:
+            return np.full(rhs.shape, np.nan)
+        half = len(blocks) // 2
+        return np.concatenate(
+            [_solve_blocks(blocks[:half], rhs[:half]), _solve_blocks(blocks[half:], rhs[half:])]
+        )
 
 
 def _active_set_solve(
     R: np.ndarray, grad0: np.ndarray, yy: np.ndarray, lam: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lasso minimiser with ``beta``'s active set and signs, if that pattern is optimal.
+    """The lasso minimiser with ``beta``'s signs, or fewer of them, if that pattern is optimal.
 
     Per system (coordinate-major, as in :func:`_gram_path`), solves
-    R_AA·x_A = g0_A − λ·sign(β_A) with x = 0 off the active set A, each
-    inactive coordinate held by an identity row in an m×m block. Returns x,
-    the gradient (Xᵀy − XᵀXx)/N summed by :func:`_left_sum`, and the
+    R_AA·x_A = g0_A − λ·σ_A with x = 0 off the active set A, each inactive
+    coordinate held by an identity row in an m×m block; A and the signs σ
+    start as ``beta``'s. When x is finite but flips some active signs, the
+    homotopy step of Osborne, Presnell & Turlach (2000, IMA J. Numer. Anal.
+    20) moves from β toward x until the first of them reaches zero, drops
+    that coordinate from A, keeps the other signs and solves again; each
+    step drops one, so a system takes at most m of them. Returns the last
+    x, the gradient (Xᵀy − XᵀXx)/N summed by :func:`_left_sum`, and the
     objective at x. The objective is NaN unless x is finite, keeps every
-    sign of β, and leaves every inactive |gradient| ≤ λ: with the active
-    gradient equal to λ·sign(x) by construction, that certifies x as a
-    global minimiser (Osborne, Presnell & Turlach 2000, IMA J. Numer. Anal.
-    20).
+    sign of σ, and leaves every inactive |gradient| ≤ λ: with the active
+    gradient equal to λ·σ by construction, that certifies x as a global
+    minimiser.
     """
-    active = beta != 0.0
-    eye = np.eye(len(beta))[:, :, None]
-    blocks = np.where(active[:, None] & active[None], R, eye).transpose(2, 0, 1)
-    rhs = np.where(active, grad0 - np.copysign(lam, beta), 0.0)
-    x = _solve_blocks(blocks, rhs.T).T
-    ok = np.isfinite(x).all(axis=0)
-    x = np.where(active & ok, x, 0.0)
-    grad = grad0 - _left_sum((R * x).swapaxes(0, 1))
-    ok &= (np.sign(x) == np.sign(beta)).all(axis=0)
-    ok &= ((np.abs(grad) <= lam) | active).all(axis=0)
-    obj = _gram_objective(x, grad, grad0, yy, lam)
-    return x, grad, np.where(ok, obj, np.nan)
+    m, n_sys = beta.shape
+    eye = np.eye(m)[:, :, None]
+    signs, point = np.sign(beta), beta.copy()  # the pattern and the step's start
+    x, grad, obj = np.empty_like(beta), np.empty_like(beta), np.empty(n_sys)
+    todo = np.arange(n_sys)
+    while len(todo):
+        R_t, g0_t, lam_t, sign_t = R[:, :, todo], grad0[:, todo], lam[todo], signs[:, todo]
+        active = sign_t != 0.0
+        blocks = np.where(active[:, None] & active[None], R_t, eye).transpose(2, 0, 1)
+        rhs = np.where(active, g0_t - np.copysign(lam_t, sign_t), 0.0)
+        x_t = _solve_blocks(blocks, rhs.T).T
+        finite = np.isfinite(x_t).all(axis=0)
+        x_t = np.where(active & finite, x_t, 0.0)
+        grad_t = g0_t - _left_sum((R_t * x_t).swapaxes(0, 1))
+        flips = active & (np.sign(x_t) != sign_t)
+        ok = finite & ~flips.any(axis=0) & ((np.abs(grad_t) <= lam_t) | active).all(axis=0)
+        obj_t = _gram_objective(x_t, grad_t, g0_t, yy[todo], lam_t)
+        x[:, todo], grad[:, todo], obj[todo] = x_t, grad_t, np.where(ok, obj_t, np.nan)
+        step = finite & flips.any(axis=0)
+        if not np.count_nonzero(step):
+            break
+        todo, x_t, sign_t, flips = todo[step], x_t[:, step], sign_t[:, step], flips[:, step]
+        start = point[:, todo]
+        # the fraction of the way from start to x at which each flipped
+        # coordinate reaches zero; one already at zero, or past it, is there at 0
+        reach = flips & (start * sign_t > 0.0)
+        t = np.divide(start, start - x_t, out=np.zeros_like(start), where=reach)
+        first = np.argmin(np.where(flips, t, np.inf), axis=0)
+        cols = np.arange(len(todo))
+        start = start + t[first, cols] * (x_t - start)
+        start[first, cols] = 0.0
+        point[:, todo] = start
+        signs[first, todo] = 0.0
+    return x, grad, obj
 
 
 def _gram_objective(
@@ -560,19 +624,29 @@ def _gram_objective(
 
 
 def _held_out_errors(
-    held_out: list[tuple[np.ndarray, int]], s: int, betas: np.ndarray
+    grams: np.ndarray, counts: np.ndarray, vertices: list[int], betas: np.ndarray
 ) -> np.ndarray:
-    """errors[k, f]: mean squared error of fold f's β at grid index k on its held-out rows.
+    """errors[v, k, f]: mean squared error of ``vertices[v]``'s fold-f β at grid index k.
 
-    From fold f's held-out Gram T over n_f rows: (T_ss − 2βᵀT_os + βᵀT_ooβ)/n_f,
-    twice the λ = 0 objective that :func:`_gram_objective` sums in a fixed order.
+    ``betas[v, f, k]`` is that β, scored on fold f's held-out Gram
+    T = ``grams[f]`` over n_f = ``counts[f]`` rows as
+    (T_ss − 2βᵀT_os + βᵀT_ooβ)/n_f, twice the λ = 0 objective that
+    :func:`_gram_objective` sums in a fixed order. Every vertex is scored in
+    one pass.
     """
-    rows, grad0, yy = map(np.array, zip(*(_system(gram, s, n) for gram, n in held_out)))
-    beta = betas.transpose(2, 0, 1)  # coordinate-major: beta[i, f, k]
-    g0 = grad0.T[:, :, None]
-    grad = g0 - _left_sum((rows.transpose(1, 2, 0)[..., None] * beta).swapaxes(0, 1))
-    errors = 2.0 * _gram_objective(beta, grad, g0, yy[:, None], 0.0)
-    return errors.T.copy()  # row-major: a row's mean adds its folds in the reference's order
+    rows, grad0, yy = (a[vertices] for a in _systems(grams, counts))
+    beta = betas.transpose(3, 0, 1, 2)  # coordinate-major: beta[i, v, f, k]
+    g0 = grad0.transpose(2, 0, 1)[..., None]
+    R = rows.transpose(2, 3, 0, 1)[..., None]
+    # Σ_i R[j, i]·β_i in _left_sum's order, one product at a time: all of
+    # them at once would hold m times the size of the gradient
+    Rb = R[:, 0] * beta[0]
+    for i in range(1, len(beta)):
+        Rb += R[:, i] * beta[i]
+    grad = g0 - (Rb + 0.0)
+    errors = 2.0 * _gram_objective(beta, grad, g0, yy[..., None], 0.0)
+    # row-major: a row's mean adds its folds in the reference's order
+    return np.ascontiguousarray(errors.transpose(0, 2, 1))
 
 
 def _select(errors: np.ndarray, grid: LambdaGrid, rule: str) -> CvResult:
@@ -616,12 +690,11 @@ def cross_validate(
     """
     values = _graph_input(matrix, s)
     GlassoConfig(tol=tol, max_sweeps=max_sweeps, folds=folds, selection=rule)
-    held_out = _fold_grams(values, folds, seed)
+    tests, n_test = _fold_grams(values, folds, seed)
     gram, n = values.T @ values, len(values)
-    rows, grad0, yy = map(np.array, zip(*(_system(gram - t, s, n - n_t) for t, n_t in held_out)))
-    lams = np.tile(grid.values, (folds, 1))
-    states = _gram_path(rows, grad0, yy, lams, tol, max_sweeps)
-    return _select(_held_out_errors(held_out, s, states.beta), grid, rule)
+    rows, grad0, yy = (a[s] for a in _systems(gram - tests, n - n_test))
+    states = _gram_path(rows, grad0, yy, np.tile(grid.values, (folds, 1)), tol, max_sweeps)
+    return _select(_held_out_errors(tests, n_test, [s], states.beta[None])[0], grid, rule)
 
 
 def _twin_columns(matrix: FeatureMatrix) -> list[tuple[int, int]]:
@@ -673,41 +746,44 @@ def graphical_lasso(
     ]
     later = np.zeros(p, dtype=bool)
     later[[b for _, b in twins]] = True
-    vertices = []  # (s, grid, full-data system) of each vertex with a penalty grid
+    # λ_max of each vertex: the largest |Xᵀy|/N over the regressors it keeps
+    lam_max = np.where(np.eye(p, dtype=bool) | later[:, None], 0.0, np.abs(gram / n)).max(axis=0)
+    vertices = []  # (s, grid) of each vertex with a penalty grid
     for s in range(p):
-        full = _system(gram, s, n, later)
         try:
-            grid = _grid_from_max(float(np.abs(full[1]).max()), names[s])
+            grid = _grid_from_max(float(lam_max[s]), names[s])
         except DegenerateColumn:
             fits[s] = NeighborhoodFit(
                 vertex=s,
                 others=tuple(j for j in range(p) if j != s),
                 beta=np.zeros(p - 1),
                 lam=0.0,
-                loss=0.5 * float(full[2]),
+                loss=0.5 * float(gram[s, s] / n),
                 iterations=0,
                 converged=True,
             )
             notes.append(f"column {names[s]} has no correlated columns; kept an empty neighborhood")
             continue
-        vertices.append((s, grid, full))
+        vertices.append((s, grid))
 
     cvs: list[CvResult | None] = [None] * p
+    sweeps = solves = 0
     if vertices:
-        held_out = _fold_grams(values, config.folds, seed)
-        systems = []  # each vertex's fold systems, then its full-data system
-        for s, _, full in vertices:
-            systems.extend(_system(gram - t, s, n - n_t, later) for t, n_t in held_out)
-            systems.append(full)
-        rows, grad0, yy = map(np.array, zip(*systems))
-        lams = np.repeat([grid.values for _, grid, _ in vertices], config.folds + 1, axis=0)
+        tests, n_test = _fold_grams(values, config.folds, seed)
+        ids = [s for s, _ in vertices]
+        # each vertex's fold systems, then its full-data system
+        grams, counts = np.concatenate([gram - tests, gram[None]]), np.append(n - n_test, n)
+        rows, grad0, yy = (a[ids].reshape(-1, *a.shape[2:]) for a in _systems(grams, counts, later))
+        lams = np.repeat([grid.values for _, grid in vertices], config.folds + 1, axis=0)
         states = _gram_path(rows, grad0, yy, lams, config.tol, config.max_sweeps)
-        for v, (s, grid, _) in enumerate(vertices):
-            first = v * (config.folds + 1)
-            errors = _held_out_errors(held_out, s, states.beta[first : first + config.folds])
-            cv = cvs[s] = _select(errors, grid, config.selection)
+        sweeps, solves = states.stack_sweeps, states.solves
+        betas = states.beta.reshape(len(ids), config.folds + 1, *states.beta.shape[1:])
+        errors = _held_out_errors(tests, n_test, ids, betas[:, : config.folds])
+        for v, (s, grid) in enumerate(vertices):
+            cv = cvs[s] = _select(errors[v], grid, config.selection)
             others = tuple(j for j in range(p) if j != s)
-            fits[s] = states.fit(first + config.folds, cv.best_index, s, others, cv.best_lambda)
+            full = v * (config.folds + 1) + config.folds
+            fits[s] = states.fit(full, cv.best_index, s, others, cv.best_lambda)
 
     # coefficient matrix: coef[s, j] = β^s_j (vertex s regressed on j)
     coef = np.zeros((p, p))
@@ -736,6 +812,8 @@ def graphical_lasso(
         seed=seed,
         warnings=tuple(notes),
         cv=tuple(cvs),
+        sweeps=sweeps,
+        solves=solves,
     )
 
 

@@ -359,6 +359,8 @@ def run_glasso(
             "vertices": len(graph.vertex_names),
             "edges": len(graph.edges),
             "symmetrization": graph.symmetrization,
+            "sweeps": graph.sweeps,
+            "solves": graph.solves,
         }
         stage.warnings = list(graph.warnings)
     return stage

@@ -511,25 +511,38 @@ class _GramSystem:
     def finish(self, beta: list[float], lam: float):
         """(β, gradient, objective) of the active-set solve from ``beta``'s signs, or None.
 
-        Solves R_AA·x_A = g0_A − λ·sign(β_A) with inactive coordinates held
-        at 0 by identity rows, by the LAPACK call the batched path makes,
-        and keeps x only when it is finite, keeps every sign, and leaves
-        every inactive |gradient| ≤ λ.
+        Solves R_AA·x_A = g0_A − λ·σ_A with inactive coordinates held at 0
+        by identity rows, by the LAPACK call the batched path makes; the
+        active set A and signs σ start as ``beta``'s. While x is finite but
+        flips some active signs, moves from β toward x until the first of
+        them reaches zero, drops it from A and solves again. Keeps the last
+        x only when it is finite, keeps every sign, and leaves every
+        inactive |gradient| ≤ λ.
         """
-        signs = np.sign(beta)
-        active = signs != 0.0
-        block = np.where(np.outer(active, active), np.array(self.rows), np.eye(len(beta)))
-        rhs = np.where(active, np.array(self.grad0) - np.copysign(lam, beta), 0.0)
-        try:
-            x = np.linalg.solve(block[None], rhs[None, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(x).all():
-            return None
-        x = np.where(active, x, 0.0)
-        if not np.array_equal(np.sign(x), signs):
-            return None
-        x = x.tolist()
+        signs = np.sign(beta).tolist()
+        point = list(beta)
+        while True:
+            active = np.array(signs) != 0.0
+            block = np.where(np.outer(active, active), np.array(self.rows), np.eye(len(beta)))
+            rhs = np.where(active, np.array(self.grad0) - np.copysign(lam, signs), 0.0)
+            try:
+                x = np.linalg.solve(block[None], rhs[None, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(x).all():
+                return None
+            x = np.where(active, x, 0.0).tolist()
+            flips = [j for j, s in enumerate(signs) if s and (x[j] > 0.0) - (x[j] < 0.0) != s]
+            if not flips:
+                break
+            # (t, j): coordinate j reaches zero a fraction t of the way from point to x;
+            # one already at zero, or past it, is there at t = 0
+            t, first = min(
+                (point[j] / (point[j] - x[j]) if point[j] * signs[j] > 0.0 else 0.0, j)
+                for j in flips
+            )
+            point = [b + t * (v - b) for b, v in zip(point, x)]
+            point[first] = signs[first] = 0.0
         grad = self.gradient(x)
         if any(abs(g) > lam for g, b in zip(grad, x) if not b):
             return None

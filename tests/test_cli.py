@@ -15,8 +15,10 @@ from energyseg.cli import main
 from energyseg.config import PipelineConfig, load_config
 from energyseg import clustering
 from energyseg.clustering import ClusteringConfig
-from energyseg.pipeline import run_causality, run_segment
-from energyseg.records import CSV_COLUMNS
+from energyseg.features import pool_features, standardize
+from energyseg.glasso import graphical_lasso
+from energyseg.pipeline import run_causality, run_glasso, run_segment
+from energyseg.records import CSV_COLUMNS, ingest_csv
 from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
 
@@ -299,6 +301,15 @@ class TestGlasso:
         for edge in graph["edges"]:
             assert edge["a"] in graph["vertices"] and edge["b"] in graph["vertices"]
             assert edge["sign"] in (-1, 1)
+
+    def test_summary_counts_the_solver_work(self, tmp_path, dataset_csv):
+        config = PipelineConfig(input=str(dataset_csv), seed=5)
+        stage = run_glasso(config, str(tmp_path))
+        table = ingest_csv(str(dataset_csv))
+        matrix = standardize(pool_features(table, config.features.graph_spec))
+        graph = graphical_lasso(matrix, config.glasso, seed=5)
+        assert stage.summary["sweeps"] == graph.sweeps > 0
+        assert stage.summary["solves"] == graph.solves > 0
 
 
 class TestCausality:
@@ -597,3 +608,12 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert {Path("minute/clusters.json"), Path("minute/elbow.csv")} <= set(compared)
     for name in compared:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    # so are the solver's work counts, which report.json holds beside them
+    for out in ("report", "minute"):
+        work = [
+            [(s["summary"]["sweeps"], s["summary"]["solves"])
+             for s in json.loads((root / out / "report.json").read_text())["stages"]
+             if s["name"] == "glasso"]
+            for root in (one, two)
+        ]
+        assert work[0] == work[1] and len(work[0]) == 1

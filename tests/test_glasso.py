@@ -30,6 +30,7 @@ from energyseg.errors import (
     NotStandardized,
     TooFewRows,
 )
+from energyseg.features import FeatureConfig, pool_features, standardize
 from energyseg.glasso import (
     GlassoConfig,
     _grid_from_max,
@@ -41,6 +42,7 @@ from energyseg.glasso import (
     lambda_grid,
     soft_threshold,
 )
+from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
 
 def chain_matrix(seed, n=2000, p=5, rho=0.6):
@@ -457,6 +459,20 @@ class TestGraphicalLasso:
             direct = fit_neighborhood(matrix, fit.vertex, fit.lam, tol=tol)
             assert np.abs(fit.beta - direct.beta).max() <= 1e-6
 
+    @pytest.mark.parametrize(
+        "players, days, granularity, bound",
+        [((1, 1, 1), 3, "minute", 30), ((2, 2, 2), 4, "daily", 150)],
+    )
+    def test_stack_sweeps_on_generated_tables(self, players, days, granularity, bound):
+        # a walk in which every system waits for the slowest at each λ
+        # takes 68 and 280 sweeps here
+        table = generate_synthetic(GeneratorConfig(players, n_days=days), seed=42)
+        spec = FeatureConfig(graph_granularity=granularity).graph_spec
+        graph = graphical_lasso(standardize(pool_features(table, spec)), seed=42)
+        assert 0 < graph.sweeps <= bound
+        assert graph.solves > 0
+        assert all(fit.converged for fit in graph.per_vertex_fits)
+
     def test_options_validation(self):
         with pytest.raises(InvalidConfig):
             GlassoConfig(symmetrization="XOR")
@@ -578,9 +594,9 @@ class TestGramPathProperties:
         fold_betas = {}
         score = glasso_mod._held_out_errors
 
-        def spy(held_out, s, betas):
-            fold_betas[s] = betas
-            return score(held_out, s, betas)
+        def spy(grams, counts, vertices, betas):
+            fold_betas.update(zip(vertices, betas))
+            return score(grams, counts, vertices, betas)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(glasso_mod, "_held_out_errors", spy)
@@ -620,6 +636,63 @@ class TestGramPathProperties:
         for got, want in zip((x, grad, obj), alone):
             assert got[..., 1].tobytes() == want[..., 0].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 5), size=st.integers(1, 40), data=st.data())
+    def test_singular_blocks_solve_as_alone(self, m, size, data):
+        # LAPACK raises for a whole stack when one block is singular; each
+        # block still gets its own solve's bytes, NaN when it is singular
+        singular = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        blocks = np.array([random_psd(rng, m) + np.eye(m) for _ in range(size)])
+        for i in np.flatnonzero(singular):
+            blocks[i, :, rng.integers(m)] = 0.0  # a zero column: an exactly zero pivot
+        rhs = rng.standard_normal((size, m))
+        x = glasso_mod._solve_blocks(blocks, rhs)
+        for block, b, got, bad in zip(blocks, rhs, x, singular):
+            try:
+                alone = np.linalg.solve(block[None], b[None, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                alone = np.full(m, np.nan)
+            assert np.isnan(alone).all() == bad
+            assert got.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize(
+        "R, grad0, beta, want",
+        [
+            # with all three active the solve turns coordinate 2 negative;
+            # the optimum drops it (its |gradient| is 0.0625 ≤ λ)
+            (
+                [[1.0, 0.6, 0.5], [0.6, 1.0, 0.7], [0.5, 0.7, 1.0]],
+                [0.7, 0.6, 0.45],
+                [0.45, 0.2, 0.02],
+                [0.46875, 0.21875, 0.0],
+            ),
+            # two steps: which coordinate drops second depends on where the
+            # first step left β, not on the sweep's β
+            (
+                [[0.53, -0.44, 0.59], [-0.44, 0.65, -0.59], [0.59, -0.59, 0.87]],
+                [0.14, -0.16, 0.23],
+                [0.21, 0.56, 0.23],
+                [0.0, 0.0, 0.13 / 0.87],
+            ),
+        ],
+    )
+    def test_flip_step_certifies_in_one_call(self, R, grad0, beta, want):
+        # the sweep left active a coordinate that the optimum drops
+        R, grad0, beta, lam = np.array(R), np.array(grad0), np.array(beta), 0.1
+        parts = R[:, :, None], grad0[:, None], np.ones(1), np.array([lam]), beta[:, None]
+        x, grad, obj = glasso_mod._active_set_solve(*parts)
+        assert np.isfinite(obj[0])
+        np.testing.assert_allclose(x[:, 0], want, rtol=1e-14)
+        active = x[:, 0] != 0.0
+        assert np.array_equal(active, np.array(want) != 0.0)
+        assert np.abs(grad[active, 0] - np.copysign(lam, x[active, 0])).max() <= 1e-15
+        assert np.all(np.abs(grad[~active, 0]) <= lam)
+        # the scalar reference takes the same steps to the same bytes
+        gram = np.block([[R, grad0[:, None]], [grad0[None], np.ones((1, 1))]])
+        ref = _GramSystem(gram, 3, 1).finish(beta.tolist(), lam)
+        assert _bits(*x[:, 0], *grad[:, 0], obj[0]) == _bits(*ref[0], *ref[1], ref[2])
+
 
 def _bits(*values):
     return np.asarray(values, dtype=np.float64).tobytes()
@@ -658,12 +731,11 @@ class TestBatchedMatchesScalar:
         config = GlassoConfig(folds=2)
         values = matrix.values
         gram = values.T @ values
-        grams = glasso_mod._fold_grams(values, 2, 39)
-        systems = [glasso_mod._system(gram - t, 0, 12 - n_t) for t, n_t in grams]
-        assert min(np.diag(rows).min() for rows, _, _ in systems) < 0.0
+        tests, n_test = glasso_mod._fold_grams(values, 2, 39)
+        rows, grad0, yy = (a[0] for a in glasso_mod._systems(gram - tests, 12 - n_test))
+        assert min(np.diag(block).min() for block in rows) < 0.0
         # every state on the path, fold systems included, is the scalar walk's
         grid = _grid_from_max(_GramSystem(gram, 0, 12).lambda_max(), matrix.column_names[0])
-        rows, grad0, yy = map(np.array, zip(*systems))
         states = glasso_mod._gram_path(rows, grad0, yy, np.tile(grid.values, (2, 1)), 1e-6, 1000)
         for i, test_rows in enumerate(fold_rows(12, 2, 39)):
             held_out = values[test_rows]
@@ -672,7 +744,7 @@ class TestBatchedMatchesScalar:
             for k, lam in enumerate(grid.values):
                 beta, loss, sweeps, converged, path = _gram_descent(system, lam, 1e-6, 1000, beta)
                 assert states.beta[i, k].tobytes() == beta.tobytes()
-                assert _bits(states.loss[i, k], *states.history[k][:sweeps, i]) == _bits(loss, *path)
+                assert _bits(states.loss[i, k], *states.path(i, k)) == _bits(loss, *path)
                 assert (states.sweeps[i, k], states.converged[i, k]) == (sweeps, converged)
         _assert_matches_scalar(matrix, config, 39)
 
