@@ -285,16 +285,9 @@ def granger_test_segments(
     )
 
 
-def granger_test(
-    x: np.ndarray,
-    y: np.ndarray,
-    lag: int = 1,
-    alpha: float = 0.05,
-    cause: str = "x",
-    effect: str = "y",
-) -> CausalityResult:
-    """Granger F-test of whether lagged ``x`` helps predict ``y``."""
-    return granger_test_segments([(x, y)], lag=lag, alpha=alpha, cause=cause, effect=effect)
+def granger_test(x: np.ndarray, y: np.ndarray, lag: int = 1) -> CausalityResult:
+    """Granger F-test at α = 0.05 of whether lagged ``x`` helps predict ``y``."""
+    return granger_test_segments([(x, y)], lag=lag)
 
 
 @dataclass
@@ -307,10 +300,6 @@ class TTestResult:
     p_value: float
     percent_drop: float
     df: float
-
-    @property
-    def display_p(self) -> str:
-        return "0" if self.p_value < 5e-4 else f"{self.p_value:.4g}"
 
 
 def two_sample_ttest(before: Sequence[float], after: Sequence[float]) -> TTestResult:

@@ -28,6 +28,7 @@ from .errors import (
 from .features import FeatureMatrix
 
 _N_INIT = 10  # k-means++ restarts per k; the fit of least inertia wins
+_VARIANCE = 0.9  # the share of the variance PCA keeps
 
 
 @dataclass
@@ -82,22 +83,12 @@ def _as_values(matrix) -> np.ndarray:
     return values
 
 
-def pca_fit(matrix, dim: int | None = None, variance: float | None = None) -> PcaModel:
-    """Principal directions targeting a fixed dimension or variance share.
-
-    Exactly one of ``dim``/``variance`` applies; if neither is given the
-    default keeps a 0.9 variance fraction.
-    """
+def pca_fit(matrix) -> PcaModel:
+    """The fewest principal directions that keep 90% (``_VARIANCE``) of the variance."""
     values = _as_values(matrix)
-    n, p = values.shape
+    n = values.shape[0]
     if n < 2:
         raise TooFewRows(f"need at least 2 rows for PCA, got {n}")
-    if dim is None and variance is None:
-        variance = 0.9
-    if variance is not None and not 0.0 < variance <= 1.0:
-        raise InvalidConfig(f"variance fraction must be in (0, 1], got {variance}")
-    if dim is not None and not 1 <= dim <= p:
-        raise InvalidConfig(f"dim must be in [1, {p}], got {dim}")
 
     mean = values.mean(axis=0)
     centered = values - mean
@@ -108,10 +99,7 @@ def pca_fit(matrix, dim: int | None = None, variance: float | None = None) -> Pc
         raise DegenerateColumn("data has no variance; PCA is undefined")
     ratio = var / total
 
-    if dim is None:
-        cum = np.cumsum(ratio)
-        dim = int(np.searchsorted(cum, variance - 1e-12) + 1)
-        dim = min(dim, len(ratio))
+    dim = min(int(np.searchsorted(np.cumsum(ratio), _VARIANCE - 1e-12) + 1), len(ratio))
 
     components = vt[:dim].copy()
     # fix the SVD sign ambiguity so repeated runs serialize identically
@@ -234,9 +222,7 @@ def elbow_k(ks: list[int], inertias: np.ndarray) -> int:
     return ks[1 + int(np.argmax(second_diff))]
 
 
-def elbow_curve(
-    matrix, k_range: tuple[int, int], config: ClusteringConfig | None = None, seed: int = 0
-) -> tuple[np.ndarray, int]:
+def elbow_curve(matrix, k_range: tuple[int, int], seed: int = 0) -> tuple[np.ndarray, int]:
     """Inertia per k plus the second-difference elbow suggestion."""
     values = _as_values(matrix)
     k_min, k_max = int(k_range[0]), int(k_range[1])
@@ -247,7 +233,7 @@ def elbow_curve(
         raise RangeTooNarrow(f"need at least 3 k values, got {len(ks)}")
     distinct = _distinct_rows(values)
     inertias = np.array(
-        [minibatch_kmeans(values, k, config, seed, distinct).inertia for k in ks]
+        [minibatch_kmeans(values, k, ClusteringConfig(), seed, distinct).inertia for k in ks]
     )
     return inertias, elbow_k(ks, inertias)
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any
 
-from .causality import DEFAULT_CAUSALITY_PAIRS, CausalityConfig  # noqa: F401
+from .causality import CausalityConfig
 from .clustering import ClusteringConfig
 from .errors import InvalidConfig, require_int
 from .features import FeatureConfig

@@ -233,19 +233,19 @@ def _coordinate_descent(
     lam: float,
     tol: float,
     max_sweeps: int,
-    beta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
     """Residual-form cyclic coordinate descent for (1/2N)‖y − Xβ‖² + λ‖β‖₁.
 
-    Maintains the full residual across coordinate updates. A sweep's
-    objective stall only counts as convergence once an in-place KKT check
-    (at half the certification tolerance) also passes, so every converged
-    fit satisfies the subgradient conditions within 10·tol.
+    Starts from β = 0, with the residual a copy of ``y``, and maintains the
+    full residual across coordinate updates. A sweep's objective stall only
+    counts as convergence once an in-place KKT check (at half the
+    certification tolerance) also passes, so every converged fit satisfies
+    the subgradient conditions within 10·tol.
     """
     n, m = X.shape
     nu = np.einsum("ij,ij->j", X, X) / n  # (1/N)‖Y_j‖² per column
-    beta = np.zeros(m) if beta0 is None else beta0.astype(np.float64, copy=True)
-    r = y - X @ beta if beta.any() else y.astype(np.float64, copy=True)
+    beta = np.zeros(m)
+    r = y.astype(np.float64, copy=True)
     kkt_tol = 5.0 * tol
 
     path: list[float] = []
@@ -285,7 +285,6 @@ def fit_neighborhood(
     lam: float,
     tol: float = 1e-6,
     max_sweeps: int = 1000,
-    beta0: np.ndarray | None = None,
 ) -> NeighborhoodFit:
     """Lasso regression of column ``s`` on all other columns (residual form), at λ > 0."""
     values = _graph_input(matrix, s)
@@ -296,9 +295,7 @@ def fit_neighborhood(
     others = tuple(j for j in range(p) if j != s)
     X = _design(values, list(others))
     y = values[:, s]
-    beta, loss, sweeps, converged, path = _coordinate_descent(
-        X, y, lam, tol, max_sweeps, beta0
-    )
+    beta, loss, sweeps, converged, path = _coordinate_descent(X, y, lam, tol, max_sweeps)
     return NeighborhoodFit(
         vertex=s,
         others=others,
@@ -649,7 +646,8 @@ def _held_out_errors(
     return np.ascontiguousarray(errors.transpose(0, 2, 1))
 
 
-def _select(errors: np.ndarray, grid: LambdaGrid, rule: str) -> CvResult:
+def _select(errors: np.ndarray, lams, rule: str) -> CvResult:
+    """The λ of ``lams``, a descending grid, that ``rule`` picks from the held-out ``errors``."""
     cv_errors = errors.mean(axis=1)
     cv_se = errors.std(axis=1, ddof=1) / np.sqrt(errors.shape[1])
     # grid is descending, so argmin's first hit is already the largest λ
@@ -660,7 +658,7 @@ def _select(errors: np.ndarray, grid: LambdaGrid, rule: str) -> CvResult:
     else:
         best_index = min_index
     return CvResult(
-        best_lambda=grid.values[best_index],
+        best_lambda=float(lams[best_index]),
         best_index=best_index,
         cv_errors=cv_errors,
         cv_se=cv_se,
@@ -694,7 +692,7 @@ def cross_validate(
     gram, n = values.T @ values, len(values)
     rows, grad0, yy = (a[s] for a in _systems(gram - tests, n - n_test))
     states = _gram_path(rows, grad0, yy, np.tile(grid.values, (folds, 1)), tol, max_sweeps)
-    return _select(_held_out_errors(tests, n_test, [s], states.beta[None])[0], grid, rule)
+    return _select(_held_out_errors(tests, n_test, [s], states.beta[None])[0], grid.values, rule)
 
 
 def _twin_columns(matrix: FeatureMatrix) -> list[tuple[int, int]]:
@@ -748,39 +746,35 @@ def graphical_lasso(
     later[[b for _, b in twins]] = True
     # λ_max of each vertex: the largest |Xᵀy|/N over the regressors it keeps
     lam_max = np.where(np.eye(p, dtype=bool) | later[:, None], 0.0, np.abs(gram / n)).max(axis=0)
-    vertices = []  # (s, grid) of each vertex with a penalty grid
-    for s in range(p):
-        try:
-            grid = _grid_from_max(float(lam_max[s]), names[s])
-        except DegenerateColumn:
-            fits[s] = NeighborhoodFit(
-                vertex=s,
-                others=tuple(j for j in range(p) if j != s),
-                beta=np.zeros(p - 1),
-                lam=0.0,
-                loss=0.5 * float(gram[s, s] / n),
-                iterations=0,
-                converged=True,
-            )
-            notes.append(f"column {names[s]} has no correlated columns; kept an empty neighborhood")
-            continue
-        vertices.append((s, grid))
+    for s in np.flatnonzero(lam_max <= 0.0).tolist():  # no penalty grid
+        fits[s] = NeighborhoodFit(
+            vertex=s,
+            others=tuple(j for j in range(p) if j != s),
+            beta=np.zeros(p - 1),
+            lam=0.0,
+            loss=0.5 * float(gram[s, s] / n),
+            iterations=0,
+            converged=True,
+        )
+        notes.append(f"column {names[s]} has no correlated columns; kept an empty neighborhood")
 
     cvs: list[CvResult | None] = [None] * p
     sweeps = solves = 0
-    if vertices:
+    ids = np.flatnonzero(lam_max > 0.0).tolist()  # the vertices with a penalty grid
+    if ids:
+        # row v is vertex ids[v]'s grid, bit for bit the one _grid_from_max makes
+        grids = np.geomspace(lam_max[ids], lam_max[ids] / GRID_RATIO, GRID_SIZE, axis=1)
         tests, n_test = _fold_grams(values, config.folds, seed)
-        ids = [s for s, _ in vertices]
         # each vertex's fold systems, then its full-data system
         grams, counts = np.concatenate([gram - tests, gram[None]]), np.append(n - n_test, n)
         rows, grad0, yy = (a[ids].reshape(-1, *a.shape[2:]) for a in _systems(grams, counts, later))
-        lams = np.repeat([grid.values for _, grid in vertices], config.folds + 1, axis=0)
+        lams = np.repeat(grids, config.folds + 1, axis=0)
         states = _gram_path(rows, grad0, yy, lams, config.tol, config.max_sweeps)
         sweeps, solves = states.stack_sweeps, states.solves
         betas = states.beta.reshape(len(ids), config.folds + 1, *states.beta.shape[1:])
         errors = _held_out_errors(tests, n_test, ids, betas[:, : config.folds])
-        for v, (s, grid) in enumerate(vertices):
-            cv = cvs[s] = _select(errors[v], grid, config.selection)
+        for v, s in enumerate(ids):
+            cv = cvs[s] = _select(errors[v], grids[v], config.selection)
             others = tuple(j for j in range(p) if j != s)
             full = v * (config.folds + 1) + config.folds
             fits[s] = states.fit(full, cv.best_index, s, others, cv.best_lambda)

@@ -2,7 +2,7 @@
 
 The on-disk format is a UTF-8 CSV with one row per (player, minute). Column
 names are fixed (see ``CSV_COLUMNS``); unknown extra columns are ignored on
-ingest, and a column mapping can rename headers from foreign exports.
+ingest.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cache, reduce
 from itertools import islice
 from operator import ior, itemgetter
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -136,17 +136,6 @@ class DatasetTable:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DatasetTable):
-            return NotImplemented
-        return (
-            self.player_ids == other.player_ids
-            and np.array_equal(self.player_codes, other.player_codes)
-            and np.array_equal(self.timestamps, other.timestamps)
-            and all(np.array_equal(self.columns[n], other.columns[n]) for n in FIELD_COLUMNS)
-            and self.dropped_by_reason == other.dropped_by_reason
-        )
-
     def row_players(self, rows: slice | np.ndarray = slice(None)) -> list[str]:
         """The player id of each row, or of each row in ``rows``."""
         return np.asarray(self.player_ids, dtype=object)[self.player_codes[rows]].tolist()
@@ -230,16 +219,10 @@ def _blocks(lines: Iterator[str]) -> Iterator[list[str]]:
         yield block
 
 
-def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
-    """Parse a CSV stream into a :class:`DatasetTable`.
+def ingest_csv(source) -> DatasetTable:
+    """Parse a CSV stream with the ``CSV_COLUMNS`` headers into a :class:`DatasetTable`.
 
-    Parameters
-    ----------
-    source:
-        Text or binary file-like object, or a path string.
-    schema:
-        Optional mapping from canonical column names to the header names used
-        in the source file. Identity for the canonical schema.
+    ``source`` is a text or binary file-like object, or a path string.
 
     Malformed rows are skipped and counted in ``dropped_by_reason`` (see
     ``DROP_REASONS``); duplicate (player, minute) rows keep the first
@@ -255,7 +238,7 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return ingest_csv(handle, schema)
+            return ingest_csv(handle)
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
     try:
@@ -266,11 +249,10 @@ def ingest_csv(source, schema: Mapping[str, str] | None = None) -> DatasetTable:
     lines = iter(source)
     header = next(csv.reader(lines), [])
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
-    sources = [(schema or {}).get(name, name) for name in CSV_COLUMNS]
-    missing = [src for src in sources if src not in position]
+    missing = [name for name in CSV_COLUMNS if name not in position]
     if missing:
         raise MissingColumn(f"missing columns in header: {missing}")
-    index = [position[src] for src in sources]
+    index = [position[name] for name in CSV_COLUMNS]
     pick = itemgetter(*index)
     width = max(index) + 1
     blank = ("",) * len(index)  # a short row: every cell fails to parse

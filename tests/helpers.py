@@ -14,8 +14,9 @@ and Lloyd on every row (``row_kmeans``) the one that k-means on
 count-weighted distinct rows must match.
 The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
 one object per row, the oracle that ``DatasetTable``'s columns are checked
-against. ``run_chain_loop`` steps the generator's two-state chain
-one minute at a time, the oracle for its vectorised form.
+against; ``tables_equal`` compares two tables column by column.
+``run_chain_loop`` steps the generator's two-state chain one minute at a
+time, the oracle for its vectorised form.
 ``granger_oracle`` fits the Granger test's two models by ``lstsq`` on one
 stacked lagged design, the reference for the F from merged cross products.
 ``standardize_formula`` and ``correlation_formula`` make a new array per
@@ -121,6 +122,17 @@ def table_records(table: DatasetTable) -> list[OccupantRecord]:
         OccupantRecord(ts, player, tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12]), *v[12:])
         for ts, player, *v in zip(table.timestamps.tolist(), table.row_players(), *cols)
     ]
+
+
+def tables_equal(a: DatasetTable, b: DatasetTable) -> bool:
+    """Whether two tables hold the same players, rows, cells and drop counts."""
+    return (
+        a.player_ids == b.player_ids
+        and np.array_equal(a.player_codes, b.player_codes)
+        and np.array_equal(a.timestamps, b.timestamps)
+        and all(np.array_equal(a.columns[n], b.columns[n]) for n in FIELD_COLUMNS)
+        and a.dropped_by_reason == b.dropped_by_reason
+    )
 
 
 def make_record(player_id: str = "p1", minute: int = 0, day: int = 0, **overrides) -> OccupantRecord:

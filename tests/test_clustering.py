@@ -21,7 +21,6 @@ from energyseg.clustering import (
     silhouette,
 )
 from energyseg.errors import (
-    InvalidConfig,
     KTooLarge,
     NonFiniteValue,
     RangeTooNarrow,
@@ -32,78 +31,80 @@ from energyseg.features import DEFAULT_CLUSTERING_FEATURES, FeatureSpec, pool_fe
 from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
 
+def exact_spectrum(rng, n: int, spectrum) -> np.ndarray:
+    """n rows whose sample covariance has eigenvalues ``spectrum`` (up to roundoff).
+
+    Zero-mean orthonormal score columns, scaled and rotated by a random orthogonal matrix.
+    """
+    p = len(spectrum)
+    q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, p))]))
+    u = q[:, 1:]  # orthonormal, each orthogonal to the ones vector => zero mean
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return (u * np.sqrt(np.asarray(spectrum, dtype=np.float64))) @ v.T
+
+
 class TestPca:
+    """PCA keeps the fewest components that reach 90% of the variance."""
+
     def test_axis_aligned_example(self):
         data = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        model = pca_fit(data, dim=1)
+        model = pca_fit(data)  # 80% on the first axis: both components
+        assert model.components.shape == (2, 2)
         direction = model.components[0]
         assert abs(abs(direction[0]) - 1.0) <= 1e-12
         assert abs(direction[1]) <= 1e-12
         assert model.explained_variance_ratio[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_full_rank_round_trip(self):
-        rng = np.random.default_rng(50)
-        data = rng.standard_normal((40, 6))
-        model = pca_fit(data, dim=6)
+        data = exact_spectrum(np.random.default_rng(50), 40, [1.0] * 6) + 3.0
+        model = pca_fit(data)  # an equal spectrum needs every component
+        assert model.components.shape == (6, 6)
         recon = pca_transform(model, data) @ model.components + model.mean
         assert np.abs(recon - data).max() <= 1e-8
 
     def test_components_orthonormal(self):
-        rng = np.random.default_rng(51)
-        data = rng.standard_normal((60, 8)) @ rng.standard_normal((8, 8))
-        model = pca_fit(data, dim=8)
+        data = exact_spectrum(np.random.default_rng(51), 60, [1.0] * 8)
+        model = pca_fit(data)
         gram = model.components @ model.components.T
         assert np.abs(gram - np.eye(8)).max() <= 1e-8
 
     def test_ratios_nonincreasing_and_bounded(self):
-        rng = np.random.default_rng(52)
-        data = rng.standard_normal((80, 7)) * np.arange(7, 0, -1)
-        model = pca_fit(data, dim=7)
+        spectrum = np.arange(7.0, 0.0, -1.0)  # cumsums 25%, 46%, 64%, 79%, 89%, 96%, 100%
+        model = pca_fit(exact_spectrum(np.random.default_rng(52), 80, spectrum))
         ratios = np.asarray(model.explained_variance_ratio)
         assert np.all(np.diff(ratios) <= 1e-12)
-        assert ratios.sum() <= 1.0 + 1e-9
+        assert np.abs(ratios - spectrum[:6] / spectrum.sum()).max() <= 1e-12
         assert np.all(ratios >= -1e-12)
 
     def test_variance_target_residual(self):
         rng = np.random.default_rng(53)
         data = rng.standard_normal((100, 10)) * np.linspace(3.0, 0.2, 10)
-        model = pca_fit(data, variance=0.9)
+        model = pca_fit(data)
         recon = pca_transform(model, data) @ model.components + model.mean
         centered = data - data.mean(axis=0)
         residual = ((recon - data) ** 2).sum() / (centered**2).sum()
         assert residual <= 0.1 + 1e-9
 
     def test_variance_picks_smallest_dim(self):
-        rng = np.random.default_rng(54)
-        # exact sample spectrum via SVD: zero-mean orthonormal score columns
-        q, _ = np.linalg.qr(np.column_stack([np.ones(200), rng.standard_normal((200, 4))]))
-        u = q[:, 1:]  # orthonormal, each orthogonal to the ones vector => zero mean
-        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         spectrum = np.array([5.0, 4.0, 3.5, 0.5])  # cumsums 38%, 69%, 96%, 100%
-        data = (u * np.sqrt(spectrum)) @ v.T
-        model = pca_fit(data, variance=0.9)
+        model = pca_fit(exact_spectrum(np.random.default_rng(54), 200, spectrum))
         ratios = np.asarray(model.explained_variance_ratio)
         assert len(ratios) == 3
         assert ratios.sum() >= 0.9
         assert ratios[:2].sum() < 0.9
 
     def test_full_rank_preserves_distances(self):
-        rng = np.random.default_rng(55)
-        data = rng.standard_normal((30, 5))
-        scores = pca_transform(pca_fit(data, dim=5), data)
+        data = exact_spectrum(np.random.default_rng(55), 30, [1.0] * 5)
+        scores = pca_transform(pca_fit(data), data)
+        assert scores.shape == (30, 5)
         for i, j in ((0, 1), (3, 17), (9, 28)):
             orig = np.linalg.norm(data[i] - data[j])
             proj = np.linalg.norm(scores[i] - scores[j])
             assert abs(orig - proj) <= 1e-8
 
     def test_errors(self):
-        rng = np.random.default_rng(56)
         with pytest.raises(TooFewRows):
-            pca_fit(rng.standard_normal((1, 3)))
-        with pytest.raises(InvalidConfig):
-            pca_fit(rng.standard_normal((10, 3)), dim=4)
-        with pytest.raises(InvalidConfig):
-            pca_fit(rng.standard_normal((10, 3)), variance=1.5)
+            pca_fit(np.random.default_rng(56).standard_normal((1, 3)))
 
 
 class TestMinibatchKmeans:
@@ -288,7 +289,7 @@ class TestElbow:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda data: pca_fit(data, dim=1),
+        lambda data: pca_fit(data),
         lambda data: minibatch_kmeans(data, k=2, seed=0),
         lambda data: elbow_curve(data, (1, 4), seed=0),
         lambda data: silhouette(data, np.arange(len(data)) % 2),

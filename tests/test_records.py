@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BASE_DATE, OccupantRecord, make_record, make_table, table_records, table_to_csv
+from helpers import (
+    BASE_DATE,
+    OccupantRecord,
+    make_record,
+    make_table,
+    table_records,
+    table_to_csv,
+    tables_equal,
+)
 from test_acceptance import _daily_minutes
 
 from energyseg.errors import (
@@ -30,6 +38,7 @@ from energyseg.records import (
     COLUMN_DTYPES,
     CSV_COLUMNS,
     DROP_REASONS,
+    DatasetTable,
     INT_COLUMNS,
     STATUS_COLUMNS,
     compute_points,
@@ -122,15 +131,6 @@ class TestIngest:
         with pytest.raises(MissingColumn):
             ingest_csv(io.StringIO("\n".join(lines) + "\n"))
         assert issubclass(MissingColumn, SchemaError)
-
-    def test_schema_maps_renamed_headers(self):
-        lines = small_csv().strip().split("\n")
-        lines[0] = lines[0].replace("rank", "position")
-        text = "\n".join(lines) + "\n"
-        with pytest.raises(MissingColumn):
-            ingest_csv(io.StringIO(text))
-        table = ingest_csv(io.StringIO(text), schema={"rank": "position"})
-        assert [r.rank for r in table_records(table)] == [1, 1, 2]
 
     def test_malformed_rows_skipped_and_counted(self):
         records = small_records() + [make_record("b", 1, rank=2)]
@@ -282,7 +282,7 @@ class TestEmit:
         ]
         table = make_table(records)
         again = ingest_csv(io.StringIO(table_to_csv(table)))
-        assert again == table
+        assert tables_equal(again, table)
 
     def test_emit_deterministic(self):
         table = make_table(small_records())
@@ -297,7 +297,7 @@ class TestEmit:
         table = make_table(small_records())
         with open(path, "w", encoding="utf-8", newline="") as sink:
             emit_csv(table, sink)
-        assert ingest_csv(str(path)) == table
+        assert tables_equal(ingest_csv(str(path)), table)
 
 
 class TestQuotedIds:
@@ -323,12 +323,12 @@ class TestQuotedIds:
             for source in (io.StringIO(text), str(path), io.BytesIO(text.encode("utf-8"))):
                 again = ingest_csv(source)
                 assert again.dropped_rows == 0
-                assert again == table
+                assert tables_equal(again, table)
                 assert table_to_csv(again) == text
 
     def test_one_player_with_a_carriage_return(self):
         table = make_table([make_record("c\rd", 0)])
-        assert ingest_csv(io.StringIO(table_to_csv(table))) == table
+        assert tables_equal(ingest_csv(io.StringIO(table_to_csv(table))), table)
 
     def test_stray_quote_does_not_move_a_block_end(self):
         # csv reads a quote inside an unquoted field as a literal; counting
@@ -420,7 +420,7 @@ class TestRoundTripProperties:
         text = table_to_csv(table)
         again = ingest_csv(io.StringIO(text))
         assert again.dropped_rows == 0
-        assert again == table
+        assert tables_equal(again, table)
         assert table_to_csv(again) == text
 
     @settings(deadline=None, derandomize=True)
@@ -429,7 +429,7 @@ class TestRoundTripProperties:
         header, *rows = table_to_csv(table).strip("\n").split("\n")
         rnd.shuffle(rows)
         shuffled = ingest_csv(io.StringIO("\n".join([header] + rows) + "\n"))
-        assert shuffled == ingest_csv(io.StringIO(table_to_csv(table)))
+        assert tables_equal(shuffled, ingest_csv(io.StringIO(table_to_csv(table))))
         assert table_to_csv(shuffled) == table_to_csv(table)
 
 
@@ -503,7 +503,8 @@ class TestFastPathAgreesWithPerCellPath:
         with patch("numpy.loadtxt", side_effect=ValueError), \
                 patch("energyseg.records._BLOCK_ROWS", 10**9):
             slow = _ingest_outcome(text, binary)
-        assert fast == slow
+        # the same table, or the same error
+        assert tables_equal(fast, slow) if isinstance(fast, DatasetTable) else fast == slow
         assert caught == []
 
     def test_non_ascii_ids_take_the_fast_path(self, tmp_path):
@@ -535,5 +536,5 @@ class TestFastPathAgreesWithPerCellPath:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with patch("energyseg.records._BLOCK_ROWS", block_rows):
-                assert ingest_csv(io.StringIO(table_to_csv(table))) == table
+                assert tables_equal(ingest_csv(io.StringIO(table_to_csv(table))), table)
         assert caught == []
