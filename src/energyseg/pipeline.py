@@ -9,6 +9,13 @@ and returns a :class:`StageResult`. Every stage body runs inside
 input when no table is passed and hands it the one artifact writer. Numeric
 artifacts are byte-deterministic for a given config and seed: floats are
 written in their shortest round-trip form and JSON keys are sorted.
+
+dataset.csv is written by :func:`run_command`, not by the synth and ingest
+stages, so their seconds do not include the write. ``synth`` and ``ingest``
+write it inline. ``report`` forks one child that writes it while segment,
+glasso and causality run, as none of them reads the file; the parent waits
+for the child before report.json, on every exit path, and writes the file
+itself when the child failed or ``os.fork`` is missing or fails.
 """
 
 from __future__ import annotations
@@ -123,10 +130,9 @@ def _stage(
 
 
 def run_synth(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, StageResult]:
-    """Generate the synthetic dataset and write it as dataset.csv."""
+    """Generate the synthetic dataset; the caller writes it as dataset.csv."""
     with _stage("synth", out_dir) as (stage, _, _):
         table = generate_synthetic(config.synth, config.seed)
-        emit_csv(table, os.path.join(out_dir, DATASET_FILE))
         stage.files.append(DATASET_FILE)
         stage.summary = {
             "players": len(table.player_ids),
@@ -137,9 +143,8 @@ def run_synth(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, Stage
 
 
 def run_ingest(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, StageResult]:
-    """Validate an input CSV and write its normalized copy plus a summary."""
+    """Validate an input CSV and write a summary; the caller writes its normalized copy."""
     with _stage("ingest", out_dir, config) as (stage, table, write):
-        emit_csv(table, os.path.join(out_dir, DATASET_FILE))
         stage.files.append(DATASET_FILE)
         stage.summary = {
             "records": len(table),
@@ -427,13 +432,48 @@ def run_causality(
     return stage
 
 
+def _fork_emit(table: DatasetTable, path: str) -> int | None:
+    """Fork a child that writes ``table`` to ``path`` and exits; its pid, or None if none forked.
+
+    The child exits 0 once the file is written and 1 on any exception,
+    through ``os._exit``, so none of the parent's cleanup runs in it.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): the join writes inline
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            emit_csv(table, path)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _join_emit(pid: int | None, table: DatasetTable, path: str) -> float:
+    """Reap the child of :func:`_fork_emit`; write inline if there is none or it failed.
+
+    Returns the seconds the caller was blocked here.
+    """
+    start = time.perf_counter()
+    if pid is None or os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+        emit_csv(table, path)
+    return time.perf_counter() - start
+
+
 def run_command(command: str, config: PipelineConfig, out_dir: str) -> list[StageResult]:
     """Run one CLI command: its own stage, or every stage for ``report``.
 
     Creates ``out_dir`` and writes config.json, the effective config, before
     any stage runs. ``report`` takes its table from ingest when an input is
-    configured, else from synth, passes it to segment, glasso and causality,
-    and ends with report.json: the stage summaries and every file written.
+    configured, else from synth, passes it to segment, glasso and causality
+    while a child writes dataset.csv, and ends with report.json: the stage
+    summaries, the seconds spent waiting for dataset.csv and every file
+    written.
     Stages are called through their module-level names, so a wrapper bound
     over one (as the profiler in perfbench does) sees the call.
     """
@@ -441,21 +481,30 @@ def run_command(command: str, config: PipelineConfig, out_dir: str) -> list[Stag
     files: list[str] = []
     write = _writer(out_dir, files)
     write(CONFIG_FILE, config.to_dict())
+    dataset = os.path.join(out_dir, DATASET_FILE)
     if command in ("synth", "ingest"):
-        return [globals()[f"run_{command}"](config, out_dir)[1]]
+        table, stage = globals()[f"run_{command}"](config, out_dir)
+        emit_csv(table, dataset)
+        return [stage]
     if command != "report":
         return [globals()[f"run_{command}"](config, out_dir)]
 
     table, stage = run_ingest(config, out_dir) if config.input else run_synth(config, out_dir)
-    stages = [
-        stage,
-        run_segment(config, out_dir, table),
-        run_glasso(config, out_dir, table),
-        run_causality(config, out_dir, table),
-    ]
+    # forked outside every stage, so a fork warning is not a stage warning
+    writer = _fork_emit(table, dataset)
+    try:
+        stages = [
+            stage,
+            run_segment(config, out_dir, table),
+            run_glasso(config, out_dir, table),
+            run_causality(config, out_dir, table),
+        ]
+    finally:
+        dataset_wait_s = _join_emit(writer, table, dataset)
     files += [f for stage in stages for f in stage.files]
     report = {
         "seed": config.seed,
+        "dataset_wait_s": dataset_wait_s,
         "stages": [
             {
                 "name": s.name,

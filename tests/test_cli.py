@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +460,111 @@ class TestReport:
         assert f"InvalidConfig: unknown {section} option(s): ['{key}']" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()  # rejected before any stage runs
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_fails():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def _artifacts(out):
+    """Every artifact's bytes but report.json's and config.json's, which names ``out``."""
+    skip = ("report.json", "config.json")
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name not in skip}
+
+
+class TestDatasetWriter:
+    """report writes dataset.csv from a forked child; synth and ingest write it inline."""
+
+    CONFIG = {"synth": {"players_per_class": [1, 1, 1], "n_days": 1}}
+
+    def _report(self, tmp_path, name, config=None, code=0):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config or self.CONFIG))
+        out = tmp_path / name
+        argv = ["report", "--config", str(cfg), "--out", str(out), "--seed", "42"]
+        assert main(argv) == code
+        return out
+
+    def test_report_forks_once_and_reaps_the_child(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        out = self._report(tmp_path, "report")
+        assert len(forks) == 1
+        _no_child_left()
+        report = json.loads((out / "report.json").read_text())
+        assert report["dataset_wait_s"] >= 0
+        assert "dataset.csv" in report["files"]
+
+    def test_failed_segment_leaves_no_child(self, tmp_path, capsys):
+        # k='auto' over 2 clustering rows exits 4 in segment, while the child writes
+        config = {
+            "synth": {"players_per_class": [1, 0, 0], "n_days": 2},
+            "clustering": {"k": "auto", "k_range": [1, 3]},
+        }
+        out = self._report(tmp_path, "report", config, code=4)
+        assert "TooFewRows" in capsys.readouterr().err
+        _no_child_left()
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(config))
+        synth = tmp_path / "synth"
+        assert main(["synth", "--config", str(cfg), "--out", str(synth), "--seed", "42"]) == 0
+        assert (out / "dataset.csv").read_bytes() == (synth / "dataset.csv").read_bytes()
+
+    def test_unwritable_dataset_exit_code(self, tmp_path, capsys):
+        (tmp_path / "report" / "dataset.csv").mkdir(parents=True)
+        self._report(tmp_path, "report", code=1)
+        assert "[report] IsADirectoryError" in capsys.readouterr().err
+        _no_child_left()
+
+    def test_killed_child_is_rewritten_inline(self, tmp_path, monkeypatch):
+        from energyseg import pipeline
+
+        forked = self._report(tmp_path, "forked")
+        parent, emit = os.getpid(), pipeline.emit_csv
+
+        def emit_or_die(table, path):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            emit(table, path)
+
+        monkeypatch.setattr(pipeline, "emit_csv", emit_or_die)
+        killed = self._report(tmp_path, "killed")
+        _no_child_left()
+        assert _artifacts(killed) == _artifacts(forked)
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_without_fork_writes_the_same_bytes(self, tmp_path, monkeypatch, fork):
+        forked = self._report(tmp_path, "forked")
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", _fork_fails)
+        inline = self._report(tmp_path, "inline")
+        assert _artifacts(inline) == _artifacts(forked)
+        assert "dataset_wait_s" in json.loads((inline / "report.json").read_text())
+
+    def test_synth_and_ingest_do_not_fork(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out", str(synth), "--seed", "3", "--days", "1"]) == 0
+        ingest = tmp_path / "ingest"
+        dataset = synth / "dataset.csv"
+        assert main(["ingest", "--input", str(dataset), "--out", str(ingest)]) == 0
+        assert (ingest / "dataset.csv").read_bytes() == dataset.read_bytes()
 
 
 def test_cli_import_skips_scipy_signal():
