@@ -16,6 +16,13 @@ write it inline. ``report`` forks one child that writes it while segment,
 glasso and causality run, as none of them reads the file; the parent waits
 for the child before report.json, on every exit path, and writes the file
 itself when the child failed or ``os.fork`` is missing or fails.
+
+An input that is a regular file is parsed by two processes: inside the
+ingest stage, :func:`~energyseg.records.ingest_csv` forks a child that parses
+the second half of the file and reaps it before returning. Both children
+come from :func:`~energyseg.records.fork_child`, and the parse child has
+ended before the writer is forked, so a report uses at most two processes
+at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +50,14 @@ from .features import (
     pool_features,
     standardize,
 )
-from .records import DatasetTable, emit_csv, ingest_csv, require_nonempty
+from .records import (
+    DatasetTable,
+    emit_csv,
+    fork_child,
+    ingest_csv,
+    reap_child,
+    require_nonempty,
+)
 from .segmentation import ClassLabel
 from .synthetic import generate_synthetic
 
@@ -432,39 +446,6 @@ def run_causality(
     return stage
 
 
-def _fork_emit(table: DatasetTable, path: str) -> int | None:
-    """Fork a child that writes ``table`` to ``path`` and exits; its pid, or None if none forked.
-
-    The child exits 0 once the file is written and 1 on any exception,
-    through ``os._exit``, so none of the parent's cleanup runs in it.
-    """
-    if not hasattr(os, "fork"):
-        return None
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare (EAGAIN, ENOMEM): the join writes inline
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            emit_csv(table, path)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def _join_emit(pid: int | None, table: DatasetTable, path: str) -> float:
-    """Reap the child of :func:`_fork_emit`; write inline if there is none or it failed.
-
-    Returns the seconds the caller was blocked here.
-    """
-    start = time.perf_counter()
-    if pid is None or os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
-        emit_csv(table, path)
-    return time.perf_counter() - start
-
-
 def run_command(command: str, config: PipelineConfig, out_dir: str) -> list[StageResult]:
     """Run one CLI command: its own stage, or every stage for ``report``.
 
@@ -490,8 +471,7 @@ def run_command(command: str, config: PipelineConfig, out_dir: str) -> list[Stag
         return [globals()[f"run_{command}"](config, out_dir)]
 
     table, stage = run_ingest(config, out_dir) if config.input else run_synth(config, out_dir)
-    # forked outside every stage, so a fork warning is not a stage warning
-    writer = _fork_emit(table, dataset)
+    writer = fork_child(lambda: emit_csv(table, dataset))
     try:
         stages = [
             stage,
@@ -499,8 +479,11 @@ def run_command(command: str, config: PipelineConfig, out_dir: str) -> list[Stag
             run_glasso(config, out_dir, table),
             run_causality(config, out_dir, table),
         ]
-    finally:
-        dataset_wait_s = _join_emit(writer, table, dataset)
+    finally:  # reap the writer, or write inline when there is none or it failed
+        start = time.perf_counter()
+        if writer is None or not reap_child(writer):
+            emit_csv(table, dataset)
+        dataset_wait_s = time.perf_counter() - start
     files += [f for stage in stages for f in stage.files]
     report = {
         "seed": config.seed,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import re
+import signal
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -18,7 +20,8 @@ from enum import Enum
 from functools import cache, reduce
 from itertools import islice
 from operator import ior, itemgetter
-from typing import Callable, Iterator
+from stat import S_ISREG
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -219,6 +222,90 @@ def _blocks(lines: Iterator[str]) -> Iterator[list[str]]:
         yield block
 
 
+def _utf8_size(block: list[str]) -> int:
+    """The UTF-8 bytes of the lines in ``block``."""
+    text = "".join(block)
+    return len(text) if text.isascii() else len(text.encode())
+
+
+def _until(blocks: Iterator[list[str]], limit: int) -> Iterator[list[str]]:
+    """Blocks from ``blocks`` until those taken hold ``limit`` UTF-8 bytes or more."""
+    held = 0
+    while held < limit and (block := next(blocks, None)) is not None:
+        held += _utf8_size(block)
+        yield block
+
+
+def fork_child(work: Callable[[], object]) -> int | None:
+    """Fork a child that runs ``work`` and exits; its pid, or None if none forked.
+
+    The child exits 0 once ``work`` returns and 1 on any exception, through
+    ``os._exit``, so none of the parent's cleanup, ``atexit`` hooks or stdio
+    flushes run in it. None when ``os.fork`` is missing or raises ``OSError``
+    (no process to spare: EAGAIN, ENOMEM); the caller then does the work
+    inline. From Python 3.12 ``os.fork`` warns in a process with threads,
+    such as BLAS's idle workers; the warning is dropped here, so it never
+    becomes a stage warning. Neither child of the package calls BLAS.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def reap_child(pid: int) -> bool:
+    """Wait for the child ``pid`` of :func:`fork_child` to end; whether it exited 0."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def _fork_pipe(send: Callable[[BinaryIO], None]) -> tuple[int, BinaryIO] | None:
+    """Fork a child that runs ``send`` on a pipe; its pid and the pipe's read end, or None."""
+    read_end, write_end = os.pipe()
+
+    def work() -> None:
+        os.close(read_end)  # else its writes would block, not fail, once the parent is gone
+        with open(write_end, "wb") as pipe:
+            send(pipe)
+
+    pid = fork_child(work)
+    os.close(write_end)
+    if pid is None:
+        os.close(read_end)
+        return None
+    return pid, open(read_end, "rb")
+
+
+def _receive(pipe: BinaryIO, arrays: list[np.ndarray], total: int) -> tuple[int, list[str]] | None:
+    """Read a child's rows from ``pipe`` into ``arrays`` after row ``total``.
+
+    Returns the row count and the player names the rows' codes index, or
+    None when the output ends early. Each array grows in place and its new
+    rows are read straight into it.
+    """
+    line = pipe.readline()
+    if not line.endswith(b"\n"):
+        return None
+    rows, names = json.loads(line)
+    for array in arrays:
+        if len(array) < total + rows:
+            array.resize(total + rows, refcheck=False)
+        if pipe.readinto(array[total:total + rows]) != rows * array.itemsize:
+            return None
+    return rows, names
+
+
 def ingest_csv(source) -> DatasetTable:
     """Parse a CSV stream with the ``CSV_COLUMNS`` headers into a :class:`DatasetTable`.
 
@@ -230,24 +317,44 @@ def ingest_csv(source) -> DatasetTable:
     header is absent and :class:`ParseError` when more than half the data
     rows are dropped.
 
+    Two processes parse a path to a regular file whose first block of
+    ``_BLOCK_ROWS`` lines ends before the file's middle byte, ``size // 2``.
+    Once the header is checked, one child is forked (see :func:`fork_child`):
+    it opens the path itself, checks that it is the same file, cuts the
+    same blocks and parses those that start at or past that byte, then sends
+    its rows through a pipe. The parent parses the blocks before it and
+    reads the child's rows onto its own, so both halves meet in file order.
+    Streams, other files, a one-block file and a process where the fork fails
+    parse inline. When the child fails, the parent parses the second half
+    inline, so an error in it surfaces as it would inline; when the parent
+    fails, it kills and reaps the child first.
+
     Memory: blocks of ``_BLOCK_ROWS`` lines are parsed into the table's columns, sized from
     the file's bytes and stored at their ``COLUMN_DTYPES`` width; a block's 0/1 cells are
     checked as int64 first, so none wraps. Beside the columns are one block, per-row times
     and players, one bool array per drop check and one cache entry per timestamp. Rows in
-    (player, minute) order are not sorted or gathered.
+    (player, minute) order are not sorted or gathered. A child's rows are read from the pipe
+    straight into the columns' tails; the child holds its half of the columns until then.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return ingest_csv(handle)
+            return _ingest(handle, source)
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return _ingest(source, None)
+
+
+def _ingest(source, path: str | bytes | None) -> DatasetTable:
+    """:func:`ingest_csv` of the text stream ``source``, which was opened from ``path`` if any."""
     try:
-        size = os.fstat(source.fileno()).st_size
+        info = os.fstat(source.fileno())
     except (AttributeError, OSError):  # a stream with no file behind it
-        size = None
+        info = None
+    size = info.st_size if info else 0
 
     lines = iter(source)
-    header = next(csv.reader(lines), [])
+    header_lines: list[str] = []
+    header = next(csv.reader(header_lines.append(line) or line for line in lines), [])
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     missing = [name for name in CSV_COLUMNS if name not in position]
     if missing:
@@ -292,21 +399,79 @@ def ingest_csv(source) -> DatasetTable:
     # stamps, player codes, the fields, unparsable, offset, not binary: one array each, for
     # all rows; a 0/1 column's int64 cells are checked before they are stored as int8
     kinds = (np.int64, np.intp, *COLUMN_DTYPES.values(), bool, bool, bool)
-    arrays = [np.empty(0, kind) for kind in kinds]
     binary_parts = [2 + FIELD_COLUMNS.index(name) for name in BINARY_COLUMNS]
-    total = chars = 0
-    for block in _blocks(lines):
-        text = "".join(block)
-        parts = parse(block, text)
-        parts.append(reduce(ior, ((parts[i] < 0) | (parts[i] > 1) for i in binary_parts)))
-        start, total, chars = total, total + len(parts[0]), chars + len(text)
-        if total > len(arrays[0]):  # room for the file at the rate so far, or an eighth more
-            capacity = max(total * size // chars if size else 0, total + total // 8 + 1)
-            for array in arrays:  # a realloc: no copy is held beside the old array
-                array.resize(capacity, refcheck=False)
-        for array, part in zip(arrays, parts):
-            array[start:total] = part
-        del block, text, parts  # before the next block is read
+
+    def fill(arrays: list[np.ndarray], total: int, blocks: Iterator[list[str]], room: int) -> int:
+        # parse blocks onto arrays after row total; returns the new row count
+        base, chars = total, 0
+        for block in blocks:
+            text = "".join(block)
+            parts = parse(block, text)
+            parts.append(reduce(ior, ((parts[i] < 0) | (parts[i] > 1) for i in binary_parts)))
+            start, total, chars = total, total + len(parts[0]), chars + len(text)
+            if total > len(arrays[0]):  # room for `room` bytes at the rate so far, or an eighth more
+                capacity = max(base + (total - base) * room // chars, total + total // 8 + 1)
+                for array in arrays:  # a realloc: no copy is held beside the old array
+                    array.resize(capacity, refcheck=False)
+            for array, part in zip(arrays, parts):
+                array[start:total] = part
+            del block, text, parts  # before the next block is read
+        return total
+
+    # the blocks that start before byte `half` are the parent's
+    half = size // 2 if path is not None and S_ISREG(info.st_mode) else 0
+    blocks = _blocks(lines)
+    first = list(islice(blocks, 1))
+    data_start = _utf8_size(header_lines)
+    held = data_start + sum(map(_utf8_size, first))  # where the second block starts
+
+    def send(pipe: BinaryIO) -> None:
+        # the child: the second half's row count and player names, a line of JSON, then its rows
+        with open(path, "r", encoding="utf-8", newline="") as again:
+            if not os.path.samestat(os.fstat(again.fileno()), info):
+                raise FileNotFoundError(path)  # replaced since the parent opened it
+            rest = iter(again)
+            next(csv.reader(rest))
+            rest = _blocks(rest)
+            for _ in _until(rest, half - data_start):
+                pass
+            tail = [np.empty(0, kind) for kind in kinds]
+            rows = fill(tail, 0, rest, size - half)
+        pipe.write(json.dumps([rows, list(player_index)]).encode() + b"\n")
+        for array in tail:
+            pipe.write(array[:rows])
+
+    arrays = [np.empty(0, kind) for kind in kinds]
+    forked = _fork_pipe(send) if first and held < half else None
+
+    def own() -> Iterator[list[str]]:  # the parent's blocks: all of them when none forked
+        if first:
+            yield first.pop()
+        yield from blocks if forked is None else _until(blocks, half - held)
+
+    if forked is None:
+        total = fill(arrays, 0, own(), size)
+    else:
+        pid, pipe = forked
+        sent = None
+        try:
+            with pipe:
+                total = fill(arrays, 0, own(), size)
+                sent = _receive(pipe, arrays, total)
+        finally:
+            if sent is None:  # the parent's half raised, or the child's output ended early
+                os.kill(pid, signal.SIGKILL)
+            if not reap_child(pid):
+                sent = None
+        if sent is None:  # the child failed: its half inline, so its error surfaces here
+            total = fill(arrays, total, blocks, size - half)
+        else:
+            blocks.close()  # it holds the last block it cut
+            rows, names = sent
+            codes = np.array([player_index.setdefault(n, len(player_index)) for n in names], np.intp)
+            child_codes = arrays[1][total:total + rows]
+            child_codes[:] = codes[child_codes]
+            total += rows
     for array in arrays:
         array.resize(total, refcheck=False)
     stamps, player, *fields, unparsable, offset, not_binary = arrays

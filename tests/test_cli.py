@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,45 @@ class TestDatasetWriter:
         assert report["dataset_wait_s"] >= 0
         assert "dataset.csv" in report["files"]
 
+    def _report_input(self, tmp_path):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        synth = tmp_path / "synth"
+        assert main(["synth", "--config", str(cfg), "--out", str(synth), "--seed", "42"]) == 0
+        dataset = synth / "dataset.csv"  # 4,320 rows: a regular file of nine blocks
+        out = tmp_path / "report"
+        assert main(["report", "--input", str(dataset), "--out", str(out), "--seed", "42"]) == 0
+        assert (out / "dataset.csv").read_bytes() == dataset.read_bytes()
+        return out
+
+    def test_report_input_forks_to_parse_and_to_emit(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        self._report_input(tmp_path)
+        assert len(forks) == 2  # synth writes dataset.csv inline
+        _no_child_left()
+
+    def test_fork_warning_is_no_stage_warning(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns like this on os.fork() in a process with threads
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks "
+                          "in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        report = json.loads((self._report_input(tmp_path) / "report.json").read_text())
+        ingest = report["stages"][0]
+        assert ingest["name"] == "ingest" and ingest["warnings"] == []
+        assert not any("fork" in w for stage in report["stages"] for w in stage["warnings"])
+
     def test_failed_segment_leaves_no_child(self, tmp_path, capsys):
         # k='auto' over 2 clustering rows exits 4 in segment, while the child writes
         config = {
@@ -554,11 +594,13 @@ class TestDatasetWriter:
         assert _artifacts(inline) == _artifacts(forked)
         assert "dataset_wait_s" in json.loads((inline / "report.json").read_text())
 
-    def test_synth_and_ingest_do_not_fork(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise AssertionError("os.fork called")
+    def test_synth_and_ingest_write_the_dataset_inline(self, tmp_path, monkeypatch):
+        from energyseg import pipeline
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        def no_fork(work):
+            raise AssertionError("dataset.csv writer forked")
+
+        monkeypatch.setattr(pipeline, "fork_child", no_fork)
         synth = tmp_path / "synth"
         assert main(["synth", "--out", str(synth), "--seed", "3", "--days", "1"]) == 0
         ingest = tmp_path / "ingest"

@@ -3,9 +3,18 @@
 import csv
 import datetime as dt
 import io
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
 import tracemalloc
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from functools import cache
+from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -24,6 +33,7 @@ from helpers import (
 )
 from test_acceptance import _daily_minutes
 
+from energyseg import records
 from energyseg.errors import (
     DataSizeError,
     EmptyTable,
@@ -538,3 +548,226 @@ class TestFastPathAgreesWithPerCellPath:
             with patch("energyseg.records._BLOCK_ROWS", block_rows):
                 assert tables_equal(ingest_csv(io.StringIO(table_to_csv(table))), table)
         assert caught == []
+
+
+@contextmanager
+def _spied_ingest(block_rows=512):
+    """Set ingest's block size and record its forks, the children's rows and their exits."""
+    spy = SimpleNamespace(forks=0, received=[], reaped=[])
+    fork, receive, reap = records.fork_child, records._receive, records.reap_child
+
+    def fork_child(work):
+        spy.forks += 1
+        return fork(work)
+
+    def receive_rows(*args):
+        spy.received.append(receive(*args))
+        return spy.received[-1]
+
+    def reap_child(pid):
+        spy.reaped.append(reap(pid))
+        return spy.reaped[-1]
+
+    with patch.object(records, "_BLOCK_ROWS", block_rows), \
+            patch.object(records, "fork_child", fork_child), \
+            patch.object(records, "_receive", receive_rows), \
+            patch.object(records, "reap_child", reap_child):
+        yield spy
+
+
+def _outcome(path, block_rows=512, fork=True):
+    """ingest_csv(path)'s table or its error's type and text; inline when not ``fork``."""
+    with patch.object(records, "_BLOCK_ROWS", block_rows), \
+            nullcontext() if fork else patch.object(records, "fork_child", lambda work: None):
+        try:
+            return ingest_csv(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+def _split(spy) -> bool:
+    """Whether the spied ingest took a child's rows: one fork, some rows, a clean exit."""
+    return spy.forks == 1 and spy.received[0] is not None and spy.received[0][0] > 0 \
+        and spy.reaped == [True]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _csv(records_, line_end="\n", blank_every=0) -> str:
+    """The CSV of ``records_``, lines ending in ``line_end``, and a blank line after every
+    ``blank_every`` rows."""
+    header, *rows = csv.reader(io.StringIO(table_to_csv(make_table(records_)), newline=""))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator=line_end)
+    writer.writerow(header)
+    for i, row in enumerate(rows, 1):
+        writer.writerow(row)
+        if blank_every and i % blank_every == 0:
+            buf.write(line_end)
+    return buf.getvalue()
+
+
+@cache
+def _synth_csv() -> bytes:
+    """4,320 rows: nine blocks of 512 lines."""
+    table = generate_synthetic(GeneratorConfig(players_per_class=(1, 1, 1), n_days=1), seed=0)
+    return table_to_csv(table).encode("utf-8")
+
+
+def _write(tmp_path, data, name="split.csv") -> str:
+    path = tmp_path / name
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    return str(path)
+
+
+class TestTwoProcessIngest:
+    """A path to a regular file whose first block ends before its middle byte is parsed
+    by two processes."""
+
+    @pytest.mark.parametrize("case", [
+        "quoted_break", "non_ascii", "blank_lines", "crlf", "child_only_ids",
+    ])
+    def test_split_equals_inline(self, tmp_path, case):
+        # every record of a quoted id takes two lines, so blocks of five end inside one
+        ids = {"quoted_break": ["a\nb", "c\r\nd", "e"], "non_ascii": ["\u00e9", "\u00fc\nx", "o"]}
+        players = ids.get(case, ["a", "b", "c"])
+        rows = [make_record(p, m, rank=i + 1) for i, p in enumerate(players) for m in range(40)]
+        if case == "child_only_ids":  # a player whose every row is in the second half
+            rows += [make_record("z", m, rank=9) for m in range(20)]
+        text = _csv(rows, "\r\n" if case == "crlf" else "\n", 3 if case == "blank_lines" else 0)
+        path = _write(tmp_path, text)
+        with _spied_ingest(block_rows=5) as spy:
+            split = ingest_csv(path)
+        assert _split(spy)
+        assert tables_equal(split, _outcome(path, block_rows=5, fork=False))
+        assert split.dropped_rows == 0 and len(split) == len(rows)
+        if case == "child_only_ids":
+            assert "z" in split.player_ids and "z" in spy.received[0][1]
+
+    def test_repeats_of_the_parents_rows_in_the_childs_half(self, tmp_path):
+        first = [make_record(p, m) for p in "ab" for m in range(40)]
+        first += [make_record("c", m, rank=0) for m in range(10)]  # bad_rank
+        header, *lines = _csv(first).splitlines()
+        again = [line for line in lines if ",a," in line]  # duplicate_key
+        again += [line.replace(",b,", ":30,b,", 1) for line in lines if ",b," in line]  # truncated
+        again += _csv([make_record("c", m) for m in range(10)]).splitlines()[1:]  # now valid
+        path = _write(tmp_path, "\n".join([header, *lines, *again]) + "\n")
+        with _spied_ingest(block_rows=8) as spy:
+            split = ingest_csv(path)
+        assert _split(spy)
+        assert tables_equal(split, _outcome(path, block_rows=8, fork=False))
+        dropped = split.dropped_by_reason
+        assert (dropped["bad_rank"], dropped["duplicate_key"], dropped["timestamp_truncated"]) \
+            == (10, 40, 40)
+        assert len(split) == 90
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(edited_csv(), st.integers(1, 6), st.sampled_from(["\n", "\r\n"]))
+    def test_split_agrees_with_inline_on_edited_files(self, text, block_rows, line_end):
+        # a quoted line break turns into \r\n with the line ends: the same bytes either way
+        with _temporary_path(text.replace("\n", line_end)) as path:
+            with _spied_ingest(block_rows) as spy:
+                split = _outcome(path, block_rows)
+            inline = _outcome(path, block_rows, fork=False)
+            assert tables_equal(split, inline) if isinstance(split, DatasetTable) else split == inline
+        assert spy.reaped in ([], [True])  # a child that forked sent its rows
+        _no_child_left()
+
+    def test_killed_child_gives_the_inline_table(self, tmp_path):
+        path = _write(tmp_path, _synth_csv())
+        fork = records.fork_child
+
+        def fork_and_kill(work):
+            pid = fork(work)
+            os.kill(pid, signal.SIGKILL)
+            return pid
+
+        with _spied_ingest() as spy, patch.object(records, "fork_child", fork_and_kill):
+            killed = ingest_csv(path)
+        assert spy.reaped == [False]
+        _no_child_left()
+        assert tables_equal(killed, _outcome(path, fork=False))
+
+    @pytest.mark.parametrize("fork", ["missing", "blocking"])
+    def test_without_fork_gives_the_same_table(self, tmp_path, monkeypatch, fork):
+        path = _write(tmp_path, _synth_csv())
+        with _spied_ingest() as spy:
+            split = ingest_csv(path)
+        assert _split(spy)
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", _fork_blocks)
+        assert tables_equal(ingest_csv(path), split)
+
+    def test_bad_utf8_in_the_childs_half_raises_as_inline(self, tmp_path):
+        data = _synth_csv()
+        at = len(data) * 9 // 10
+        path = _write(tmp_path, data[:at] + b"\xff" + data[at + 1:])
+        inline = _outcome(path, fork=False)
+        assert inline[0] is UnicodeDecodeError
+        with _spied_ingest() as spy:
+            assert _outcome(path) == inline
+        assert spy.forks == 1 and spy.reaped == [False]
+        _no_child_left()
+
+    def test_error_in_the_parents_half_leaves_no_child(self, tmp_path):
+        data = _synth_csv()
+        at = len(data) // 4  # past the first block, which is read before the fork
+        path = _write(tmp_path, data[:at] + b"\xff" + data[at + 1:])
+        with _spied_ingest() as spy, pytest.raises(UnicodeDecodeError):
+            ingest_csv(path)
+        assert spy.forks == 1
+        _no_child_left()
+
+    def test_one_block_file_stream_and_string_do_not_fork(self, tmp_path):
+        with _spied_ingest() as spy:
+            assert len(ingest_csv(_write(tmp_path, small_csv()))) == 3
+            assert len(ingest_csv(io.StringIO(_synth_csv().decode("utf-8")))) == 4320
+            assert len(ingest_csv(io.BytesIO(_synth_csv()))) == 4320
+        assert spy.forks == 0
+
+    def test_fifo_does_not_fork(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as sink:
+                sink.write(_synth_csv())
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with _spied_ingest() as spy:
+                assert len(ingest_csv(str(fifo))) == 4320
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive() and spy.forks == 0
+
+    def test_dev_stdin_does_not_fork(self):
+        script = (
+            "import sys\n"
+            "from energyseg import records\n"
+            "def fork_child(work):\n"
+            "    sys.exit('forked')\n"
+            "records.fork_child = fork_child\n"
+            "print(len(records.ingest_csv('/dev/stdin')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", script], input=_synth_csv(), env=env,
+                             capture_output=True, check=True, timeout=120)
+        assert out.stdout.strip() == b"4320"
+
+
+def _fork_blocks():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@contextmanager
+def _temporary_path(text):
+    """A file holding ``text``; hypothesis tests take no function-scoped tmp_path."""
+    with tempfile.TemporaryDirectory() as directory:
+        yield _write(Path(directory), text)
