@@ -1,7 +1,8 @@
 """Dimensionality reduction and cluster validation.
 
 PCA via SVD, Lloyd k-means with k-means++ seeding, the elbow heuristic
-(second-difference argmax of the inertia curve), and silhouette scores.
+(second-difference argmax of the inertia curve), and silhouette scores of
+one labelling at a time.
 
 K-means works on the distinct rows in sorted order, each weighted by its row
 count, and draws its seeds from ``[seed, restart]``; so permuting the input
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DegenerateColumn,
+    DimensionMismatch,
     InvalidConfig,
     KTooLarge,
     NonFiniteValue,
@@ -241,43 +243,39 @@ def elbow_curve(matrix, k_range: tuple[int, int], seed: int = 0) -> tuple[np.nda
 SILHOUETTE_BLOCK_DOUBLES = 2**20  # size of each distance buffer
 
 
-def silhouette(matrix, assignments, distinct=None) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean and per-sample silhouette s = (b − a)/max(a, b).
+def silhouette(matrix, assignments, distinct=None) -> tuple[float, np.ndarray]:
+    """Mean and per-sample silhouette s = (b − a)/max(a, b) of one labelling.
 
-    ``assignments`` is one labelling of the N rows, or an m×N stack scored
-    from one distance pass into m means and m×N scores. Distances are exact
-    Euclidean computed from coordinate differences (no Gram shortcut),
-    matching a brute-force oracle to full precision. They are taken only
-    between the U distinct rows, kept in first-appearance order: each row
-    block of them, at most ``SILHOUETTE_BLOCK_DOUBLES``, meets in one matmul
-    a U×C count matrix of how many rows of each cluster of every labelling
-    sit at each point. Each point is scored as a member of each cluster, and
-    each row reads its point's score in its own cluster. Equal rows have
-    equal distances, so the scores are exact up to summation order; without
-    repeated rows U = N, the counts are the one-hot and the bytes are those
-    of a full N×N pass. Singleton-cluster samples score 0. ``distinct`` is
-    ``_distinct_rows`` of the same rows, for callers that already hold it.
+    ``assignments`` holds one label per row, else :class:`DimensionMismatch`.
+    Distances are exact Euclidean from coordinate differences (no Gram
+    shortcut), taken only between the U distinct rows in first-appearance
+    order: each row block of them, at most ``SILHOUETTE_BLOCK_DOUBLES``, meets
+    in one matmul the U×k counts of each cluster's rows at each point. Each
+    point is scored in each cluster and each row reads its point's score in
+    its own one: exact up to summation order, and without repeated rows the
+    counts are the one-hot and the bytes those of a full N×N pass.
+    Singleton-cluster samples score 0. ``distinct`` is ``_distinct_rows`` of
+    the same rows, for callers that already hold it.
     """
     values = _as_values(matrix)
     n, d = values.shape
     if n < 3:
         raise TooFewRows(f"need at least 3 samples, got {n}")
-    stack = np.asarray(assignments)
-    labels = np.array([np.unique(row, return_inverse=True)[1] for row in stack.reshape(-1, n)])
-    widths = labels.max(axis=1) + 1
-    if widths.min() < 2:
+    labels = np.asarray(assignments)
+    if labels.shape != (n,):
+        raise DimensionMismatch(f"need one label for each of {n} rows, got shape {labels.shape}")
+    labels = np.unique(labels, return_inverse=True)[1]
+    k = int(labels.max()) + 1
+    if k < 2:
         raise SingleCluster("silhouette needs at least two clusters")
 
-    starts = np.concatenate([[0], np.cumsum(widths)])
-    columns = labels + starts[:-1, None]  # each sample's cluster column, per labelling
     first, inverse = _distinct_rows(values) if distinct is None else distinct
     order = np.argsort(first)  # distinct points in first-appearance order
     points = values[first[order]]
     point_of = np.argsort(order)[inverse]
-    u, width = len(points), starts[-1]
-    weights = np.bincount((point_of * width + columns).ravel(), minlength=u * width)
-    weights = weights.reshape(u, width).astype(np.float64)
-    sums = np.empty((u, width))  # distance sum from each point to each cluster
+    u = len(points)
+    weights = np.bincount(point_of * k + labels, minlength=u * k).reshape(u, k).astype(np.float64)
+    sums = np.empty((u, k))  # distance sum from each point to each cluster
     rows = min(u, max(1, SILHOUETTE_BLOCK_DOUBLES // u))
     dist, diff = np.empty((2, rows, u))
     for start in range(0, u, rows):
@@ -288,17 +286,12 @@ def silhouette(matrix, assignments, distinct=None) -> tuple[float | np.ndarray, 
             block += np.square(scratch, out=scratch)
         sums[start : start + rows] = np.sqrt(block, out=block) @ weights
 
-    counts = np.bincount(columns.ravel())
+    counts = np.bincount(labels)
     a = sums / np.maximum(counts - 1, 1)  # mean distance to each cluster's other members
     mean_to = sums / counts
-    b = np.empty_like(a)  # mean distance to the nearest cluster other than each one
-    for lo, hi in zip(starts, starts[1:]):
-        near = mean_to[:, lo:hi]
-        two = np.partition(near, 1, axis=1)[:, :2]  # nearest and next-nearest
-        b[:, lo:hi] = np.where(near == two[:, :1], two[:, 1:], two[:, :1])
+    two = np.partition(mean_to, 1, axis=1)[:, :2]  # nearest and next-nearest cluster
+    b = np.where(mean_to == two[:, :1], two[:, 1:], two[:, :1])  # nearest other than each
     denom = np.maximum(a, b)
     score = np.divide(b - a, denom, out=np.zeros(a.shape), where=(counts > 1) & (denom > 0.0))
-    per_sample = score[point_of, columns]
-    if stack.ndim == 1:
-        return float(per_sample[0].mean()), per_sample[0]
-    return per_sample.mean(axis=1), per_sample
+    per_sample = score[point_of, labels]
+    return float(per_sample.mean()), per_sample

@@ -243,12 +243,11 @@ def run_segment(
                     "before its assignments settled"
                 )
 
-        scored = [sk for sk in sorted(models) if np.ptp(models[sk].assignments) > 0]
-        silhouettes: dict[int, float] = {}
-        if scored and n_rows >= 3:
-            labellings = [models[sk].assignments for sk in scored]
-            means, _ = clustering_mod.silhouette(scores, labellings, distinct)
-            silhouettes = dict(zip(scored, means.tolist()))
+        silhouettes = {
+            sk: clustering_mod.silhouette(scores, fit.assignments, distinct)[0]
+            for sk, fit in sorted(models.items())
+            if n_rows >= 3 and np.ptp(fit.assignments) > 0
+        }
         write(
             "elbow.csv",
             [("k", "inertia", "silhouette")]

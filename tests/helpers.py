@@ -258,7 +258,7 @@ def streamed_silhouette(matrix, assignments):
     """The silhouette as one full N×N pass: each row's distances to every row.
 
     Row blocks of at most ``clustering.SILHOUETTE_BLOCK_DOUBLES`` exact
-    distances, read at call time, each meet every labelling's 0/1 one-hot
+    distances, read at call time, each meet the labelling's 0/1 one-hot
     columns in one matmul. With no repeated row, :func:`silhouette` must
     reproduce it bit for bit.
     """
@@ -266,18 +266,15 @@ def streamed_silhouette(matrix, assignments):
     n, d = values.shape
     if n < 3:
         raise TooFewRows(f"need at least 3 samples, got {n}")
-    stack = np.asarray(assignments)
-    labels = np.array([np.unique(row, return_inverse=True)[1] for row in stack.reshape(-1, n)])
-    widths = labels.max(axis=1) + 1
-    if widths.min() < 2:
+    labels = np.unique(np.asarray(assignments), return_inverse=True)[1]
+    k = labels.max() + 1
+    if k < 2:
         raise SingleCluster("silhouette needs at least two clusters")
 
-    starts = np.concatenate([[0], np.cumsum(widths)])
-    columns = labels + starts[:-1, None]  # each sample's one-hot column, per labelling
     at = np.arange(n)
-    onehot = np.zeros((n, starts[-1]))
-    onehot[at, columns] = 1.0
-    sums = np.empty((n, starts[-1]))  # distance sum from each row to each cluster
+    onehot = np.zeros((n, k))
+    onehot[at, labels] = 1.0
+    sums = np.empty((n, k))  # distance sum from each row to each cluster
     rows = min(n, max(1, clustering.SILHOUETTE_BLOCK_DOUBLES // n))
     dist, diff = np.empty((2, rows, n))
     for start in range(0, n, rows):
@@ -288,17 +285,15 @@ def streamed_silhouette(matrix, assignments):
             block += np.square(scratch, out=scratch)
         sums[start : start + rows] = np.sqrt(block, out=block) @ onehot
 
-    counts = np.bincount(columns.ravel())
-    own = counts[columns]
-    a = sums[at, columns] / np.maximum(own - 1, 1)
+    counts = np.bincount(labels)
+    own = counts[labels]
+    a = sums[at, labels] / np.maximum(own - 1, 1)
     mean_to = sums / counts
-    mean_to[at, columns] = np.inf
-    b = np.array([mean_to[:, lo:hi].min(axis=1) for lo, hi in zip(starts, starts[1:])])
+    mean_to[at, labels] = np.inf
+    b = mean_to.min(axis=1)
     denom = np.maximum(a, b)
     per_sample = np.divide(b - a, denom, out=np.zeros(a.shape), where=(own > 1) & (denom > 0.0))
-    if stack.ndim == 1:
-        return float(per_sample[0].mean()), per_sample[0]
-    return per_sample.mean(axis=1), per_sample
+    return float(per_sample.mean()), per_sample
 
 
 def _row_kmeans_pp(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -208,19 +208,21 @@ class TestSegment:
         assert stage.summary["k"] == 4
         assert -1.0 <= stage.summary["silhouette"] <= 1.0
 
-    def test_one_silhouette_call_scores_every_k(self, tmp_path, dataset_csv, monkeypatch):
+    def test_one_silhouette_call_per_scored_k(self, tmp_path, dataset_csv, monkeypatch):
         calls = []
 
         def spy(matrix, assignments, distinct=None):
-            calls.append(np.shape(assignments))
-            return original(matrix, assignments, distinct)
+            mean, per_sample = original(matrix, assignments, distinct)
+            calls.append((np.shape(assignments), mean))
+            return mean, per_sample
 
         original = clustering.silhouette
         monkeypatch.setattr(clustering, "silhouette", spy)
         stage = run_segment(PipelineConfig(input=str(dataset_csv)), str(tmp_path))
-        assert calls == [(5, 42)]
+        assert [shape for shape, _ in calls] == [(42,)] * 5
         cells = {int(r["k"]): r["silhouette"] for r in read_rows(tmp_path / "elbow.csv")}
         assert [k for k, cell in cells.items() if cell] == [2, 3, 4, 5, 6]
+        assert [float(cells[k]) for k in range(2, 7)] == [mean for _, mean in calls]
         assert float(cells[3]) == stage.summary["silhouette"]
 
     def test_one_sort_of_the_scores_per_stage(self, tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from energyseg.clustering import (
     silhouette,
 )
 from energyseg.errors import (
+    DimensionMismatch,
     KTooLarge,
     NonFiniteValue,
     RangeTooNarrow,
@@ -352,51 +353,54 @@ class TestSilhouette:
         with pytest.raises(TooFewRows):
             silhouette(rng.standard_normal((2, 2)), np.array([0, 1]))
 
+    @pytest.mark.parametrize(
+        "shape", [(2, 10), (1, 10), (20,), (9,), (11,)], ids=["2-D", "1xN", "2N", "N-1", "N+1"]
+    )
+    def test_wrong_shape_labelling_raises(self, shape):
+        # one label per row: a 2N labelling is not two stacked labellings
+        rng = np.random.default_rng(72)
+        labels = np.arange(np.prod(shape)).reshape(shape) % 2
+        with pytest.raises(DimensionMismatch):
+            silhouette(rng.standard_normal((10, 2)), labels)
+
     def test_repeated_rows_bound_memory(self):
         # 60,000 rows at 50 distinct points: a full N×N pass would hold two
-        # 8 MiB distance buffers and evaluate 3.6e9 distances; this call
-        # peaks at 6.0 MiB (numpy 2.4)
+        # 8 MiB distance buffers and evaluate 3.6e9 distances
         rng = np.random.default_rng(71)
         points = rng.standard_normal((50, 3))
         data = points[rng.integers(0, 50, size=60_000)]
-        stack = np.vstack([rng.integers(0, 2, size=60_000), rng.integers(0, 3, size=60_000)])
-        tracemalloc.start()
-        try:
-            means, per = silhouette(data, stack)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert per.shape == (2, 60_000) and np.all(np.isfinite(means))
-        assert peak <= 8 * 2**20, peak
+        for k in (2, 3):
+            labels = rng.integers(0, k, size=60_000)
+            tracemalloc.start()
+            try:
+                mean_s, per = silhouette(data, labels)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert per.shape == (60_000,) and np.isfinite(mean_s)
+            assert peak <= 8 * 2**20, peak
 
 
 @st.composite
 def labelled_grids(draw):
-    """Grid points with a stack of 1-3 labellings, each of which may hold a singleton cluster."""
+    """Grid points with a labelling of them, which may hold a singleton cluster."""
     data = draw(grids.filter(lambda values: len(values) >= 3))
     n = len(data)
-    stack = []
-    for _ in range(draw(st.integers(1, 3))):
-        labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-        if draw(st.booleans()):
-            labels[draw(st.integers(0, n - 1))] = 9
-        stack.append(labels)
-    return data, np.array(stack)
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, n - 1))] = 9
+    return data, labels
 
 
 @st.composite
 def shuffled_repeats(draw):
-    """Grid points each repeated 1-4 times, shuffled, with 1-3 labellings of the rows."""
+    """Grid points each repeated 1-4 times, shuffled, with a labelling of the rows."""
     points = draw(grids)
     copies = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
     data = np.repeat(points, copies, axis=0)
     data = data[draw(st.permutations(range(len(data))))]
     n = len(data)
-    stack = [
-        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    return data, np.array(stack)
+    return data, np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
 
 
 # rows over a few values, signed zeros among them, so most matrices repeat rows
@@ -424,46 +428,38 @@ class TestSilhouetteProperties:
     @settings(deadline=None, derandomize=True)
     @given(labelled_grids(), st.integers(1, 400))
     def test_streamed_matches_brute_force(self, case, block_doubles):
-        data, stack = case
-        assume(all(len(np.unique(labels)) >= 2 for labels in stack))
+        data, labels = case
+        assume(len(np.unique(labels)) >= 2)
         # a small block budget sends each case through several row blocks
         with mock.patch.object(clustering, "SILHOUETTE_BLOCK_DOUBLES", block_doubles):
-            means, rows = silhouette(data, stack)
-            singles = [silhouette(data, labels) for labels in stack]
-            with pytest.raises(SingleCluster):
-                silhouette(data, np.vstack([stack, np.zeros(len(data), dtype=int)]))
-        for labels, stacked_mean, row, (mean_s, per) in zip(stack, means, rows, singles):
-            oracle = brute_silhouette(data, labels)
-            assert np.abs(per - oracle).max() <= 1e-10
-            assert abs(mean_s - oracle.mean()) <= 1e-10
-            assert np.abs(row - per).max() <= 1e-12
-            assert abs(stacked_mean - mean_s) <= 1e-12
-            assert np.abs(row - oracle).max() <= 1e-10
+            mean_s, per = silhouette(data, labels)
+        oracle = brute_silhouette(data, labels)
+        assert np.abs(per - oracle).max() <= 1e-10
+        assert abs(mean_s - oracle.mean()) <= 1e-10
 
     @settings(deadline=None, derandomize=True)
     @given(labelled_grids(), st.integers(1, 400))
     def test_distinct_rows_match_full_pass_bitwise(self, case, block_doubles):
-        data, stack = case
+        data, labels = case
         _, keep = np.unique(data, axis=0, return_index=True)
         keep.sort()
-        data, stack = data[keep], stack[:, keep]
-        assume(len(data) >= 3 and all(len(np.unique(labels)) >= 2 for labels in stack))
+        data, labels = data[keep], labels[keep]
+        assume(len(data) >= 3 and len(np.unique(labels)) >= 2)
         with mock.patch.object(clustering, "SILHOUETTE_BLOCK_DOUBLES", block_doubles):
-            for labels in (stack[0], stack):
-                mean_s, per = silhouette(data, labels)
-                oracle_mean, oracle = streamed_silhouette(data, labels)
-                assert np.array_equal(per, oracle)
-                assert np.array_equal(mean_s, oracle_mean)
+            mean_s, per = silhouette(data, labels)
+            oracle_mean, oracle = streamed_silhouette(data, labels)
+        assert np.array_equal(per, oracle)
+        assert mean_s == oracle_mean
 
     @settings(deadline=None, derandomize=True)
     @given(shuffled_repeats())
     def test_shuffled_repeats_match_full_pass(self, case):
-        data, stack = case
-        assume(len(data) >= 3 and all(len(np.unique(labels)) >= 2 for labels in stack))
-        means, rows = silhouette(data, stack)
-        oracle_means, oracle = streamed_silhouette(data, stack)
-        assert np.abs(rows - oracle).max() <= 1e-12
-        assert np.abs(means - oracle_means).max() <= 1e-12
+        data, labels = case
+        assume(len(data) >= 3 and len(np.unique(labels)) >= 2)
+        mean_s, per = silhouette(data, labels)
+        oracle_mean, oracle = streamed_silhouette(data, labels)
+        assert np.abs(per - oracle).max() <= 1e-12
+        assert abs(mean_s - oracle_mean) <= 1e-12
 
 
 class TestGeneratorAgreement:
