@@ -309,7 +309,8 @@ def _receive(pipe: BinaryIO, arrays: list[np.ndarray], total: int) -> tuple[int,
 def ingest_csv(source) -> DatasetTable:
     """Parse a CSV stream with the ``CSV_COLUMNS`` headers into a :class:`DatasetTable`.
 
-    ``source`` is a text or binary file-like object, or a path string.
+    ``source`` is a text or binary file-like object, or a path (``str``,
+    ``bytes`` or ``os.PathLike``).
 
     Malformed rows are skipped and counted in ``dropped_by_reason`` (see
     ``DROP_REASONS``); duplicate (player, minute) rows keep the first
@@ -336,9 +337,9 @@ def ingest_csv(source) -> DatasetTable:
     (player, minute) order are not sorted or gathered. A child's rows are read from the pipe
     straight into the columns' tails; the child holds its half of the columns until then.
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _ingest(handle, source)
+            return _ingest(handle, os.fspath(source))
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
     return _ingest(source, None)
@@ -564,8 +565,10 @@ def emit_csv(table: DatasetTable, sink) -> None:
 
     Float cells are the ``repr`` of Python floats, int cells their ``str``;
     a player id is quoted when it holds a comma, a quote or a line break.
+    ``sink`` is a text file-like object or a path (``str``, ``bytes`` or
+    ``os.PathLike``).
     """
-    if isinstance(sink, (str, bytes)):
+    if isinstance(sink, (str, bytes, os.PathLike)):
         with open(sink, "w", encoding="utf-8", newline="") as handle:
             emit_csv(table, handle)
             return

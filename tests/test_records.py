@@ -309,6 +309,11 @@ class TestEmit:
             emit_csv(table, sink)
         assert tables_equal(ingest_csv(str(path)), table)
 
+    def test_path_sink_writes_the_same_bytes(self, tmp_path):
+        table = make_table(small_records())
+        emit_csv(table, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == table_to_csv(table)
+
 
 class TestQuotedIds:
     # each id with the field emit_csv writes for it
@@ -722,6 +727,13 @@ class TestTwoProcessIngest:
             ingest_csv(path)
         assert spy.forks == 1
         _no_child_left()
+
+    def test_path_object_splits_as_the_string_does(self, tmp_path):
+        path = _write(tmp_path, _synth_csv())
+        with _spied_ingest() as spy:
+            split = ingest_csv(Path(path))
+        assert _split(spy)
+        assert tables_equal(split, ingest_csv(path))
 
     def test_one_block_file_stream_and_string_do_not_fork(self, tmp_path):
         with _spied_ingest() as spy:
