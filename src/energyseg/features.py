@@ -130,11 +130,21 @@ def raw_columns(
     return {name: table.columns[name].astype(np.float64) for name in names}
 
 
-def _daily_pooled(cols: dict, starts: np.ndarray, counts: np.ndarray) -> dict[str, np.ndarray]:
+def _daily_pooled(
+    cols: dict, starts: np.ndarray, counts: np.ndarray, run_starts: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Switch counts and usage shares per (player, day) run.
+
+    A switch counts only across a one-minute step: none is read across a
+    missing minute (a new run of ``run_starts``), and the count is not
+    rescaled by the minutes observed.
+    """
     pooled: dict[str, np.ndarray] = {}
     for r in RESOURCES:
         status = cols[f"status_{r.value}"]
-        switches_before = np.concatenate(([0], np.cumsum(np.diff(status) != 0)))  # up to each row
+        changed = np.diff(status) != 0
+        changed[run_starts[1:] - 1] = False
+        switches_before = np.concatenate(([0], np.cumsum(changed)))  # up to each row
         switches = switches_before[starts + counts - 1] - switches_before[starts]
         pooled[f"switch_freq_{r.value}"] = switches.astype(np.float64)
         pooled[f"usage_pct_{r.value}"] = np.add.reduceat(status, starts, dtype=np.int64) / counts
@@ -155,7 +165,9 @@ def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
         raise EmptyTable("cannot pool features from an empty table")
     need_pooled = any(f in DAILY_POOLED_FEATURES for f in spec.features)
     starts, counts, _ = table.day_runs()
-    pooled = _daily_pooled(table.columns, starts, counts) if need_pooled else {}
+    pooled = {}
+    if need_pooled:
+        pooled = _daily_pooled(table.columns, starts, counts, table.minute_runs()[0])
 
     daily = spec.granularity == "daily"
     values = np.empty((len(starts) if daily else len(table), len(spec.features)))
@@ -214,10 +226,12 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
 def player_day_segments(
     table: DatasetTable, names: Sequence[str]
 ) -> list[tuple[str, str, dict[str, np.ndarray]]]:
-    """Per-(player, day) contiguous minute series for the named raw columns.
+    """(player, day, series) of each run of consecutive minutes, for the named raw columns.
 
-    Used to build lagged designs that never cross a day boundary. Each series
-    is a slice of ``table.columns`` at its stored width, not a float64 copy.
+    Used to build lagged designs that never cross a day boundary or a
+    missing minute: a (player, day) with a gap gives one segment per
+    :meth:`~energyseg.records.DatasetTable.minute_runs` run. Each series is
+    a slice of ``table.columns`` at its stored width, not a float64 copy.
     """
     unknown = [n for n in names if n not in MINUTE_FEATURES]
     if unknown:
@@ -225,7 +239,8 @@ def player_day_segments(
     if not len(table):
         raise EmptyTable("cannot segment an empty table")
     cols = table.columns
-    starts, lengths, days = table.day_runs()
+    starts, lengths = table.minute_runs()
+    days = np.datetime_as_string(table.timestamps[starts].astype("datetime64[D]")).tolist()
     segments = []
     for player, day, start, stop in zip(
         table.row_players(starts), days, starts.tolist(), (starts + lengths).tolist()

@@ -157,16 +157,33 @@ def run_synth(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, Stage
 
 
 def run_ingest(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, StageResult]:
-    """Validate an input CSV and write a summary; the caller writes its normalized copy."""
+    """Validate an input CSV and write a summary; the caller writes its normalized copy.
+
+    ``gaps`` counts the places where a (player, day) run skips a minute, and
+    ``missing_minutes`` the minutes skipped, between each run's first and
+    last row; either one nonzero is a stage warning.
+    """
     with _stage("ingest", out_dir, config) as (stage, table, write):
         stage.files.append(DATASET_FILE)
+        starts, lengths, days = table.day_runs()
+        minutes = table.timestamps.view(np.int64)
+        spans = minutes[starts + lengths - 1] - minutes[starts] + 1
+        gaps = len(table.minute_runs()[0]) - len(starts)
+        missing = int((spans - lengths).sum())
         stage.summary = {
             "records": len(table),
             "players": len(table.player_ids),
-            "days": len(set(table.day_runs()[2])),
+            "days": len(set(days)),
             "dropped_rows": table.dropped_rows,
             "dropped_by_reason": table.dropped_by_reason,
+            "gaps": gaps,
+            "missing_minutes": missing,
         }
+        if gaps or missing:
+            stage.warnings.append(
+                f"{missing} missing minute(s) in {gaps} gap(s) inside (player, day) runs: "
+                "Granger segments and switch counts stop at each gap"
+            )
         write("ingest.json", stage.summary)
     return table, stage
 

@@ -156,6 +156,22 @@ class DatasetTable:
         lengths = np.diff(starts, append=len(self))
         return starts, lengths, np.datetime_as_string(days[starts]).tolist()
 
+    def minute_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The start row and row count of each run of consecutive minutes.
+
+        Each (player, day) run of :meth:`day_runs` is cut after every row
+        whose next row is not the next minute. The steps are read one day run
+        at a time, so no temporary spans the table.
+        """
+        starts, lengths, _ = self.day_runs()
+        minutes = self.timestamps.view(np.int64)
+        cuts = [starts]
+        for start, stop in zip(starts.tolist(), (starts + lengths).tolist()):
+            steps = np.diff(minutes[start:stop])
+            cuts.append(start + 1 + np.flatnonzero(steps != 1))
+        run_starts = np.sort(np.concatenate(cuts))
+        return run_starts, np.diff(run_starts, append=len(self))
+
 
 def compute_points(baseline: float, usage: float, booster: float = 1.0,
                    clamp_at_zero: bool = False) -> float:

@@ -1,5 +1,7 @@
 """Distribution tails, Granger F-tests, and Welch two-sample t-tests."""
 
+import datetime as dt
+import io
 import math
 import tracemalloc
 from functools import partial
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import NoConvergence
 from scipy import special
 
-from helpers import f_tail_quad, granger_oracle, t_tail_quad
+from helpers import f_tail_quad, granger_oracle, t_tail_quad, table_to_csv
 
 from energyseg import causality
 from energyseg.causality import (
@@ -31,6 +33,9 @@ from energyseg.errors import (
     SeriesTooShort,
     TooFewSamples,
 )
+from energyseg.features import player_day_segments
+from energyseg.records import ingest_csv
+from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
 # F statistics of the default report (seed 42), all at F(1, 20143)
 REPORT_F_STATISTICS = (
@@ -286,6 +291,29 @@ class TestGranger:
         assert res.reject_h0 is True
         diffed = granger_test_segments(segments, lag=1, first_difference=True)
         assert diffed.n_effective == 3 * (199 - 1)
+
+    def test_deleted_csv_lines_match_segments_cut_by_hand(self):
+        table = generate_synthetic(GeneratorConfig(players_per_class=(1, 1, 0), n_days=2), seed=3)
+        header, *lines = table_to_csv(table).splitlines(keepends=True)
+        kept = [line for i, line in enumerate(lines) if i % 7 != 3]  # delete every 7th line
+        gapped = ingest_csv(io.StringIO(header + "".join(kept)))
+        # by hand: a new segment wherever the player or the day changes or a minute is missing
+        stamps, players = gapped.timestamps.tolist(), gapped.row_players()
+        hand = [[0]]
+        for i in range(1, len(gapped)):
+            same_day = players[i] == players[i - 1] and stamps[i].date() == stamps[i - 1].date()
+            if same_day and stamps[i] - stamps[i - 1] == dt.timedelta(minutes=1):
+                hand[-1].append(i)
+            else:
+                hand.append([i])
+        assert len(hand) > len(gapped.day_runs()[0])
+        pairs = [("humidity", "status_fan"), ("status_ceiling_light", "status_desk_light")]
+        segments = player_day_segments(gapped, sorted({n for pair in pairs for n in pair}))
+        assert [len(series["humidity"]) for _, _, series in segments] == list(map(len, hand))
+        for cause, effect in pairs:
+            cut = [(series[cause], series[effect]) for _, _, series in segments]
+            by_hand = [(gapped.columns[cause][rows], gapped.columns[effect][rows]) for rows in hand]
+            assert granger_test_segments(cut) == granger_test_segments(by_hand)
 
     def test_display_p_formatting(self):
         res = CausalityResult(

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import make_record, make_table, table_to_csv
+
 from energyseg.cli import main
 from energyseg.config import PipelineConfig, load_config
 from energyseg import clustering
@@ -110,6 +112,20 @@ class TestIngest:
         assert stats["dropped_by_reason"]["duplicate_key"] == 1
         assert stats["dropped_by_reason"]["non_finite"] == 1
         assert sum(stats["dropped_by_reason"].values()) == 2
+
+    def test_gaps_and_missing_minutes_counted(self, tmp_path, dataset_csv, capsys):
+        # a: minutes 0-9 but 3, 6 and 7; b: minutes 0 and 1 of day 0, 5 and 8 of day 1
+        keys = [("a", 0, m) for m in range(10) if m not in (3, 6, 7)]
+        keys += [("b", 0, 0), ("b", 0, 1), ("b", 1, 5), ("b", 1, 8)]
+        source = tmp_path / "gapped.csv"
+        source.write_text(table_to_csv(make_table([make_record(p, m, d) for p, d, m in keys])))
+        for path, counts in ((source, (3, 5)), (dataset_csv, (0, 0))):
+            out = tmp_path / "ingest"
+            assert main(["ingest", "--input", str(path), "--out", str(out)]) == 0
+            stats = json.loads((out / "ingest.json").read_text())
+            assert (stats["gaps"], stats["missing_minutes"]) == counts
+            warned = "5 missing minute(s) in 3 gap(s)" in capsys.readouterr().err
+            assert warned == (path == source)
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["ingest", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])

@@ -1,5 +1,6 @@
 """Feature catalog, pooling, standardization, and per-segment extraction."""
 
+import datetime as dt
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,16 @@ class TestPoolFeatures:
         out = pool_features(table, FeatureSpec(("switch_freq_desk_light",)))
         assert out.values.shape == (1, 1)
         assert out.values[0, 0] == 3.0
+
+    def test_switch_across_a_missing_minute_is_not_counted(self):
+        # desk light 0,1 | gap | 0,1: the step over the gap is no switch, and
+        # the count is not rescaled by the minutes observed
+        table = make_table(
+            [make_record("p1", minute=m, statuses=(0, m % 2, 0, 0)) for m in (0, 1, 4, 5)]
+        )
+        assert table.minute_runs()[0].tolist() == [0, 2]
+        out = pool_features(table, FeatureSpec(("switch_freq_desk_light",)))
+        assert out.values.tolist() == [[2.0]]
 
     def test_usage_pct_is_on_fraction_full_day(self):
         fan = [1 if m < 360 else 0 for m in range(1440)]
@@ -286,12 +297,40 @@ def day_tables(draw):
     )
 
 
+# a few players' minutes near midnight, so runs span several rows and gaps
+# and day ends cut them
+gappy_tables = st.lists(
+    st.tuples(
+        st.sampled_from(("a", "b")),
+        st.integers(0, 2),
+        st.sampled_from([*range(8), *range(1434, 1440)]),
+    ),
+    min_size=1,
+    max_size=40,
+    unique=True,
+).map(lambda keys: make_table([make_record(p, minute=m, day=d) for p, d, m in keys]))
+
+
 def brute_runs(table) -> dict:
     """Row indices of each (player, ISO day), grouping ``table_records(table)`` one by one."""
     groups: dict = {}
     for i, r in enumerate(table_records(table)):
         groups.setdefault((r.player_id, r.timestamp.date().isoformat()), []).append(i)
     return groups
+
+
+def brute_minute_runs(table) -> list:
+    """((player, ISO day), row indices) of each run of consecutive minutes, row by row."""
+    records = table_records(table)
+    runs: list = []
+    for key, rows in brute_runs(table).items():
+        for i in rows:
+            step = records[i].timestamp - records[i - 1].timestamp if runs else None
+            if runs and runs[-1][0] == key and step == dt.timedelta(minutes=1):
+                runs[-1][1].append(i)
+            else:
+                runs.append((key, [i]))
+    return runs
 
 
 class TestDayRunProperties:
@@ -322,7 +361,27 @@ class TestDayRunProperties:
     @given(day_tables())
     def test_segments_join_to_the_table_columns(self, table):
         segments = player_day_segments(table, ("humidity", "status_fan"))
-        assert [(player, day) for player, day, _ in segments] == list(brute_runs(table))
+        assert [(player, day) for player, day, _ in segments] == [
+            key for key, _ in brute_minute_runs(table)
+        ]
         for name in ("humidity", "status_fan"):
             joined = np.concatenate([series[name] for _, _, series in segments])
             assert np.array_equal(joined, table.columns[name])
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.one_of(day_tables(), gappy_tables))
+    def test_minute_runs_match_brute_force_cuts(self, table):
+        starts, lengths = table.minute_runs()
+        runs = [list(range(a, a + n)) for a, n in zip(starts.tolist(), lengths.tolist())]
+        assert runs == [rows for _, rows in brute_minute_runs(table)]
+
+    @settings(deadline=None, derandomize=True)
+    @given(gappy_tables)
+    def test_no_segment_spans_a_missing_minute(self, table):
+        # each row's humidity is its minute, so a segment's steps are its lags
+        minutes = table.timestamps.astype(np.int64)
+        table.columns["humidity"] = minutes.astype(np.float64)
+        segments = player_day_segments(table, ("humidity",))
+        for _, _, series in segments:
+            assert np.all(np.diff(series["humidity"]) == 1.0)
+        assert sum(len(series["humidity"]) for _, _, series in segments) == len(table)
