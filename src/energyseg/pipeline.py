@@ -307,7 +307,10 @@ def run_segment(
         # -- correlation matrices per class and per cluster -------------------
         graph_spec = config.features.graph_spec
         graph_matrix = pool_features(table, graph_spec)
-        row_class = np.array([int(class_map[p]) for p in graph_matrix.row_players])
+        row_codes = table.player_codes
+        if graph_spec.granularity == "daily":
+            row_codes = row_codes[table.day_runs()[0]]
+        row_class = np.array([int(class_map[p]) for p in table.player_ids])[row_codes]
         row_cluster = model.assignments
         if graph_spec.granularity == "minute" and spec.granularity == "daily":
             # each minute row takes the cluster of its (player, day) run

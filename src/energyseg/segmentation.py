@@ -230,13 +230,14 @@ def proportion_buckets(
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise DimensionMismatch(f"assignments must lie in [0, {k})")
 
-    player_arr = np.asarray(players)
+    index = {player: i for i, player in enumerate(dict.fromkeys(players))}  # first-seen order
+    codes = np.fromiter(map(index.__getitem__, players), np.intp, len(players))
+    rows = np.bincount(codes * k + labels, minlength=len(index) * k).reshape(len(index), k)
     per_player: dict[str, np.ndarray] = {}
     counts = {label: np.zeros((k, len(edges) - 1), dtype=np.int64) for label in ClassLabel}
     n_buckets = len(edges) - 1
-    for player in dict.fromkeys(players):
-        own = labels[player_arr == player]
-        props = np.bincount(own, minlength=k) / len(own)
+    for player, own in zip(index, rows):  # each player's row count per cluster
+        props = own / own.sum()
         per_player[player] = props
         label = class_map[player]
         for cluster in range(k):

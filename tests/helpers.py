@@ -21,7 +21,9 @@ time, the oracle for its vectorised form.
 stacked lagged design, the reference for the F from merged cross products.
 ``standardize_formula`` and ``correlation_formula`` make a new array per
 step, the results that the one-working-copy forms must match bit for bit
-on ``awkward_matrices``.
+on ``awkward_matrices``. ``scanned_proportions`` finds each player's rows
+by a scan of every row, the reference for the per-player counts of
+``proportion_buckets``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from energyseg.records import (
     DatasetTable,
     emit_csv,
 )
+from energyseg.segmentation import ClassLabel
 
 BASE_DATE = dt.date(2018, 9, 3)
 
@@ -738,3 +741,24 @@ def run_chain_loop(p_on, p_off, uniforms) -> np.ndarray:
                 state = 1
         out[t] = state
     return out
+
+
+def scanned_proportions(class_map, players, assignments, k, edges):
+    """(per_player, counts) of ``proportion_buckets``, one scan of every row per player."""
+    labels = np.asarray(assignments, dtype=np.int64)
+    player_arr = np.asarray(players)
+    per_player = {}
+    counts = {label: np.zeros((k, len(edges) - 1), dtype=np.int64) for label in ClassLabel}
+    n_buckets = len(edges) - 1
+    for player in dict.fromkeys(players):
+        own = labels[player_arr == player]
+        props = np.bincount(own, minlength=k) / len(own)
+        per_player[player] = props
+        label = class_map[player]
+        for cluster in range(k):
+            bucket = int(np.searchsorted(edges, props[cluster], side="right") - 1)
+            bucket = min(max(bucket, 0), n_buckets - 1)
+            if props[cluster] < edges[0] or props[cluster] > edges[-1]:
+                continue  # outside the histogram domain
+            counts[label][cluster, bucket] += 1
+    return per_player, counts

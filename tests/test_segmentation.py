@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     awkward_matrices,
@@ -15,6 +16,7 @@ from helpers import (
     make_record,
     make_table,
     random_psd,
+    scanned_proportions,
     two_pass_pearson,
 )
 
@@ -342,6 +344,26 @@ class TestProportionBuckets:
             proportion_buckets({"a": ClassLabel.LOW}, ["a"], [0], k=1, bucket_edges=(0.5, 0.2))
         with pytest.raises(EmptyBuckets):
             proportion_buckets({"a": ClassLabel.LOW}, ["a"], [0], k=1, bucket_edges=(0.5,))
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 5).flatmap(lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.tuples(st.sampled_from("abcde"), st.integers(0, k - 1)), max_size=60),
+        )),
+        st.sampled_from([(0.0, 0.1, 0.5, 1.0), (0.2, 0.6), (0.0, 1.0)]),
+    )
+    def test_matches_a_scan_per_player(self, case, edges):
+        k, rows = case
+        players = [player for player, _ in rows]
+        assignments = [cluster for _, cluster in rows]
+        class_map = {p: ClassLabel("abcde".index(p) % 3) for p in "abcde"}
+        report = proportion_buckets(class_map, players, assignments, k, edges)
+        per_player, counts = scanned_proportions(class_map, players, assignments, k, edges)
+        assert list(report.per_player) == list(per_player)
+        for player, props in per_player.items():
+            assert np.array_equal(report.per_player[player], props)
+        assert all(np.array_equal(report.counts[label], counts[label]) for label in ClassLabel)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
