@@ -200,8 +200,8 @@ def _segment_moments(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(n, mean, centred cross products) of each segment's T − L lagged rows.
 
-    No row mixes samples across a segment (day) boundary. Segments are cast to
-    float64 one at a time.
+    No row mixes samples of two segments (runs of consecutive minutes).
+    Segments are cast to float64 one at a time.
     """
     for x, y in segments:
         x = np.asarray(x, dtype=np.float64)
