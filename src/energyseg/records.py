@@ -161,7 +161,8 @@ class DatasetTable:
 
         Each (player, day) run of :meth:`day_runs` is cut after every row
         whose next row is not the next minute. The steps are read one day run
-        at a time, so no temporary spans the table.
+        at a time, so beside those of :meth:`day_runs` no temporary spans the
+        table.
         """
         starts, lengths, _ = self.day_runs()
         minutes = self.timestamps.view(np.int64)
