@@ -71,7 +71,6 @@ from .segmentation import (
     ClusterLabelling,
     ProportionReport,
     RankBands,
-    SegmentationConfig,
     assign_classes,
     correlation_matrix,
     label_clusters,
@@ -114,7 +113,6 @@ __all__ = [
     "RankBands",
     "ResourceKind",
     "SchemaError",
-    "SegmentationConfig",
     "TTestResult",
     "assign_classes",
     "compute_points",

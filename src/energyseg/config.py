@@ -7,9 +7,10 @@ config.json, so any artifact can be regenerated from its config alone.
 
 Each stage module owns its one config type (``synthetic.GeneratorConfig``,
 ``features.FeatureConfig``, ``glasso.GlassoConfig``,
-``clustering.ClusteringConfig``, ``segmentation.SegmentationConfig``,
-``causality.CausalityConfig``); this module assembles them into
-:class:`PipelineConfig`.
+``clustering.ClusteringConfig``, ``causality.CausalityConfig``); this
+module assembles them into :class:`PipelineConfig`. The segmentation stage
+has no config: its rank bands and proportion buckets are fixed by the
+method.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .clustering import ClusteringConfig
 from .errors import InvalidConfig, require_int
 from .features import FeatureConfig
 from .glasso import GlassoConfig
-from .segmentation import SegmentationConfig
 from .synthetic import GeneratorConfig
 
 OUTPUT_ROOT_ENV = "ENERGYSEG_OUTPUT_ROOT"
@@ -46,7 +46,6 @@ class PipelineConfig:
     features: FeatureConfig = field(default_factory=FeatureConfig)
     glasso: GlassoConfig = field(default_factory=GlassoConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
-    segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
     causality: CausalityConfig = field(default_factory=CausalityConfig)
 
     def __post_init__(self) -> None:

@@ -115,10 +115,6 @@ class SingleCluster(DataSizeError):
     pass
 
 
-class EmptyBuckets(DataSizeError):
-    pass
-
-
 # -- numeric family --------------------------------------------------------
 
 class NonPositiveBaseline(NumericError):

@@ -284,9 +284,7 @@ def run_segment(
         )
 
         # -- supervised classes -----------------------------------------------
-        class_map, bands = segmentation_mod.assign_classes(
-            table, invert_rank=config.segmentation.invert_rank
-        )
+        class_map, bands = segmentation_mod.assign_classes(table)
         class_counts = {
             label.label: sum(1 for c in class_map.values() if c is label) for label in ClassLabel
         }
@@ -298,7 +296,6 @@ def run_segment(
                     "rank_min": bands.rank_min,
                     "rank_max": bands.rank_max,
                     "boundaries": list(bands.boundaries),
-                    "invert_rank": bands.invert_rank,
                 },
                 "counts": class_counts,
             },
@@ -352,7 +349,6 @@ def run_segment(
             list(matrix.row_players),
             model.assignments,
             model.k,
-            config.segmentation.bucket_edges,
         )
         write(
             "proportions.json",
@@ -410,9 +406,7 @@ def run_causality(
     """Per-class Granger grid over the configured (cause, effect) pairs."""
     with _stage("causality", out_dir, config, table) as (stage, table, write):
         cz = config.causality
-        class_map, _ = segmentation_mod.assign_classes(
-            table, invert_rank=config.segmentation.invert_rank
-        )
+        class_map, _ = segmentation_mod.assign_classes(table)
 
         names = sorted({name for pair in cz.pairs for name in pair})
         segments = player_day_segments(table, names)

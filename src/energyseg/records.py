@@ -160,34 +160,26 @@ class DatasetTable:
         """The start row and row count of each run of consecutive minutes.
 
         Each (player, day) run of :meth:`day_runs` is cut after every row
-        whose next row is not the next minute. The steps are read one day run
-        at a time, so beside those of :meth:`day_runs` no temporary spans the
-        table.
+        whose next row is not the next minute.
         """
-        starts, lengths, _ = self.day_runs()
-        minutes = self.timestamps.view(np.int64)
-        cuts = [starts]
-        for start, stop in zip(starts.tolist(), (starts + lengths).tolist()):
-            steps = np.diff(minutes[start:stop])
-            cuts.append(start + 1 + np.flatnonzero(steps != 1))
-        run_starts = np.sort(np.concatenate(cuts))
+        day_starts = self.day_runs()[0]  # its temporaries are freed before the mask is made
+        new_run = np.zeros(len(self), dtype=bool)
+        new_run[day_starts] = True
+        new_run[1:] |= np.diff(self.timestamps.view(np.int64)) != 1
+        run_starts = np.flatnonzero(new_run)
         return run_starts, np.diff(run_starts, append=len(self))
 
 
-def compute_points(baseline: float, usage: float, booster: float = 1.0,
-                   clamp_at_zero: bool = False) -> float:
+def compute_points(baseline: float, usage: float, booster: float = 1.0) -> float:
     """Daily points earned for one resource.
 
     Points scale with proportional under-usage relative to the baseline:
     ``booster * (baseline - usage) / baseline``. Overuse yields negative
-    points unless ``clamp_at_zero`` is set.
+    points.
     """
     if baseline <= 0:
         raise NonPositiveBaseline(f"baseline must be > 0, got {baseline}")
-    points = booster * (baseline - usage) / baseline
-    if clamp_at_zero and points < 0:
-        return 0.0
-    return points
+    return booster * (baseline - usage) / baseline
 
 
 class _TimestampOffset(ValueError):

@@ -5,7 +5,8 @@ leaderboard ranks fall inside three near-equal integer bands of the observed
 rank range (rank 1 — the best — lies in the High band). Unsupervised
 clusters are then labelled by matching their feature-correlation matrices to
 the per-class matrices with the RV coefficient, maximizing total similarity
-over all bijections.
+over all bijections. Each player's share of rows in each cluster is counted
+into decile buckets per (class, cluster).
 """
 
 from __future__ import annotations
@@ -20,38 +21,15 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyBuckets,
     EmptyTable,
     FeatureOrderMismatch,
-    InvalidConfig,
     MissingRank,
     NonFiniteValue,
     TooFewRows,
     ZeroMatrix,
-    require_bool,
-    require_number,
 )
 from .features import FeatureMatrix, _scaled_deviations
 from .records import DatasetTable
-
-
-@dataclass(frozen=True)
-class SegmentationConfig:
-    """Rank bands and proportion buckets; the ``segmentation`` config section."""
-
-    invert_rank: bool = False
-    bucket_edges: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-    def __post_init__(self) -> None:
-        require_bool("invert_rank", self.invert_rank)
-        for edge in self.bucket_edges:
-            require_number("bucket_edges entry", edge)
-        edges = tuple(float(e) for e in self.bucket_edges)
-        object.__setattr__(self, "bucket_edges", edges)
-        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise InvalidConfig(
-                f"bucket_edges must be at least 2 strictly increasing numbers, got {list(edges)}"
-            )
 
 
 class ClassLabel(IntEnum):
@@ -71,14 +49,12 @@ class RankBands:
     """Three integer bands over [rank_min, rank_max], widths differing ≤ 1.
 
     ``boundaries = (b1, b2)``: ranks ≤ b1 are High, ranks in (b1, b2] are
-    Medium, ranks > b2 are Low. With ``invert_rank`` the orientation flips
-    (largest rank = best).
+    Medium, ranks > b2 are Low.
     """
 
     rank_min: int
     rank_max: int
     boundaries: tuple[int, int]
-    invert_rank: bool = False
 
     def classes_of(self, ranks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The :class:`ClassLabel` value of each rank: 2 High, 1 Medium, 0 Low.
@@ -87,24 +63,21 @@ class RankBands:
         ``out`` (int64) in place when given, so no other N-length int64 array is made.
         """
         out = np.zeros(len(ranks), dtype=np.int64) if out is None else out
-        for b in self.boundaries:  # inverted: rank_min + rank_max − rank ≤ b
-            out += ranks >= self.rank_min + self.rank_max - b if self.invert_rank else ranks <= b
+        for b in self.boundaries:
+            out += ranks <= b
         return out
 
 
-def make_rank_bands(rank_min: int, rank_max: int, invert_rank: bool = False) -> RankBands:
+def make_rank_bands(rank_min: int, rank_max: int) -> RankBands:
     span = rank_max - rank_min + 1
     base, rem = divmod(span, 3)
     widths = [base + (1 if i < rem else 0) for i in range(3)]
     b1 = rank_min + widths[0] - 1
     b2 = b1 + widths[1]
-    return RankBands(rank_min=rank_min, rank_max=rank_max, boundaries=(b1, b2),
-                     invert_rank=invert_rank)
+    return RankBands(rank_min=rank_min, rank_max=rank_max, boundaries=(b1, b2))
 
 
-def assign_classes(
-    table: DatasetTable, invert_rank: bool = False
-) -> tuple[dict[str, ClassLabel], RankBands]:
+def assign_classes(table: DatasetTable) -> tuple[dict[str, ClassLabel], RankBands]:
     """Per-player efficiency class from rank-band occupancy counts.
 
     Ties in the band counts resolve toward the more efficient class.
@@ -114,7 +87,7 @@ def assign_classes(
     ranks = table.columns["rank"]
     if (ranks < 1).any():
         raise MissingRank("every record needs a rank >= 1")
-    bands = make_rank_bands(int(ranks.min()), int(ranks.max()), invert_rank)
+    bands = make_rank_bands(int(ranks.min()), int(ranks.max()))
 
     keys = bands.classes_of(ranks, out=table.player_codes * 3)  # the one N-length array
     counts = np.bincount(keys, minlength=3 * len(table.player_ids)).reshape(-1, 3)
@@ -199,6 +172,9 @@ def label_clusters(
     return ClusterLabelling(mapping=mapping, similarity_matrix=similarity)
 
 
+BUCKET_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)  # deciles of a share
+
+
 @dataclass
 class ProportionReport:
     """Per-player cluster occupancy and its histogram per (class, cluster)."""
@@ -213,15 +189,12 @@ def proportion_buckets(
     players: Sequence[str],
     assignments: Sequence[int],
     k: int,
-    bucket_edges: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
 ) -> ProportionReport:
     """Histogram, per (class, cluster), of players' in-cluster data shares.
 
-    Buckets are [e0,e1), …, [e_{m-1}, e_m] with the last edge inclusive.
+    The buckets are the deciles of :data:`BUCKET_EDGES`, [0, 0.1), …,
+    [0.9, 1] with the last edge inclusive.
     """
-    edges = tuple(float(e) for e in bucket_edges)
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise EmptyBuckets(f"bucket edges must be strictly increasing, got {edges}")
     if len(players) != len(assignments):
         raise DimensionMismatch(
             f"{len(players)} players vs {len(assignments)} assignments"
@@ -234,16 +207,13 @@ def proportion_buckets(
     codes = np.fromiter(map(index.__getitem__, players), np.intp, len(players))
     rows = np.bincount(codes * k + labels, minlength=len(index) * k).reshape(len(index), k)
     per_player: dict[str, np.ndarray] = {}
-    counts = {label: np.zeros((k, len(edges) - 1), dtype=np.int64) for label in ClassLabel}
-    n_buckets = len(edges) - 1
+    n_buckets = len(BUCKET_EDGES) - 1
+    counts = {label: np.zeros((k, n_buckets), dtype=np.int64) for label in ClassLabel}
     for player, own in zip(index, rows):  # each player's row count per cluster
-        props = own / own.sum()
+        props = own / own.sum()  # shares in [0, 1]
         per_player[player] = props
         label = class_map[player]
         for cluster in range(k):
-            bucket = int(np.searchsorted(edges, props[cluster], side="right") - 1)
-            bucket = min(max(bucket, 0), n_buckets - 1)
-            if props[cluster] < edges[0] or props[cluster] > edges[-1]:
-                continue  # outside the histogram domain
-            counts[label][cluster, bucket] += 1
-    return ProportionReport(bucket_edges=edges, per_player=per_player, counts=counts)
+            bucket = int(np.searchsorted(BUCKET_EDGES, props[cluster], side="right") - 1)
+            counts[label][cluster, min(bucket, n_buckets - 1)] += 1
+    return ProportionReport(bucket_edges=BUCKET_EDGES, per_player=per_player, counts=counts)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, require_bool, require_int, require_number
+from .errors import InvalidConfig, require_int, require_number
 from .records import FLAG_NAMES, FIELD_COLUMNS, RESOURCES, DatasetTable, compute_points
 
 MINUTES_PER_DAY = 1440
@@ -56,7 +56,6 @@ class GeneratorConfig:
     players_per_class: tuple[int, int, int] = (2, 2, 2)
     n_days: int = 7
     booster: float = 1.0
-    clamp_points_at_zero: bool = False
 
     def __post_init__(self) -> None:
         counts = tuple(self.players_per_class)
@@ -68,7 +67,6 @@ class GeneratorConfig:
         if sum(counts) == 0:
             raise InvalidConfig("at least one player is required")
         require_int("n_days", self.n_days, 1)
-        require_bool("clamp_points_at_zero", self.clamp_points_at_zero)
         require_number("booster", self.booster)
         if self.booster <= 0:
             raise InvalidConfig(f"booster must be positive, got {self.booster}")
@@ -342,12 +340,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> DatasetTable:
     for i in range(n_players):
         for d in range(n_days):
             points_day[i, d] = sum(
-                compute_points(
-                    baselines[i, r],
-                    float(usage_day[i, r, d]),
-                    config.booster,
-                    clamp_at_zero=config.clamp_points_at_zero,
-                )
+                compute_points(baselines[i, r], float(usage_day[i, r, d]), config.booster)
                 for r in range(4)
             )
     # totals visible during day d cover completed days 0..d-1

@@ -166,7 +166,7 @@ class TestSegment:
         }
         assert sum(classes["counts"].values()) == 6
         assert set(classes["rank_bands"]) == {
-            "rank_min", "rank_max", "boundaries", "invert_rank",
+            "rank_min", "rank_max", "boundaries",
         }
 
         labelling = json.loads((out / "labelling.json").read_text())

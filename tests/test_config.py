@@ -37,8 +37,6 @@ class TestDefaults:
         assert cfg.clustering.k == 3
         assert cfg.clustering.k_range == (1, 6)
         assert cfg.clustering.max_iters == 200
-        assert cfg.segmentation.invert_rank is False
-        assert len(cfg.segmentation.bucket_edges) == 11
         assert cfg.causality.lag == 1
         assert cfg.causality.alpha == 0.05
         assert ("humidity", "status_fan") in cfg.causality.pairs
@@ -135,6 +133,7 @@ class TestSerialization:
             ("clustering", "pca_variance", 0.9),
             ("clustering", "pca_dim", None),
             ("clustering", "n_init", 10),
+            ("synth", "clamp_points_at_zero", False),
         ],
     )
     def test_removed_option_rejected(self, tmp_path, section, key, value):
@@ -143,6 +142,18 @@ class TestSerialization:
         path.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(InvalidConfig, match=rf"unknown {section} option\(s\): \['{key}'\]"):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "key,value", [("invert_rank", False), ("bucket_edges", [i / 10 for i in range(11)])]
+    )
+    def test_removed_segmentation_section_rejected(self, tmp_path, key, value):
+        # even at an old default: the rank bands and the decile buckets are constants now
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"segmentation": {key: value}}))
+        unknown = r"unknown config option\(s\): \['segmentation'\]"
+        with pytest.raises(InvalidConfig, match=unknown) as caught:
+            load_config(str(path))
+        assert caught.value.exit_code == 2
 
     def test_invalid_value_in_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -158,7 +169,7 @@ class TestSerialization:
             {"clustering": {"k": "x"}},
             {"synth": {"players_per_class": ["x", 1, 1]}},
             {"causality": {"pairs": [["a"]]}},
-            {"segmentation": {"bucket_edges": ["q"]}},
+            {"causality": {"alpha": float("nan")}},
             {"synth": {"n_days": 0}},
             {"synth": {"players_per_class": [1, 2]}},
             {"seed": "x"},
@@ -176,8 +187,8 @@ class TestSerialization:
             {"causality": {"pairs": [["switch_freq_fan", "status_fan"]]}},
             {"causality": {"pairs": [["humidty", "status_fan"]]}},
             {"features": {"clustering_granularity": "minute", "graph_granularity": "daily"}},
-            {"segmentation": {"invert_rank": "false"}},
-            {"synth": {"clamp_points_at_zero": "false"}},
+            {"causality": {"first_difference": 0}},
+            {"synth": {"booster": "1.0"}},
             {"causality": {"first_difference": "no"}},
             {"clustering": {"k": 2.7}},
             {"clustering": {"k_range": [1.5, 4.9]}},
@@ -188,13 +199,13 @@ class TestSerialization:
             {"clustering": {"max_iters": True}},
             {"features": {"clustering_granularity": "hourly"}},
             {"clustering": {"k": True}},
-            {"segmentation": {"bucket_edges": [0.0, 0.5, 0.5, 1.0]}},
-            {"segmentation": {"bucket_edges": [0.0]}},
+            {"synth": {"booster": 0.0}},
+            {"glasso": {"max_sweeps": 0}},
             {"features": {"clustering_features": []}},
             {"features": {"graph_features": ["humidity"]}},
             {"glasso": {"tol": float("nan")}},
             {"synth": {"booster": float("inf")}},
-            {"segmentation": {"bucket_edges": [0.0, float("nan"), 1.0]}},
+            {"glasso": {"folds": 1}},
             {"features": {"graph_features": ["humidity", "humidity", "status_fan"]}},
             {"features": {"clustering_features": ["portal_visits", "portal_visits"]}},
             {"features": {"clustering_features": ["portal_visit"]}},

@@ -36,6 +36,7 @@ from energyseg.features import (
     raw_columns,
     standardize,
 )
+from energyseg.records import RESOURCES
 
 
 class TestCatalog:
@@ -298,17 +299,22 @@ def day_tables(draw):
 
 
 # a few players' minutes near midnight, so runs span several rows and gaps
-# and day ends cut them
+# and day ends cut them; each row's four statuses are drawn
 gappy_tables = st.lists(
     st.tuples(
         st.sampled_from(("a", "b")),
         st.integers(0, 2),
         st.sampled_from([*range(8), *range(1434, 1440)]),
+        st.tuples(*[st.integers(0, 1)] * 4),
     ),
     min_size=1,
     max_size=40,
-    unique=True,
-).map(lambda keys: make_table([make_record(p, minute=m, day=d) for p, d, m in keys]))
+    unique_by=lambda key: key[:3],
+).map(
+    lambda keys: make_table(
+        [make_record(p, minute=m, day=d, statuses=s) for p, d, m, s in keys]
+    )
+)
 
 
 def brute_runs(table) -> dict:
@@ -356,6 +362,25 @@ class TestDayRunProperties:
         ]
         assert out.row_players == tuple(player for player, _ in groups)
         np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.one_of(day_tables(), gappy_tables))
+    def test_daily_pooled_features_match_a_count_per_day(self, table):
+        out = pool_features(table, FeatureSpec(DAILY_POOLED_FEATURES))
+        records = table_records(table)
+        one_minute = dt.timedelta(minutes=1)
+        for i, resource in enumerate(RESOURCES):
+            switches, usage = [], []
+            for rows in brute_runs(table).values():
+                switches.append(sum(
+                    records[b].statuses[i] != records[a].statuses[i]
+                    for a, b in zip(rows, rows[1:])
+                    if records[b].timestamp - records[a].timestamp == one_minute
+                ))
+                usage.append(sum(records[j].statuses[i] for j in rows) / len(rows))
+            column = out.column_names.index
+            assert out.values[:, column(f"switch_freq_{resource.value}")].tolist() == switches
+            assert out.values[:, column(f"usage_pct_{resource.value}")].tolist() == usage
 
     @settings(deadline=None, derandomize=True)
     @given(day_tables())

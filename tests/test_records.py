@@ -85,10 +85,6 @@ class TestComputePoints:
         pts = [compute_points(120.0, u, 2.0) for u in np.linspace(0.0, 240.0, 25)]
         assert all(a > b for a, b in zip(pts, pts[1:]))
 
-    def test_clamp_flag(self):
-        assert compute_points(100, 150, 1, clamp_at_zero=True) == 0.0
-        assert compute_points(100, 50, 1, clamp_at_zero=True) == 0.5
-
     def test_nonpositive_baseline(self):
         with pytest.raises(NonPositiveBaseline):
             compute_points(0, 10, 1)
@@ -281,6 +277,28 @@ class TestIngestMemory:
         )
         # blocks, per-row temporaries and spare capacity, beside the table itself
         assert peak - held <= 0.4 * held, (peak, held)
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("deleted", [0.0, 0.05])
+    def test_minute_runs_peak_is_that_of_day_runs(self, synth_table, deleted):
+        keep = np.random.default_rng(0).random(len(synth_table)) >= deleted
+        table = DatasetTable(
+            player_ids=synth_table.player_ids,
+            player_codes=synth_table.player_codes[keep],
+            timestamps=synth_table.timestamps[keep],
+            columns={},
+        )
+        peaks = []
+        for runs in (table.day_runs, table.minute_runs):
+            tracemalloc.start()
+            try:
+                runs()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # minute_runs calls day_runs first; its own cuts must not raise the peak
+        assert peaks[1] <= peaks[0], peaks
 
 
 class TestEmit:

@@ -22,7 +22,6 @@ from helpers import (
 
 from energyseg.errors import (
     DimensionMismatch,
-    EmptyBuckets,
     EmptyTable,
     FeatureOrderMismatch,
     MissingRank,
@@ -31,6 +30,7 @@ from energyseg.errors import (
     ZeroMatrix,
 )
 from energyseg.segmentation import (
+    BUCKET_EDGES,
     ClassLabel,
     assign_classes,
     correlation_matrix,
@@ -74,19 +74,14 @@ class TestRankBands:
             assert max(widths) - min(present) <= 1 or min(widths) == 0
             assert max(widths) - min(widths) <= 1 or (hi - lo + 1) < 3
 
-    def test_inverted_orientation(self):
-        bands = make_rank_bands(1, 30, invert_rank=True)
-        assert bands.classes_of(np.array([1, 30])).tolist() == [ClassLabel.LOW, ClassLabel.HIGH]
-
     def test_classes_match_the_nested_where(self):
-        for lo, hi, invert in itertools.product(range(1, 6), range(1, 12), (False, True)):
+        for lo, hi in itertools.product(range(1, 6), range(1, 12)):
             if hi < lo:
                 continue
-            bands = make_rank_bands(lo, hi, invert_rank=invert)
+            bands = make_rank_bands(lo, hi)
             ranks = np.arange(lo, hi + 1)
-            r = lo + hi - ranks if invert else ranks
             b1, b2 = bands.boundaries
-            expected = np.where(r <= b1, 2, np.where(r <= b2, 1, 0))
+            expected = np.where(ranks <= b1, 2, np.where(ranks <= b2, 1, 0))
             for out in (None, np.full(len(ranks), 30)):
                 got = bands.classes_of(ranks, out=out)
                 assert got.dtype == np.int64
@@ -127,11 +122,6 @@ class TestAssignClasses:
         classes, _ = assign_classes(table)
         assert classes["tied2"] is ClassLabel.MEDIUM
 
-    def test_invert_rank_flips_assignment(self):
-        table = make_table(anchor_records() + ranked_records("hero", [2, 5, 9, 10]))
-        classes, _ = assign_classes(table, invert_rank=True)
-        assert classes["hero"] is ClassLabel.LOW
-
     def test_record_order_invariance(self):
         records = anchor_records() + ranked_records("mixed", [25] * 3 + [5] * 4)
         forward = assign_classes(make_table(list(records)))[0]
@@ -157,7 +147,7 @@ class TestAssignClasses:
         n = len(synth_table)
         tracemalloc.start()
         try:
-            assign_classes(synth_table, invert_rank=True)
+            assign_classes(synth_table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -339,27 +329,20 @@ class TestProportionBuckets:
             assert report.counts[cl].shape == (2, 10)
             assert report.counts[cl].sum() == 2  # one player x two clusters
 
-    def test_empty_buckets(self):
-        with pytest.raises(EmptyBuckets):
-            proportion_buckets({"a": ClassLabel.LOW}, ["a"], [0], k=1, bucket_edges=(0.5, 0.2))
-        with pytest.raises(EmptyBuckets):
-            proportion_buckets({"a": ClassLabel.LOW}, ["a"], [0], k=1, bucket_edges=(0.5,))
-
     @settings(deadline=None, derandomize=True)
     @given(
         st.integers(1, 5).flatmap(lambda k: st.tuples(
             st.just(k),
             st.lists(st.tuples(st.sampled_from("abcde"), st.integers(0, k - 1)), max_size=60),
         )),
-        st.sampled_from([(0.0, 0.1, 0.5, 1.0), (0.2, 0.6), (0.0, 1.0)]),
     )
-    def test_matches_a_scan_per_player(self, case, edges):
+    def test_matches_a_scan_per_player(self, case):
         k, rows = case
         players = [player for player, _ in rows]
         assignments = [cluster for _, cluster in rows]
         class_map = {p: ClassLabel("abcde".index(p) % 3) for p in "abcde"}
-        report = proportion_buckets(class_map, players, assignments, k, edges)
-        per_player, counts = scanned_proportions(class_map, players, assignments, k, edges)
+        report = proportion_buckets(class_map, players, assignments, k)
+        per_player, counts = scanned_proportions(class_map, players, assignments, k, BUCKET_EDGES)
         assert list(report.per_player) == list(per_player)
         for player, props in per_player.items():
             assert np.array_equal(report.per_player[player], props)

@@ -139,7 +139,7 @@ class TestRecordInvariants:
 
 
 class TestPointsAndRanks:
-    def recompute(self, table, booster=1.0, clamp=False):
+    def recompute(self, table, booster=1.0):
         """Re-derive per-day points and competition ranks from raw records."""
         per = {}
         for rec in table_records(table):
@@ -152,7 +152,7 @@ class TestPointsAndRanks:
             sums = [sum(r.statuses[i] for r in recs) for i in range(4)]
             assert final.usage_today == tuple(float(s) for s in sums)
             points_day[(p, d)] = sum(
-                compute_points(final.baselines[i], float(sums[i]), booster, clamp_at_zero=clamp)
+                compute_points(final.baselines[i], float(sums[i]), booster)
                 for i in range(4)
             )
         prior = {
@@ -191,16 +191,6 @@ class TestPointsAndRanks:
             assert a.statuses == b.statuses
             assert b.points_total == 2.0 * a.points_total
             assert a.rank == b.rank
-
-    def test_clamp_keeps_points_nonnegative(self):
-        table = generate_synthetic(
-            GeneratorConfig(players_per_class=(2, 0, 0), n_days=4, clamp_points_at_zero=True),
-            seed=2,
-        )
-        assert all(r.points_total >= 0.0 for r in table_records(table))
-        _, prior, _ = self.recompute(table, clamp=True)
-        for rec in table_records(table)[:: 1440 // 2]:
-            assert rec.points_total == prior[(rec.player_id, rec.timestamp.date())]
 
 
 class TestLatentStructure:
