@@ -21,13 +21,12 @@ from .errors import (
     DimensionMismatch,
     InvalidConfig,
     KTooLarge,
-    NonFiniteValue,
     RangeTooNarrow,
     SingleCluster,
     TooFewRows,
     require_int,
 )
-from .features import FeatureMatrix
+from .features import FeatureMatrix, require_finite
 
 _N_INIT = 10  # k-means++ restarts per k; the fit of least inertia wins
 _VARIANCE = 0.9  # the share of the variance PCA keeps
@@ -80,8 +79,7 @@ class ClusteringConfig:
 def _as_values(matrix) -> np.ndarray:
     """The values of a :class:`FeatureMatrix` or array; :class:`NonFiniteValue` on NaN or inf."""
     values = matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, np.float64)
-    if not np.isfinite(values).all():
-        raise NonFiniteValue("matrix contains NaN or infinite entries")
+    require_finite(values)
     return values
 
 

@@ -11,7 +11,7 @@ granularities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .errors import (
     AlreadyStandardized,
     EmptyTable,
     InvalidConfig,
+    NonFiniteValue,
     TooFewRows,
     UnknownFeatureName,
 )
@@ -111,16 +112,34 @@ class FeatureSpec:
 
 @dataclass
 class FeatureMatrix:
-    """N×p design matrix with named columns; ``row_players`` holds each row's player id."""
+    """N×p design matrix with named columns; ``row_codes`` index its rows' ``player_ids``."""
 
     values: np.ndarray
     column_names: tuple[str, ...]
     standardized: bool = False
-    row_players: tuple[str, ...] | None = None
+    row_codes: np.ndarray | None = None
+    player_ids: tuple[str, ...] = ()
 
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def row_players(self) -> tuple[str, ...] | None:
+        """The player id of each row, built on each read."""
+        if self.row_codes is None:
+            return None
+        return tuple(np.asarray(self.player_ids, dtype=object)[self.row_codes].tolist())
+
+
+_BLOCK_ROWS = 1024  # rows per block of a pass that needs a temporary of the block's size
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Raise :class:`NonFiniteValue` on a NaN or infinite entry; no mask of the matrix's size."""
+    for start in range(0, len(values), _BLOCK_ROWS):
+        if not np.isfinite(values[start : start + _BLOCK_ROWS]).all():
+            raise NonFiniteValue("matrix contains NaN or infinite entries")
 
 
 def raw_columns(
@@ -151,76 +170,102 @@ def _daily_pooled(
     return pooled
 
 
-def pool_features(table: DatasetTable, spec: FeatureSpec) -> FeatureMatrix:
+def pool_features(
+    table: DatasetTable,
+    spec: FeatureSpec,
+    rows: np.ndarray | None = None,
+    runs: tuple[np.ndarray, np.ndarray, list[str]] | None = None,
+) -> FeatureMatrix:
     """Build the named design matrix described by ``spec``.
 
     Daily granularity yields one row per (player, day); minute granularity
-    one row per record. Column order follows ``spec.features``.
+    one row per record. Column order follows ``spec.features``. A bool mask
+    ``rows`` keeps the rows it marks, as ``values[rows]``; ``runs`` is
+    ``table.day_runs()`` when the caller holds it.
 
     Memory: the table's columns are read in place, with no float64 copy (int
-    columns, int8 ones too, are summed exactly as int64), and one status column's switch
-    counts at a time.
+    columns, int8 ones too, are summed exactly as int64), and one status
+    column's switch counts at a time. Player codes, not names, are kept per
+    row; at minute granularity they are a view of the table's.
     """
     if not len(table):
         raise EmptyTable("cannot pool features from an empty table")
     need_pooled = any(f in DAILY_POOLED_FEATURES for f in spec.features)
-    starts, counts, _ = table.day_runs()
+    starts, counts, _ = table.day_runs() if runs is None else runs
     pooled = {}
     if need_pooled:
         pooled = _daily_pooled(table.columns, starts, counts, table.minute_runs()[0])
 
     daily = spec.granularity == "daily"
-    values = np.empty((len(starts) if daily else len(table), len(spec.features)))
+    kept = slice(None) if rows is None else rows
+    codes = table.player_codes[starts if daily else slice(None)][kept]
+    values = np.empty((len(codes), len(spec.features)))
     for j, name in enumerate(spec.features):  # one column at a time into the matrix
         if name in pooled:
-            values[:, j] = pooled[name] if daily else np.repeat(pooled[name], counts)
+            column = pooled[name] if daily else np.repeat(pooled[name], counts)
         else:
             column = table.columns[name]
             if daily:  # int columns sum as int64: a day of int8 ones would wrap
                 sums = np.add.reduceat(column, starts, dtype=np.result_type(column.dtype, np.int64))
                 column = sums / counts
-            values[:, j] = column
-    row_players = table.row_players(starts if daily else slice(None))
+        values[:, j] = column[kept]
 
-    return FeatureMatrix(values=values, column_names=spec.features, row_players=tuple(row_players))
+    return FeatureMatrix(
+        values=values,
+        column_names=spec.features,
+        row_codes=codes,
+        player_ids=table.player_ids,
+    )
 
 
-def _scaled_deviations(values: np.ndarray, divisor: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's deviations from its mean over its scale √(Σ deviation² / ``divisor``).
+def _square_sums(values: np.ndarray) -> np.ndarray:
+    """``np.square(values).sum(axis=0)``, bit for bit, without an N×p temporary.
 
-    Also returns which columns are constant (scale 0); they come out all-zero.
-    Memory: one N×p array beside ``values``, the result, which first holds the
-    squared deviations; its values are those of ``(values - mean) / scale``.
+    numpy sums a C-contiguous matrix of 2 or more columns down axis 0 row
+    after row, so each row block's squares are summed with the running sum
+    added into the block's first row. Other layouts are summed pairwise, so
+    they get one temporary.
     """
-    means = values.mean(axis=0)
-    out = values - means
-    scales = np.sqrt(np.square(out, out=out).sum(axis=0) / divisor)
+    if values.shape[1] < 2 or not values.flags.c_contiguous:
+        return np.square(values).sum(axis=0)
+    block = np.empty((min(len(values), _BLOCK_ROWS), values.shape[1]))
+    sums = np.zeros(values.shape[1])  # 0.0 + a square is that square, to the bit
+    for start in range(0, len(values), _BLOCK_ROWS):
+        squares = np.square(values[start : start + _BLOCK_ROWS], out=block[: len(values) - start])
+        squares[0] += sums
+        sums = squares.sum(axis=0)
+    return sums
+
+
+def _scaled_deviations(values: np.ndarray, divisor: int) -> np.ndarray:
+    """Overwrite ``values`` with (value − column mean) / √(Σ deviation² / ``divisor``).
+
+    Returns which columns are constant (scale 0); they come out all-zero.
+    Memory: one row block beside ``values``, which the caller owns.
+    """
+    values -= values.mean(axis=0)
+    scales = np.sqrt(_square_sums(values) / divisor)
     constant = scales == 0.0
-    np.subtract(values, means, out=out)
-    out /= np.where(constant, 1.0, scales)
+    values /= np.where(constant, 1.0, scales)
     if constant.any():
-        out[:, constant] = 0.0
-    return out, constant
+        values[:, constant] = 0.0
+    return constant
 
 
-def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
-    """Zero-mean, unit-sample-std copy of ``matrix``.
+def standardize(matrix: FeatureMatrix, copy: bool = True) -> FeatureMatrix:
+    """Zero-mean, unit-sample-std version of ``matrix``.
 
     Constant columns are mapped to all-zero instead of raising; downstream
-    sparse regressions simply never select them. Memory: that of
-    :func:`_scaled_deviations`.
+    sparse regressions simply never select them. Memory: one copy of the
+    values, scaled in place; ``copy=False`` scales ``matrix.values`` instead.
     """
     if matrix.standardized:
         raise AlreadyStandardized("matrix is already standardized")
     if matrix.n_rows < 2:
         raise TooFewRows(f"need at least 2 rows to standardize, got {matrix.n_rows}")
-    values, _ = _scaled_deviations(matrix.values, matrix.n_rows - 1)
-    return FeatureMatrix(
-        values=values,
-        column_names=matrix.column_names,
-        standardized=True,
-        row_players=matrix.row_players,
-    )
+    values = np.array(matrix.values, dtype=np.float64, order="K") if copy else matrix.values
+    _scaled_deviations(values, matrix.n_rows - 1)
+    return replace(matrix, values=values, standardized=True)
 
 
 def player_day_segments(

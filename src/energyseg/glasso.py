@@ -47,13 +47,12 @@ from .errors import (
     DegenerateColumn,
     DimensionMismatch,
     InvalidConfig,
-    NonFiniteValue,
     NotStandardized,
     TooFewRows,
     require_int,
     require_number,
 )
-from .features import FeatureMatrix
+from .features import FeatureMatrix, require_finite
 
 GRID_SIZE = 10
 GRID_RATIO = 100.0  # lambda_max / lambda_min
@@ -171,8 +170,7 @@ def _graph_input(matrix: FeatureMatrix, s: int | None = None) -> np.ndarray:
         raise TooFewRows(f"need at least 2 rows and 2 columns, got {n} x {p}")
     if s is not None and not 0 <= s < p:
         raise DimensionMismatch(f"vertex must lie in [0, {p}), got {s}")
-    if not np.isfinite(values).all():
-        raise NonFiniteValue("matrix contains NaN or infinite entries")
+    require_finite(values)
     return values
 
 
@@ -338,14 +336,17 @@ def _fold_grams(values: np.ndarray, folds: int, seed: int) -> tuple[np.ndarray, 
     """Each fold's held-out Gram and row count: a contiguous split of a shuffle drawn from ``seed``.
 
     Cross-validation's one pass over the rows; everything after it reads these Grams.
+    Memory: one fold's rows at a time, gathered into one buffer.
     """
     n = len(values)
     if folds > n:
         raise TooFewRows(f"need folds <= {n} rows, got {folds}")
     splits = np.array_split(np.random.default_rng(seed).permutation(n), folds)
     grams = np.empty((folds, values.shape[1], values.shape[1]))
+    held_out = np.empty((len(splits[0]), values.shape[1]))  # the largest fold's rows, reused
     for f, rows in enumerate(splits):
-        test = np.take(values, rows, axis=0)  # values[rows], gathered faster
+        # values[rows], gathered faster; "clip" fills out unbuffered, and no row is out of range
+        test = np.take(values, rows, axis=0, out=held_out[: len(rows)], mode="clip")
         grams[f] = test.T @ test
     return grams, np.array([len(rows) for rows in splits])
 

@@ -188,21 +188,28 @@ def run_ingest(config: PipelineConfig, out_dir: str) -> tuple[DatasetTable, Stag
     return table, stage
 
 
-def _group_correlations(write: Writer, matrix: FeatureMatrix, groups: dict) -> dict:
+def _group_correlations(
+    write: Writer,
+    pool: Callable[[np.ndarray], FeatureMatrix],
+    names: tuple[str, ...],
+    row_keys: np.ndarray,
+    files: dict,
+) -> dict:
     """Correlation matrix of each row group that has at least two rows.
 
-    ``groups`` maps a key to (CSV file name, row mask). Each matrix is
-    written to its CSV with ``write``, one row per feature; the result maps
-    the same keys to the matrices.
+    ``files`` maps a key to a CSV file name; its group is the matrix of the
+    ``names`` columns that ``pool`` returns for the mask of the rows whose
+    ``row_keys`` entry equals the key. Each matrix is written to its CSV
+    with ``write``, one row per feature; the result maps the same keys to
+    the matrices. Memory: one group's matrix at a time, correlated in place.
     """
-    names = matrix.column_names
     corrs = {}
-    for key, (file_name, mask) in groups.items():
-        if mask.sum() < 2:
+    for key, file_name in files.items():
+        mask = row_keys == key
+        if np.count_nonzero(mask) < 2:
             continue
-        corr = segmentation_mod.correlation_matrix(
-            FeatureMatrix(values=matrix.values[mask], column_names=names)
-        )
+        # the group's matrix lives only through this call
+        corr = segmentation_mod.correlation_matrix(pool(mask), copy=False)
         rows = [(name, *row) for name, row in zip(names, corr.tolist())]
         write(file_name, [("feature", *names)] + rows)
         corrs[key] = corr
@@ -212,13 +219,18 @@ def _group_correlations(write: Writer, matrix: FeatureMatrix, groups: dict) -> d
 def run_segment(
     config: PipelineConfig, out_dir: str, table: DatasetTable | None = None
 ) -> StageResult:
-    """Supervised classes, clustering, labelling and proportion artifacts."""
+    """Supervised classes, clustering, labelling and proportion artifacts.
+
+    Memory: one copy of the clustering matrix, standardized in place, and
+    of each class and cluster group's graph rows, never the whole graph
+    matrix at minute granularity.
+    """
     with _stage("segment", out_dir, config, table) as (stage, table, write):
         cl_cfg = config.clustering
 
         # -- features for clustering ----------------------------------------
         spec = config.features.clustering_spec
-        matrix = standardize(pool_features(table, spec))
+        matrix = standardize(pool_features(table, spec), copy=False)
 
         pca = clustering_mod.pca_fit(matrix)
         scores = clustering_mod.pca_transform(pca, matrix.values)
@@ -303,27 +315,35 @@ def run_segment(
 
         # -- correlation matrices per class and per cluster -------------------
         graph_spec = config.features.graph_spec
-        graph_matrix = pool_features(table, graph_spec)
+        runs = table.day_runs()
         row_codes = table.player_codes
         if graph_spec.granularity == "daily":
-            row_codes = row_codes[table.day_runs()[0]]
+            row_codes = row_codes[runs[0]]
+            # a row per (player, day) is small: pool the whole matrix once and mask it
+            whole = pool_features(table, graph_spec, runs=runs)
+            pool_group = lambda rows: FeatureMatrix(whole.values[rows], graph_spec.features)
+        else:
+            # a row per minute is not: pool each group's rows alone
+            pool_group = lambda rows: pool_features(table, graph_spec, rows=rows, runs=runs)
         row_class = np.array([int(class_map[p]) for p in table.player_ids])[row_codes]
         row_cluster = model.assignments
         if graph_spec.granularity == "minute" and spec.granularity == "daily":
             # each minute row takes the cluster of its (player, day) run
-            row_cluster = np.repeat(model.assignments, table.day_runs()[1])
+            row_cluster = np.repeat(model.assignments, runs[1])
+        names = graph_spec.features
         class_corrs = _group_correlations(
             write,
-            graph_matrix,
-            {
-                label: (f"corr_class_{label.label}.csv", row_class == int(label))
-                for label in ClassLabel
-            },
+            pool_group,
+            names,
+            row_class,
+            {label: f"corr_class_{label.label}.csv" for label in ClassLabel},
         )
         cluster_corrs = _group_correlations(
             write,
-            graph_matrix,
-            {c: (f"corr_cluster_{c}.csv", row_cluster == c) for c in range(model.k)},
+            pool_group,
+            names,
+            row_cluster,
+            {c: f"corr_cluster_{c}.csv" for c in range(model.k)},
         )
 
         # -- cluster labelling (defined for k = 3 with all groups present) ----
@@ -346,14 +366,14 @@ def run_segment(
         # -- per-player proportions in each cluster ---------------------------
         report = segmentation_mod.proportion_buckets(
             class_map,
-            list(matrix.row_players),
+            matrix.row_players,
             model.assignments,
             model.k,
         )
         write(
             "proportions.json",
             {
-                "bucket_edges": list(report.bucket_edges),
+                "bucket_edges": list(segmentation_mod.BUCKET_EDGES),
                 "per_player": report.per_player,
                 "histograms": {label.label: report.counts[label] for label in ClassLabel},
             },
@@ -383,9 +403,12 @@ def run_segment(
 def run_glasso(
     config: PipelineConfig, out_dir: str, table: DatasetTable | None = None
 ) -> StageResult:
-    """Dependency-graph estimation artifacts (graph.json, edges.csv)."""
+    """Dependency-graph estimation artifacts (graph.json, edges.csv).
+
+    Memory: the pooled graph matrix, standardized in place, and one fold's rows.
+    """
     with _stage("glasso", out_dir, config, table) as (stage, table, write):
-        matrix = standardize(pool_features(table, config.features.graph_spec))
+        matrix = standardize(pool_features(table, config.features.graph_spec), copy=False)
         graph = glasso_mod.graphical_lasso(matrix, config.glasso, seed=config.seed)
         write("graph.json", glasso_mod.graph_to_dict(graph))
         write("edges.csv", [("a", "b", "weight", "sign"), *glasso_mod.edges_to_csv_rows(graph)])

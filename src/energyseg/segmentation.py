@@ -24,11 +24,10 @@ from .errors import (
     EmptyTable,
     FeatureOrderMismatch,
     MissingRank,
-    NonFiniteValue,
     TooFewRows,
     ZeroMatrix,
 )
-from .features import FeatureMatrix, _scaled_deviations
+from .features import FeatureMatrix, _scaled_deviations, require_finite
 from .records import DatasetTable
 
 
@@ -98,19 +97,19 @@ def assign_classes(table: DatasetTable) -> tuple[dict[str, ClassLabel], RankBand
     return result, bands
 
 
-def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
+def correlation_matrix(matrix: FeatureMatrix, copy: bool = True) -> np.ndarray:
     """Pearson correlations with unit diagonal; constant columns zeroed.
 
     Raises :class:`NonFiniteValue` on a NaN or infinite cell. Memory: one N×p
-    working copy beside the input, the deviations over their column norms
-    from :func:`features._scaled_deviations`, whose Gram is the result.
+    working copy, the deviations over their column norms, whose Gram is the
+    result; ``copy=False`` overwrites ``matrix.values`` instead.
     """
     n = matrix.n_rows
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
-    if not np.isfinite(matrix.values).all():
-        raise NonFiniteValue("matrix contains NaN or infinite entries")
-    z, constant = _scaled_deviations(matrix.values, 1)
+    require_finite(matrix.values)
+    z = np.array(matrix.values, dtype=np.float64, order="K") if copy else matrix.values
+    constant = _scaled_deviations(z, 1)
     if constant.any():
         names = [matrix.column_names[i] for i in np.flatnonzero(constant)]
         warnings.warn(f"constant columns have undefined correlations: {names}",
@@ -177,9 +176,8 @@ BUCKET_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)  # decile
 
 @dataclass
 class ProportionReport:
-    """Per-player cluster occupancy and its histogram per (class, cluster)."""
+    """Per-player cluster occupancy and its :data:`BUCKET_EDGES` histogram per (class, cluster)."""
 
-    bucket_edges: tuple[float, ...]
     per_player: dict[str, np.ndarray]  # player -> k proportions, sum 1
     counts: dict[ClassLabel, np.ndarray]  # class -> k × n_buckets histogram
 
@@ -216,4 +214,4 @@ def proportion_buckets(
         for cluster in range(k):
             bucket = int(np.searchsorted(BUCKET_EDGES, props[cluster], side="right") - 1)
             counts[label][cluster, min(bucket, n_buckets - 1)] += 1
-    return ProportionReport(bucket_edges=BUCKET_EDGES, per_player=per_player, counts=counts)
+    return ProportionReport(per_player=per_player, counts=counts)

@@ -19,17 +19,20 @@ against; ``tables_equal`` compares two tables column by column.
 time, the oracle for its vectorised form.
 ``granger_oracle`` fits the Granger test's two models by ``lstsq`` on one
 stacked lagged design, the reference for the F from merged cross products.
-``standardize_formula`` and ``correlation_formula`` make a new array per
-step, the results that the one-working-copy forms must match bit for bit
-on ``awkward_matrices``. ``scanned_proportions`` finds each player's rows
+``standardize_formula``, ``correlation_formula`` and
+``scaled_deviations_formula`` make a new array per step, the results that
+the in-place forms must match bit for bit on ``awkward_matrices`` and
+``blocked_matrices``. ``scanned_proportions`` finds each player's rows
 by a scan of every row, the reference for the per-player counts of
-``proportion_buckets``.
+``proportion_buckets``. ``traced_peak`` runs a call under tracemalloc and
+returns its peak bytes, for the memory gates.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import io
+import tracemalloc
 from dataclasses import dataclass
 from math import copysign
 from operator import add, attrgetter, mul
@@ -42,7 +45,7 @@ from scipy import integrate, special
 from energyseg import clustering
 from energyseg.clustering import ClusterModel
 from energyseg.errors import DegenerateColumn, SingleCluster, TooFewRows
-from energyseg.features import FeatureMatrix, standardize
+from energyseg.features import _BLOCK_ROWS, FeatureMatrix, standardize
 from energyseg.glasso import CvResult, NeighborhoodFit, _grid_from_max, soft_threshold
 from energyseg.records import (
     COLUMN_DTYPES,
@@ -464,6 +467,54 @@ def awkward_matrices(draw) -> np.ndarray:
         elif kind == "offset":
             values[:, j] += draw(st.sampled_from([1.0, 1e6, -1e6, 123456.789, 1e9, -1e9]))
     return values
+
+
+def scaled_deviations_formula(values, divisor: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_scaled_deviations``' result and constant columns, out of place and in two passes."""
+    deviations = values - values.mean(axis=0)
+    scales = np.sqrt(np.square(deviations).sum(axis=0) / divisor)
+    constant = scales == 0.0
+    out = deviations / np.where(constant, 1.0, scales)
+    out[:, constant] = 0.0
+    return out, constant
+
+
+@st.composite
+def blocked_matrices(draw) -> np.ndarray:
+    """An n×p float64 matrix, C or F ordered, n below, at or across ``_BLOCK_ROWS``
+    and p in 1..6, with constant, all −0.0, signed-zero, 0/1 and offset columns."""
+    block = _BLOCK_ROWS
+    n = draw(st.one_of(
+        st.integers(2, 40), st.integers(block - 2, block + 2), st.integers(2 * block - 3, 3 * block + 5)
+    ))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((n, p)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for j in range(p):
+        kinds = ["as drawn", "constant", "-0.0", "signed zeros", "0/1", "offset"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "constant":
+            values[:, j] = values[0, j]
+        elif kind == "-0.0":
+            values[:, j] = -0.0
+        elif kind == "signed zeros":
+            values[:, j] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        elif kind == "0/1":
+            values[:, j] = rng.integers(0, 2, n)
+        elif kind == "offset":
+            values[:, j] += draw(st.sampled_from([1e6, -1e6, 123456.789, 1e9]))
+    return np.asfortranarray(values) if draw(st.booleans()) else values
+
+
+def traced_peak(call, *args, **kwargs):
+    """``(call(*args, **kwargs), peak)``: the peak bytes tracemalloc saw while the call ran."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def two_pass_pearson(values) -> np.ndarray:

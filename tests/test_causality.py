@@ -3,7 +3,6 @@
 import datetime as dt
 import io
 import math
-import tracemalloc
 from functools import partial
 
 import mpmath
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import NoConvergence
 from scipy import special
 
-from helpers import f_tail_quad, granger_oracle, t_tail_quad, table_to_csv
+from helpers import f_tail_quad, granger_oracle, t_tail_quad, table_to_csv, traced_peak
 
 from energyseg import causality
 from energyseg.causality import (
@@ -403,10 +402,9 @@ class TestMergedMoments:
         ]
         segment_rows = 3 * 1439 * 8  # one segment's [own, cross, y] rows in float64
         for count in (1, 30):
-            tracemalloc.start()
-            granger_test_segments(segments[:count], lag=1, first_difference=True)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+            _, peak = traced_peak(
+                granger_test_segments, segments[:count], lag=1, first_difference=True
+            )
             assert peak <= 4 * segment_rows, (count, peak)
 
 

@@ -13,16 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_record, make_table, table_to_csv
+from helpers import make_record, make_table, table_to_csv, traced_peak
 
 from energyseg.cli import main
 from energyseg.config import PipelineConfig, load_config
 from energyseg import clustering
 from energyseg.clustering import ClusteringConfig
-from energyseg.features import pool_features, standardize
+from energyseg.features import FeatureMatrix, pool_features, standardize
 from energyseg.glasso import graphical_lasso
 from energyseg.pipeline import run_causality, run_glasso, run_segment
 from energyseg.records import CSV_COLUMNS, ingest_csv
+from energyseg.segmentation import correlation_matrix
 from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
 
@@ -188,6 +189,30 @@ class TestSegment:
         for cid in range(3):
             assert (out / f"corr_cluster_{cid}.csv").exists()
 
+    @pytest.mark.parametrize("granularity", ["daily", "minute"])
+    def test_group_correlations_are_those_of_the_masked_whole_matrix(
+        self, tmp_path, synth_table, granularity
+    ):
+        # a minute graph is pooled one group at a time, a daily one once and
+        # masked: both must write the whole matrix's masked correlations
+        config = PipelineConfig.from_dict({"features": {"graph_granularity": granularity}})
+        run_segment(config, str(tmp_path), synth_table)
+        whole = pool_features(synth_table, config.features.graph_spec)
+        classes = json.loads((tmp_path / "classes.json").read_text())["classes"]
+        row_class = np.array([classes[p] for p in whole.row_players])
+        row_cluster = np.asarray(json.loads((tmp_path / "clusters.json").read_text())["assignments"])
+        if granularity == "minute":
+            row_cluster = np.repeat(row_cluster, synth_table.day_runs()[1])
+        groups = [(f"corr_class_{c}.csv", row_class == c) for c in ("low", "medium", "high")]
+        groups += [(f"corr_cluster_{c}.csv", row_cluster == c) for c in range(3)]
+        names = whole.column_names
+        for file_name, mask in groups:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # constant columns
+                expected = correlation_matrix(FeatureMatrix(whole.values[mask], names))
+            written = [[float(r[n]) for n in names] for r in read_rows(tmp_path / file_name)]
+            assert written == expected.tolist(), file_name
+
     def test_auto_k_uses_elbow_suggestion(self, tmp_path, dataset_csv):
         out = tmp_path / "auto"
         cfg = tmp_path / "cfg.json"
@@ -330,6 +355,17 @@ class TestGlasso:
         graph = graphical_lasso(matrix, config.glasso, seed=5)
         assert stage.summary["sweeps"] == graph.sweeps > 0
         assert stage.summary["solves"] == graph.solves > 0
+
+
+class TestStageMemory:
+    # one N×p float64 copy at most: segment pools one class or cluster group
+    # at a time, glasso scales the matrix it pooled in place
+    @pytest.mark.parametrize("stage, bound", [(run_segment, 0.8), (run_glasso, 1.4)])
+    def test_peak_follows_the_graph_matrix(self, tmp_path, synth_table, stage, bound):
+        config = PipelineConfig()
+        graph_bytes = len(synth_table) * len(config.features.graph_features) * 8
+        _, peak = traced_peak(stage, config, str(tmp_path), synth_table)
+        assert peak <= bound * graph_bytes, (peak / graph_bytes, bound)
 
 
 class TestCausality:

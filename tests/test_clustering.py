@@ -1,7 +1,6 @@
 """PCA, Lloyd k-means, elbow heuristic, and silhouette scores."""
 
 import itertools
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_silhouette, gaussian_blobs, row_kmeans, streamed_silhouette
+from helpers import brute_silhouette, gaussian_blobs, row_kmeans, streamed_silhouette, traced_peak
 
 from energyseg import clustering
 from energyseg.clustering import (
@@ -371,12 +370,7 @@ class TestSilhouette:
         data = points[rng.integers(0, 50, size=60_000)]
         for k in (2, 3):
             labels = rng.integers(0, k, size=60_000)
-            tracemalloc.start()
-            try:
-                mean_s, per = silhouette(data, labels)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            (mean_s, per), peak = traced_peak(silhouette, data, labels)
             assert per.shape == (60_000,) and np.isfinite(mean_s)
             assert peak <= 8 * 2**20, peak
 

@@ -1,7 +1,6 @@
 """Feature catalog, pooling, standardization, and per-segment extraction."""
 
 import datetime as dt
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,21 +9,27 @@ from hypothesis import strategies as st
 
 from helpers import (
     awkward_matrices,
+    blocked_matrices,
     fm,
     make_record,
     make_table,
+    scaled_deviations_formula,
     standardize_formula,
     table_records,
+    traced_peak,
 )
 
 from energyseg.errors import (
     AlreadyStandardized,
     AnalysisError,
     EmptyTable,
+    NonFiniteValue,
     TooFewRows,
     UnknownFeatureName,
 )
 from energyseg.features import (
+    _BLOCK_ROWS,
+    _scaled_deviations,
     ALL_FEATURES,
     DAILY_POOLED_FEATURES,
     DEFAULT_CLUSTERING_FEATURES,
@@ -34,6 +39,7 @@ from energyseg.features import (
     player_day_segments,
     pool_features,
     raw_columns,
+    require_finite,
     standardize,
 )
 from energyseg.records import RESOURCES
@@ -172,6 +178,22 @@ class TestPoolFeatures:
         assert out.values.shape == (len(tiny_table), 2)
         assert out.values[:25, 0].tolist() == [r.humidity for r in table_records(tiny_table)[:25]]
 
+    def test_minute_rows_keep_a_view_of_the_player_codes(self, tiny_table):
+        out = pool_features(tiny_table, FeatureSpec(("humidity",), granularity="minute"))
+        assert np.shares_memory(out.row_codes, tiny_table.player_codes)
+        assert out.row_players == tuple(tiny_table.row_players())
+
+    @pytest.mark.parametrize("granularity", ["daily", "minute"])
+    def test_kept_rows_are_those_of_the_whole_matrix(self, tiny_table, granularity):
+        spec = FeatureSpec(ALL_FEATURES, granularity)
+        whole = pool_features(tiny_table, spec)
+        runs = tiny_table.day_runs()
+        n = whole.n_rows
+        for rows in (np.random.default_rng(8).random(n) < 0.4, np.zeros(n, bool), np.ones(n, bool)):
+            kept = pool_features(tiny_table, spec, rows=rows, runs=runs)
+            assert kept.values.tobytes() == whole.values[rows].tobytes()
+            assert kept.row_players == tuple(np.asarray(whole.row_players, dtype=object)[rows])
+
     def test_unknown_feature_name(self):
         with pytest.raises(UnknownFeatureName):
             FeatureSpec(("foo",))
@@ -219,18 +241,58 @@ class TestStandardize:
         assert np.array_equal(out.values, expected)
         assert out.values.tobytes() == expected.tobytes()  # the sign of each zero too
 
+    @settings(deadline=None, derandomize=True)
+    @given(blocked_matrices(), st.booleans())
+    def test_in_place_scaling_matches_two_passes(self, values, sample):
+        # the row-block sum of squares must add in numpy's own order, every bit
+        divisor = len(values) - 1 if sample else 1
+        scaled = values.copy(order="K")
+        constant = _scaled_deviations(scaled, divisor)
+        expected, expected_constant = scaled_deviations_formula(values, divisor)
+        assert constant.tolist() == expected_constant.tolist()
+        assert scaled.tobytes(order="A") == expected.tobytes(order="A")
+
+    @settings(deadline=None, derandomize=True)
+    @given(awkward_matrices(), st.booleans())
+    def test_argument_left_unchanged(self, values, fortran):
+        values = np.asfortranarray(values) if fortran else values
+        before = values.copy(order="K")
+        matrix = fm(values)
+        out = standardize(matrix)
+        assert matrix.values is values and not matrix.standardized
+        assert values.tobytes(order="A") == before.tobytes(order="A")
+        assert out.values.tobytes() == standardize_formula(before).tobytes()
+
+    def test_copy_false_scales_the_argument(self):
+        values = np.random.default_rng(4).standard_normal((50, 3)) + 2.0
+        expected = standardize_formula(values)
+        out = standardize(fm(values), copy=False)
+        assert out.values is values and out.standardized
+        assert values.tobytes() == expected.tobytes()
+
     def test_one_working_copy(self):
         matrix = fm(np.random.default_rng(3).standard_normal((20_000, 6)) * 4.0 + 1e6)
-        tracemalloc.start()
-        try:
-            out = standardize(matrix)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(standardize, matrix)
         assert out.values.nbytes == matrix.values.nbytes
         # the result is the one working copy: no second N×p array beside it
-        # slack for the reductions' buffer of np.getbufsize() doubles, 64 KiB
+        # slack for a row block of squares (48 KiB) or the reductions' buffer (64 KiB)
         assert peak <= matrix.values.nbytes + 128 * 1024, peak
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("row", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 6])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_block_is_checked(self, row, bad):
+        values = np.zeros((2 * _BLOCK_ROWS + 7, 3))
+        require_finite(values)
+        values[row, 2] = bad
+        with pytest.raises(NonFiniteValue, match="matrix contains NaN or infinite entries"):
+            require_finite(values)
+
+    def test_no_mask_of_the_matrix_size(self):
+        values = np.ones((20_000, 6))
+        _, peak = traced_peak(require_finite, values)
+        assert peak <= 64 * 1024, peak
 
 
 class TestSegmentsAndColumns:

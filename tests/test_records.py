@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import tracemalloc
 import warnings
 from contextlib import contextmanager, nullcontext
 from functools import cache
@@ -30,6 +29,7 @@ from helpers import (
     table_records,
     table_to_csv,
     tables_equal,
+    traced_peak,
 )
 from test_acceptance import _daily_minutes
 
@@ -266,12 +266,7 @@ class TestIngestMemory:
         path = tmp_path / "synth.csv"
         emit_csv(generate_synthetic(GeneratorConfig(players_per_class=(2, 2, 2), n_days=4), seed=42),
                  str(path))
-        tracemalloc.start()
-        try:
-            table = ingest_csv(str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        table, peak = traced_peak(ingest_csv, str(path))
         held = table.timestamps.nbytes + table.player_codes.nbytes + sum(
             column.nbytes for column in table.columns.values()
         )
@@ -289,14 +284,7 @@ class TestRunMemory:
             timestamps=synth_table.timestamps[keep],
             columns={},
         )
-        peaks = []
-        for runs in (table.day_runs, table.minute_runs):
-            tracemalloc.start()
-            try:
-                runs()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(runs)[1] for runs in (table.day_runs, table.minute_runs)]
         # minute_runs calls day_runs first; its own cuts must not raise the peak
         assert peaks[1] <= peaks[0], peaks
 

@@ -1,7 +1,6 @@
 """Rank bands, class assignment, correlations, RV matching, proportions."""
 
 import itertools
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +16,7 @@ from helpers import (
     make_table,
     random_psd,
     scanned_proportions,
+    traced_peak,
     two_pass_pearson,
 )
 
@@ -145,12 +145,7 @@ class TestAssignClasses:
 
     def test_one_n_length_key_array(self, synth_table):
         n = len(synth_table)
-        tracemalloc.start()
-        try:
-            assign_classes(synth_table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(assign_classes, synth_table)
         # the int64 keys and one bool mask; slack for the cast's ufunc buffer, 64 KiB
         assert peak <= 9 * n + 128 * 1024, peak
 
@@ -199,15 +194,28 @@ class TestCorrelationMatrix:
         assert np.array_equal(corr, expected)
         assert corr.tobytes() == expected.tobytes()
 
+    @settings(deadline=None, derandomize=True)
+    @given(awkward_matrices(), st.booleans())
+    def test_argument_left_unchanged(self, values, fortran):
+        values = np.asfortranarray(values) if fortran else values
+        before = values.copy(order="K")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # constant columns
+            corr = correlation_matrix(fm(values))
+        assert values.tobytes(order="A") == before.tobytes(order="A")
+        assert corr.tobytes() == correlation_formula(before).tobytes()
+
+    def test_copy_false_overwrites_the_argument(self):
+        values = np.random.default_rng(6).standard_normal((40, 3))
+        expected = correlation_formula(values)
+        matrix = fm(values.copy())
+        assert correlation_matrix(matrix, copy=False).tobytes() == expected.tobytes()
+        assert not np.array_equal(matrix.values, values)
+
     def test_one_working_copy(self):
         matrix = fm(np.random.default_rng(3).standard_normal((20_000, 6)) * 4.0 + 1e6)
-        tracemalloc.start()
-        try:
-            correlation_matrix(matrix)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # slack for the reductions' buffer of np.getbufsize() doubles, 64 KiB
+        _, peak = traced_peak(correlation_matrix, matrix)
+        # slack for a row block of squares (48 KiB) or the reductions' buffer (64 KiB)
         assert peak <= matrix.values.nbytes + 128 * 1024, peak
 
 
@@ -307,7 +315,7 @@ class TestProportionBuckets:
         players = ["a", "a", "b", "b"]
         assignments = [0, 2, 0, 2]
         report = proportion_buckets(class_map, players, assignments, k=3)
-        bucket = np.searchsorted(np.asarray(report.bucket_edges), 0.5, side="right") - 1
+        bucket = np.searchsorted(BUCKET_EDGES, 0.5, side="right") - 1
         counts = report.counts[ClassLabel.MEDIUM]
         assert counts[0, bucket] == 2
         assert counts[2, bucket] == 2
