@@ -252,20 +252,25 @@ def _scaled_deviations(values: np.ndarray, divisor: int) -> np.ndarray:
     return constant
 
 
-def standardize(matrix: FeatureMatrix, copy: bool = True) -> FeatureMatrix:
-    """Zero-mean, unit-sample-std version of ``matrix``.
+def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
+    """Zero-mean, unit-sample-std copy of ``matrix``.
 
     Constant columns are mapped to all-zero instead of raising; downstream
     sparse regressions simply never select them. Memory: one copy of the
-    values, scaled in place; ``copy=False`` scales ``matrix.values`` instead.
+    values, scaled in place; ``matrix`` is left as it was.
     """
+    values = np.array(matrix.values, dtype=np.float64, order="K")
+    return _standardize_in_place(replace(matrix, values=values))
+
+
+def _standardize_in_place(matrix: FeatureMatrix) -> FeatureMatrix:
+    """:func:`standardize` of a matrix whose values the caller owns; it scales them in place."""
     if matrix.standardized:
         raise AlreadyStandardized("matrix is already standardized")
     if matrix.n_rows < 2:
         raise TooFewRows(f"need at least 2 rows to standardize, got {matrix.n_rows}")
-    values = np.array(matrix.values, dtype=np.float64, order="K") if copy else matrix.values
-    _scaled_deviations(values, matrix.n_rows - 1)
-    return replace(matrix, values=values, standardized=True)
+    _scaled_deviations(matrix.values, matrix.n_rows - 1)
+    return replace(matrix, standardized=True)
 
 
 def player_day_segments(

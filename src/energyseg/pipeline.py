@@ -46,9 +46,9 @@ from .config import OUTPUT_ROOT_ENV, PipelineConfig
 from .errors import InvalidConfig, TooFewRows
 from .features import (
     FeatureMatrix,
+    _standardize_in_place,
     player_day_segments,
     pool_features,
-    standardize,
 )
 from .records import (
     DatasetTable,
@@ -209,7 +209,7 @@ def _group_correlations(
         if np.count_nonzero(mask) < 2:
             continue
         # the group's matrix lives only through this call
-        corr = segmentation_mod.correlation_matrix(pool(mask), copy=False)
+        corr = segmentation_mod._correlation_in_place(pool(mask))
         rows = [(name, *row) for name, row in zip(names, corr.tolist())]
         write(file_name, [("feature", *names)] + rows)
         corrs[key] = corr
@@ -230,7 +230,7 @@ def run_segment(
 
         # -- features for clustering ----------------------------------------
         spec = config.features.clustering_spec
-        matrix = standardize(pool_features(table, spec), copy=False)
+        matrix = _standardize_in_place(pool_features(table, spec))
 
         pca = clustering_mod.pca_fit(matrix)
         scores = clustering_mod.pca_transform(pca, matrix.values)
@@ -320,11 +320,14 @@ def run_segment(
         if graph_spec.granularity == "daily":
             row_codes = row_codes[runs[0]]
             # a row per (player, day) is small: pool the whole matrix once and mask it
-            whole = pool_features(table, graph_spec, runs=runs)
-            pool_group = lambda rows: FeatureMatrix(whole.values[rows], graph_spec.features)
+            whole = pool_features(table, graph_spec, runs=runs).values
+
+            def pool_group(rows):
+                return FeatureMatrix(whole[rows], graph_spec.features)
         else:
             # a row per minute is not: pool each group's rows alone
-            pool_group = lambda rows: pool_features(table, graph_spec, rows=rows, runs=runs)
+            def pool_group(rows):
+                return pool_features(table, graph_spec, rows=rows, runs=runs)
         row_class = np.array([int(class_map[p]) for p in table.player_ids])[row_codes]
         row_cluster = model.assignments
         if graph_spec.granularity == "minute" and spec.granularity == "daily":
@@ -408,7 +411,7 @@ def run_glasso(
     Memory: the pooled graph matrix, standardized in place, and one fold's rows.
     """
     with _stage("glasso", out_dir, config, table) as (stage, table, write):
-        matrix = standardize(pool_features(table, config.features.graph_spec), copy=False)
+        matrix = _standardize_in_place(pool_features(table, config.features.graph_spec))
         graph = glasso_mod.graphical_lasso(matrix, config.glasso, seed=config.seed)
         write("graph.json", glasso_mod.graph_to_dict(graph))
         write("edges.csv", [("a", "b", "weight", "sign"), *glasso_mod.edges_to_csv_rows(graph)])

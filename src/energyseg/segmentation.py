@@ -12,7 +12,7 @@ into decile buckets per (class, cluster).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from itertools import permutations
 from typing import Mapping, Sequence
@@ -97,23 +97,30 @@ def assign_classes(table: DatasetTable) -> tuple[dict[str, ClassLabel], RankBand
     return result, bands
 
 
-def correlation_matrix(matrix: FeatureMatrix, copy: bool = True) -> np.ndarray:
+def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
     """Pearson correlations with unit diagonal; constant columns zeroed.
 
     Raises :class:`NonFiniteValue` on a NaN or infinite cell. Memory: one N×p
     working copy, the deviations over their column norms, whose Gram is the
-    result; ``copy=False`` overwrites ``matrix.values`` instead.
+    result; ``matrix`` is left as it was.
     """
+    values = np.array(matrix.values, dtype=np.float64, order="K")
+    return _correlation_in_place(replace(matrix, values=values))
+
+
+def _correlation_in_place(matrix: FeatureMatrix) -> np.ndarray:
+    """:func:`correlation_matrix` of a matrix whose values the caller owns; it overwrites them."""
     n = matrix.n_rows
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
-    require_finite(matrix.values)
-    z = np.array(matrix.values, dtype=np.float64, order="K") if copy else matrix.values
+    z = matrix.values
+    require_finite(z)
     constant = _scaled_deviations(z, 1)
     if constant.any():
         names = [matrix.column_names[i] for i in np.flatnonzero(constant)]
+        # stack level 3: the line that called correlation_matrix
         warnings.warn(f"constant columns have undefined correlations: {names}",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
     corr = z.T @ z
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0

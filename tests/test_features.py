@@ -30,6 +30,7 @@ from energyseg.errors import (
 from energyseg.features import (
     _BLOCK_ROWS,
     _scaled_deviations,
+    _standardize_in_place,
     ALL_FEATURES,
     DAILY_POOLED_FEATURES,
     DEFAULT_CLUSTERING_FEATURES,
@@ -263,10 +264,10 @@ class TestStandardize:
         assert values.tobytes(order="A") == before.tobytes(order="A")
         assert out.values.tobytes() == standardize_formula(before).tobytes()
 
-    def test_copy_false_scales_the_argument(self):
+    def test_in_place_form_scales_the_argument(self):
         values = np.random.default_rng(4).standard_normal((50, 3)) + 2.0
         expected = standardize_formula(values)
-        out = standardize(fm(values), copy=False)
+        out = _standardize_in_place(fm(values))
         assert out.values is values and out.standardized
         assert values.tobytes() == expected.tobytes()
 

@@ -31,6 +31,7 @@ from energyseg.errors import (
 )
 from energyseg.segmentation import (
     BUCKET_EDGES,
+    _correlation_in_place,
     ClassLabel,
     assign_classes,
     correlation_matrix,
@@ -167,8 +168,9 @@ class TestCorrelationMatrix:
 
     def test_constant_column_zeroed_with_warning(self):
         X = np.column_stack([np.arange(6.0), np.full(6, 2.0)])
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as caught:
             C = correlation_matrix(fm(X))
+        assert caught[0].filename == __file__  # the warning names the caller's line
         assert C[0, 1] == 0.0 and C[1, 0] == 0.0
         assert C[1, 1] == 1.0
 
@@ -205,11 +207,11 @@ class TestCorrelationMatrix:
         assert values.tobytes(order="A") == before.tobytes(order="A")
         assert corr.tobytes() == correlation_formula(before).tobytes()
 
-    def test_copy_false_overwrites_the_argument(self):
+    def test_in_place_form_overwrites_the_argument(self):
         values = np.random.default_rng(6).standard_normal((40, 3))
         expected = correlation_formula(values)
         matrix = fm(values.copy())
-        assert correlation_matrix(matrix, copy=False).tobytes() == expected.tobytes()
+        assert _correlation_in_place(matrix).tobytes() == expected.tobytes()
         assert not np.array_equal(matrix.values, values)
 
     def test_one_working_copy(self):
