@@ -94,7 +94,7 @@ class FeatureConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpec:
     """Which features to emit and at which granularity."""
 
@@ -102,7 +102,7 @@ class FeatureSpec:
     granularity: str = "daily"  # "daily" | "minute"
 
     def __post_init__(self) -> None:
-        self.features = tuple(self.features)
+        object.__setattr__(self, "features", tuple(self.features))
         unknown = [f for f in self.features if f not in ALL_FEATURES]
         if unknown:
             raise UnknownFeatureName(f"unknown feature name(s): {unknown}")

@@ -81,8 +81,9 @@ class NeighborhoodFit:
     """One vertex's penalized regression on the remaining columns.
 
     ``beta`` is indexed over the other columns in ascending column order
-    (``others`` lists the absolute indices). ``objective_path`` holds the
-    post-sweep objective values; it is nonincreasing.
+    (``others`` lists the absolute indices). :func:`fit_neighborhood` fills
+    ``objective_path`` with the post-sweep objective values, nonincreasing;
+    :func:`graphical_lasso` leaves it empty.
     """
 
     vertex: int
@@ -193,15 +194,16 @@ def _design(values: np.ndarray, others: list[int]) -> np.ndarray:
     return X
 
 
+def _grids(lam_max: np.ndarray) -> np.ndarray:
+    """Row i: GRID_SIZE log-spaced λ from ``lam_max[i]`` down to ``lam_max[i]/GRID_RATIO``."""
+    return np.geomspace(lam_max, lam_max / GRID_RATIO, GRID_SIZE, axis=1)
+
+
 def _grid_from_max(lam_max: float, column: str) -> LambdaGrid:
     if lam_max <= 0.0:
         raise DegenerateColumn(f"column {column} is orthogonal to every other column")
-    grid = np.geomspace(lam_max, lam_max / GRID_RATIO, GRID_SIZE)
-    return LambdaGrid(
-        lambda_max=lam_max,
-        lambda_min=lam_max / GRID_RATIO,
-        values=tuple(float(v) for v in grid),
-    )
+    grid = _grids(np.array([lam_max]))[0].tolist()
+    return LambdaGrid(lambda_max=lam_max, lambda_min=lam_max / GRID_RATIO, values=tuple(grid))
 
 
 def lambda_grid(matrix: FeatureMatrix, s: int) -> LambdaGrid:
@@ -366,24 +368,16 @@ class _PathStates:
     """Every system's state at the end of each grid index of :func:`_gram_path`.
 
     ``beta[i, k]``, ``loss``, ``sweeps`` and ``converged`` are system ``i``'s
-    at grid index ``k``, and ``objective[start[i, k]:][:sweeps[i, k]]`` is its
-    objective after each of those sweeps. ``stack_sweeps`` counts the sweeps
-    of the whole stack, ``solves`` the systems passed to
-    :func:`_active_set_solve`.
+    at grid index ``k``. ``stack_sweeps`` counts the sweeps of the whole
+    stack, ``solves`` the systems passed to :func:`_active_set_solve`.
     """
 
     beta: np.ndarray
     loss: np.ndarray
     sweeps: np.ndarray
     converged: np.ndarray
-    objective: np.ndarray | None = None
-    start: np.ndarray | None = None
     stack_sweeps: int = 0
     solves: int = 0
-
-    def path(self, i: int, k: int) -> tuple[float, ...]:
-        start = self.start[i, k]
-        return tuple(self.objective[start : start + self.sweeps[i, k]].tolist())
 
     def fit(
         self, i: int, k: int, vertex: int, others: tuple[int, ...], lam: float
@@ -396,7 +390,6 @@ class _PathStates:
             loss=float(self.loss[i, k]),
             iterations=int(self.sweeps[i, k]),
             converged=bool(self.converged[i, k]),
-            objective_path=self.path(i, k),
         )
 
 
@@ -442,8 +435,6 @@ def _gram_path(
         sweeps=np.zeros((n_sys, n_lam), dtype=np.int64),
         converged=np.zeros((n_sys, n_lam), dtype=bool),
     )
-    keys, objectives = [], []  # each sweep's (system, grid index) keys and objectives
-
     live = np.arange(n_sys)  # the system at each stack position
     k = np.full(n_sys, -1)  # each live system's grid index
     count = np.zeros(n_sys, dtype=np.int64)  # its sweeps at that index
@@ -501,8 +492,6 @@ def _gram_path(
                 won = retry[ok]
                 beta[:, won], grad[:, won], obj[won] = x[:, ok], x_grad[:, ok], x_obj[ok]
                 solved[won] = True
-        keys.append(live * n_lam + k)
-        objectives.append(obj)
         stalled = prev - obj < tol * np.maximum(np.abs(prev), 1e-300)
         done = stalled
         if np.count_nonzero(stalled):
@@ -514,7 +503,7 @@ def _gram_path(
             )
             done = stalled & kkt.all(axis=0)
         done = done | solved
-        prev = obj.copy()  # the log keeps obj; a system's next λ rewrites its prev
+        prev = obj
         ended = done | (count == max_sweeps)
         if np.count_nonzero(ended):
             at = np.flatnonzero(ended)
@@ -531,11 +520,6 @@ def _gram_path(
                 beta, grad, prev, tried = beta[:, keep], grad[:, keep], prev[keep], tried[:, keep]
                 coords = None
         at = np.flatnonzero(ended)
-
-    # each (system, λ)'s objectives, in sweep order, one pair after another
-    states.objective = np.concatenate(objectives)[np.argsort(np.concatenate(keys), kind="stable")]
-    sweeps = states.sweeps.ravel()
-    states.start = (np.cumsum(sweeps) - sweeps).reshape(n_sys, n_lam)
     return states
 
 
@@ -728,7 +712,8 @@ def graphical_lasso(
     at the λ its cross-validation selects, which is where warm starts down
     the grid to that λ lead. Of two columns identical up to sign, the later
     is the regressor of no other vertex (see :func:`_twin_columns`), so the
-    pair keeps the one edge of its own regression on the earlier.
+    pair keeps the one edge of its own regression on the earlier. A warning
+    counts the (system, λ) fits of the path that stopped at ``max_sweeps``.
     """
     config = config or GlassoConfig()
     values = _graph_input(matrix)
@@ -763,8 +748,7 @@ def graphical_lasso(
     sweeps = solves = 0
     ids = np.flatnonzero(lam_max > 0.0).tolist()  # the vertices with a penalty grid
     if ids:
-        # row v is vertex ids[v]'s grid, bit for bit the one _grid_from_max makes
-        grids = np.geomspace(lam_max[ids], lam_max[ids] / GRID_RATIO, GRID_SIZE, axis=1)
+        grids = _grids(lam_max[ids])
         tests, n_test = _fold_grams(values, config.folds, seed)
         # each vertex's fold systems, then its full-data system
         grams, counts = np.concatenate([gram - tests, gram[None]]), np.append(n - n_test, n)
@@ -772,6 +756,11 @@ def graphical_lasso(
         lams = np.repeat(grids, config.folds + 1, axis=0)
         states = _gram_path(rows, grad0, yy, lams, config.tol, config.max_sweeps)
         sweeps, solves = states.stack_sweeps, states.solves
+        if not states.converged.all():
+            notes.append(
+                f"{np.count_nonzero(~states.converged)} of {states.converged.size} lasso fits "
+                f"(fold or full-data system, λ) stopped at glasso.max_sweeps={config.max_sweeps}"
+            )
         betas = states.beta.reshape(len(ids), config.folds + 1, *states.beta.shape[1:])
         errors = _held_out_errors(tests, n_test, ids, betas[:, : config.folds])
         for v, s in enumerate(ids):

@@ -27,7 +27,6 @@ at a time.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -52,6 +51,7 @@ from .features import (
 )
 from .records import (
     DatasetTable,
+    _quoted,
     emit_csv,
     fork_child,
     ingest_csv,
@@ -75,14 +75,22 @@ def resolve_output_dir(config: PipelineConfig, command: str) -> str:
     return os.path.join(root, command)
 
 
+def _cell(value) -> str:
+    """``value`` as a CSV cell: a string via ``_quoted``, a float's ``repr``, else ``str``."""
+    if isinstance(value, str):
+        return _quoted(value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def _write(path: str, payload) -> None:
     """Write ``payload`` to ``path``: CSV rows, header first, for a ``.csv`` name, else JSON.
 
-    JSON keys are sorted and numpy values go through ``tolist()``.
+    Each CSV cell is spelled by :func:`_cell`. JSON keys are sorted and
+    numpy values go through ``tolist()``.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if path.endswith(".csv"):
-            csv.writer(handle, lineterminator="\n").writerows(payload)
+            handle.writelines(",".join(map(_cell, row)) + "\n" for row in payload)
         else:
             json.dump(payload, handle, indent=2, sort_keys=True, default=lambda v: v.tolist())
             handle.write("\n")

@@ -616,7 +616,7 @@ def _gram_descent(
     tol: float,
     max_sweeps: int,
     beta0: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, int, bool, list[float]]:
+) -> tuple[np.ndarray, float, int, bool]:
     """Gram-form cyclic coordinate descent (covariance updates).
 
     Same updates, objective stall test and KKT gate as
@@ -637,7 +637,6 @@ def _gram_descent(
         grad = system.gradient(beta)
     kkt_tol = 5.0 * tol
 
-    path: list[float] = []
     prev_obj = obj = system.objective(beta, grad, lam)
     tried = np.zeros(len(nu))
     converged = False
@@ -660,10 +659,8 @@ def _gram_descent(
             # a certified solve may end a few ulps above the sweep's objective
             if finished is not None and finished[2] <= obj + 1e-13 * abs(obj):
                 beta, grad, obj = finished
-                path.append(obj)
                 converged = True
                 break
-        path.append(obj)
         if prev_obj - obj < tol * max(abs(prev_obj), 1e-300):
             if all(
                 abs(g - copysign(lam, b)) <= kkt_tol if b else abs(g) <= lam + kkt_tol
@@ -672,7 +669,7 @@ def _gram_descent(
                 converged = True
                 break
         prev_obj = obj
-    return np.array(beta), obj, sweeps, converged, path
+    return np.array(beta), obj, sweeps, converged
 
 
 def fold_rows(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -715,7 +712,7 @@ def scalar_cross_validate(
         scorer = _GramSystem(held_out, s, len(test_rows))
         beta = None
         for k, lam in enumerate(grid.values):
-            beta, _, _, _, _ = _gram_descent(train, lam, tol, max_sweeps, beta0=beta)
+            beta, _, _, _ = _gram_descent(train, lam, tol, max_sweeps, beta0=beta)
             x = beta.tolist()
             errors[k, f] = 2.0 * scorer.objective(x, scorer.gradient(x), 0.0)
 
@@ -765,12 +762,10 @@ def scalar_vertex_fits(matrix, config, seed):
         )
         beta = None
         for lam in grid.values[: cv.best_index + 1]:
-            beta, loss, sweeps, converged, path = _gram_descent(
+            beta, loss, sweeps, converged = _gram_descent(
                 system, lam, config.tol, config.max_sweeps, beta0=beta
             )
-        fit = NeighborhoodFit(
-            s, others, beta, cv.best_lambda, loss, sweeps, converged, tuple(path)
-        )
+        fit = NeighborhoodFit(s, others, beta, cv.best_lambda, loss, sweeps, converged)
         out.append((fit, cv))
     return out
 

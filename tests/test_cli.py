@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifacts, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -20,7 +21,8 @@ from energyseg.config import PipelineConfig, load_config
 from energyseg import clustering
 from energyseg.clustering import ClusteringConfig
 from energyseg.features import FeatureMatrix, pool_features, standardize
-from energyseg.glasso import graphical_lasso
+from energyseg import glasso
+from energyseg.glasso import GlassoConfig, graphical_lasso
 from energyseg.pipeline import run_causality, run_glasso, run_segment
 from energyseg.records import CSV_COLUMNS, ingest_csv
 from energyseg.segmentation import correlation_matrix
@@ -355,6 +357,28 @@ class TestGlasso:
         graph = graphical_lasso(matrix, config.glasso, seed=5)
         assert stage.summary["sweeps"] == graph.sweeps > 0
         assert stage.summary["solves"] == graph.solves > 0
+        assert not any("max_sweeps" in w for w in stage.warnings)
+
+    def test_sweep_cap_is_reported(self, tmp_path, dataset_csv, monkeypatch):
+        ends = []
+        path = glasso._gram_path
+
+        def spy(*args):
+            states = path(*args)
+            ends.append(states.converged)
+            return states
+
+        monkeypatch.setattr(glasso, "_gram_path", spy)
+        config = PipelineConfig(input=str(dataset_csv), glasso=GlassoConfig(max_sweeps=2))
+        stage = run_glasso(config, str(tmp_path))
+        (converged,) = ends
+        unconverged = np.count_nonzero(~converged)
+        assert unconverged > 0
+        capped = [w for w in stage.warnings if "glasso.max_sweeps=2" in w]
+        assert capped == [
+            f"{unconverged} of {converged.size} lasso fits (fold or full-data system, λ) "
+            "stopped at glasso.max_sweeps=2"
+        ]
 
 
 class TestStageMemory:
@@ -482,6 +506,24 @@ class TestReport:
                         float(cell)  # raises on text such as "np.float64(0.5)"
             if name == "causality.csv":
                 assert {row[header.index("reject")] for row in rows} <= {"true", "false"}
+
+    def test_player_ids_needing_quotes_round_trip(self, tmp_path):
+        # a carriage return, a comma or a quote in a player id is quoted in
+        # every CSV artifact, as in dataset.csv
+        table = generate_synthetic(GeneratorConfig(players_per_class=(1, 1, 1), n_days=2), 7)
+        ids = ('hi\rgh_01', 'lo,w_"01', "medium_01")
+        source = tmp_path / "odd_ids.csv"
+        source.write_text(
+            table_to_csv(dataclasses.replace(table, player_ids=ids)), encoding="utf-8", newline=""
+        )
+        out = tmp_path / "report"
+        assert main(["report", "--input", str(source), "--out", str(out), "--seed", "7"]) == 0
+        with open(out / "proportions.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        k = json.loads((out / "clusters.json").read_text())["k"]
+        assert len(rows) == len(ids) * k
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows] == [player for player in ids for _ in range(k)]
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENERGYSEG_OUTPUT_ROOT", str(tmp_path / "root"))

@@ -1,5 +1,6 @@
 """Feature catalog, pooling, standardization, and per-segment extraction."""
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -202,6 +203,14 @@ class TestPoolFeatures:
     def test_bad_granularity(self):
         with pytest.raises(AnalysisError):
             FeatureSpec(("humidity",), granularity="weekly")
+
+    def test_spec_is_frozen(self):
+        # a field set after the checks would escape them
+        spec = FeatureSpec(["humidity"])
+        assert spec.features == ("humidity",)
+        for name, value in (("granularity", "hourly"), ("features", ("nope",))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
 
     def test_empty_table(self):
         with pytest.raises(EmptyTable):

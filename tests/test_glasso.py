@@ -99,16 +99,22 @@ class TestLambdaGrid:
             assert grid.lambda_max == pytest.approx(max(inner), rel=1e-12)
 
     @settings(deadline=None)
-    @given(st.lists(st.floats(-9.0, 2.0).map(lambda e: 10.0**e), min_size=1, max_size=40))
-    def test_batched_grids_match_scalar(self, lam_max):
-        # graphical_lasso builds every vertex's grid in one geomspace call
-        lam_max = np.array(lam_max)
-        grids = np.geomspace(
-            lam_max, lam_max / glasso_mod.GRID_RATIO, glasso_mod.GRID_SIZE, axis=1
+    @given(
+        st.lists(
+            st.floats(np.finfo(float).tiny, np.finfo(float).max), min_size=1, max_size=40
         )
-        for row, lam in zip(grids, lam_max):
-            scalar = np.array(_grid_from_max(float(lam), "v").values)
-            assert row.tobytes() == scalar.tobytes()
+    )
+    def test_batched_grids_match_scalar(self, lam_max):
+        # graphical_lasso builds every vertex's grid in one call, _grid_from_max
+        # one grid: a row must not depend on the rows beside it
+        lam_max = np.array(lam_max)
+        # near the largest float, geomspace's power overflows before it pins the end points
+        with np.errstate(over="ignore"):
+            grids = glasso_mod._grids(lam_max)
+            rows = [glasso_mod._grids(lam_max[i : i + 1])[0] for i in range(len(lam_max))]
+        for row, alone in zip(grids, rows):
+            assert row.tobytes() == alone.tobytes()
+        assert np.isfinite(grids).all()
 
     def test_degenerate_orthogonal_target(self):
         # target orthogonal to every other column -> lambda_max would be 0
@@ -580,16 +586,6 @@ class TestGramPathProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(case=_awkward_matrices(), seed=st.integers(0, 2**16))
-    def test_objective_path_nonincreasing(self, case, seed):
-        matrix, config = case
-        for fit in graphical_lasso(matrix, config, seed=seed).per_vertex_fits:
-            path = np.asarray(fit.objective_path)
-            assert len(path) == fit.iterations
-            increases = np.diff(path) / np.abs(path[:-1])
-            assert increases.max(initial=-np.inf) <= 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=_awkward_matrices(), seed=st.integers(0, 2**16))
     def test_gram_scored_errors_match_row_scored(self, case, seed):
         matrix, config = case
         values = matrix.values
@@ -708,7 +704,7 @@ def _assert_matches_scalar(matrix, config, seed):
         assert fit.beta.tobytes() == ref.beta.tobytes()
         assert _bits(fit.loss, fit.lam) == _bits(ref.loss, ref.lam)
         assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
-        assert _bits(*fit.objective_path) == _bits(*ref.objective_path)
+        assert fit.objective_path == ()
         assert (cv is None) == (ref_cv is None)
         if cv is not None:
             assert cv.cv_errors.tobytes() == ref_cv.cv_errors.tobytes()
@@ -744,9 +740,9 @@ class TestBatchedMatchesScalar:
             system = _GramSystem(gram - held_out.T @ held_out, 0, 12 - len(test_rows))
             beta = None
             for k, lam in enumerate(grid.values):
-                beta, loss, sweeps, converged, path = _gram_descent(system, lam, 1e-6, 1000, beta)
+                beta, loss, sweeps, converged = _gram_descent(system, lam, 1e-6, 1000, beta)
                 assert states.beta[i, k].tobytes() == beta.tobytes()
-                assert _bits(states.loss[i, k], *states.path(i, k)) == _bits(loss, *path)
+                assert _bits(states.loss[i, k]) == _bits(loss)
                 assert (states.sweeps[i, k], states.converged[i, k]) == (sweeps, converged)
         _assert_matches_scalar(matrix, config, 39)
 
