@@ -5,16 +5,18 @@ only versus own lags plus lagged x — with
 
     F = ((RSS_r − RSS_u)/L) / (RSS_u/(n − 2L − 1)),   n = T − L,
 
-and an F(L, n−2L−1) survival-function p-value, from no stacked design. Each
-segment's rows [y_{t−1..t−L}, x_{t−1..t−L}, y_t] are centred (which absorbs
-the intercept) and their (n, mean, cross products) merged over segments by the
-pairwise update of Chan, Golub & LeVeque (1983, Am. Stat. 37). The merged
-matrix is factored by Cholesky in the order [own, cross, y]: RSS_u is y's last
-pivot squared and RSS_r − RSS_u the squared norm of y's row on the cross
-block, not a difference of two RSS values in which digits cancel. No sum runs
-through a threaded BLAS, so the bytes do not depend on the thread count. A
-regressor pivot² ≤ τ = 1e-10 of its uncentred sum of squares, or
-RSS_u ≤ 1e-12·(Σ y_t² + 1), makes the test inconclusive.
+and an F(L, n−2L−1) survival-function p-value. One pass gathers the lagged
+rows [y_{t−1..t−L}, x_{t−1..t−L}, y_t] of every run of consecutive samples,
+each run's first L rows serving only as lags, through one bool mask into one
+float64 design, centred once (which absorbs the intercept). Each cross
+product of its columns is one pairwise sum (numpy's ``add.reduce`` over a
+contiguous row), whose rounding error grows with log n rather than n. The
+cross-product matrix is factored by Cholesky in the order [own, cross, y]:
+RSS_u is y's last pivot squared and RSS_r − RSS_u the squared norm of y's
+row on the cross block, not a difference of two RSS values in which digits
+cancel. No sum runs through a threaded BLAS, so the bytes do not depend on
+the thread count. A regressor pivot² ≤ τ = 1e-10 of its uncentred sum of
+squares, or RSS_u ≤ 1e-12·(Σ y_t² + 1), makes the test inconclusive.
 
 Both tails are the regularized incomplete beta I_x(a, b), computed with the
 standard library alone: the continued fraction of Numerical Recipes (3rd ed.,
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .errors import (
     NonFiniteValue,
     SeriesTooShort,
     TooFewSamples,
-    require_bool,
     require_int,
 )
 from .features import MINUTE_FEATURES
@@ -73,7 +74,6 @@ class CausalityConfig:
     pairs: tuple[tuple[str, str], ...] = DEFAULT_CAUSALITY_PAIRS
     lag: int = 1
     alpha: float = 0.05
-    first_difference: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", tuple((str(a), str(b)) for a, b in self.pairs))
@@ -81,7 +81,6 @@ class CausalityConfig:
         if unknown:
             raise InvalidConfig(f"causality pairs name unknown or non-minute feature(s): {unknown}")
         require_int("lag", self.lag, 1)
-        require_bool("first_difference", self.first_difference)
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfig(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -195,48 +194,6 @@ class CausalityResult:
         return "0" if self.p_value < 5e-4 else f"{self.p_value:.4g}"
 
 
-def _segment_moments(
-    segments: Sequence[tuple[np.ndarray, np.ndarray]], lag: int, first_difference: bool
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(n, mean, centred cross products) of each segment's T − L lagged rows.
-
-    No row mixes samples of two segments (runs of consecutive minutes).
-    Segments are cast to float64 one at a time.
-    """
-    for x, y in segments:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape != y.shape or x.ndim != 1:
-            raise SeriesTooShort(f"segments need equal-length 1-D series, got {x.shape} vs {y.shape}")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise NonFiniteValue("series contain NaN or infinite values")
-        if first_difference:
-            x, y = np.diff(x), np.diff(y)
-        T = len(y)
-        if T <= lag:
-            continue
-        lagged = [series[lag - j - 1 : T - j - 1] for series in (y, x) for j in range(lag)]
-        rows = np.array(lagged + [y[lag:]])  # one variable per row
-        mean = rows.mean(axis=1)
-        rows -= mean[:, None]
-        # einsum sums in its own fixed order, never through a threaded BLAS
-        yield T - lag, mean, np.einsum("ik,jk->ij", rows, rows)
-
-
-def _merge(
-    moments: Iterable[tuple[int, np.ndarray, np.ndarray]], width: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Pooled (n, mean, centred cross products) by the update of Chan, Golub & LeVeque."""
-    n, mean, cross = 0, np.zeros(width), np.zeros((width, width))
-    for n_b, mean_b, cross_b in moments:
-        total = n + n_b
-        delta = mean_b - mean
-        cross = cross + cross_b + np.multiply.outer(delta, delta) * (n * n_b / total)
-        mean = mean + delta * (n_b / total)
-        n = total
-    return n, mean, cross
-
-
 def _f_parts(cross: np.ndarray, squares: np.ndarray, lag: int) -> tuple[float, float] | None:
     """(RSS_r − RSS_u, RSS_u) from the Cholesky factor of [own, cross, y] cross products.
 
@@ -254,20 +211,56 @@ def _f_parts(cross: np.ndarray, squares: np.ndarray, lag: int) -> tuple[float, f
 
 
 def granger_test_segments(
-    segments: Sequence[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    y: np.ndarray,
+    lengths: Sequence[int],
     lag: int = 1,
     alpha: float = 0.05,
     cause: str = "x",
     effect: str = "y",
-    first_difference: bool = False,
 ) -> CausalityResult:
-    """Granger F-test pooled over independent (x, y) segments."""
+    """Granger F-test pooled over runs of (x, y) laid end to end, ``lengths`` rows each.
+
+    No lagged row mixes samples of two runs: each run's first ``lag`` rows
+    serve only as lags. Memory: the float64 design of the lagged rows, one
+    row-sized product and a row copied at the stored width of ``x`` or ``y``.
+    """
     if lag < 1:
         raise InvalidDof(f"lag must be >= 1, got {lag}")
-    n, mean, cross = _merge(_segment_moments(segments, lag, first_difference), 2 * lag + 1)
+    x, y, lengths = np.asarray(x), np.asarray(y), np.asarray(lengths)
+    if x.shape != y.shape or x.ndim != 1:
+        raise SeriesTooShort(f"need equal-length 1-D series, got {x.shape} vs {y.shape}")
+    ok = lengths.ndim == 1 and lengths.dtype.kind in "iu" and (lengths >= 0).all()
+    if not (ok and lengths.sum() == len(y)):
+        raise SeriesTooShort(f"run lengths must be integers >= 0 summing to the {len(y)} samples")
+    # integer and bool samples are always finite; skipping them also keeps the
+    # peak RSS down, as np.isfinite on the int8 statuses raised that of a
+    # 4,320-row report by 128 KiB
+    if not all(np.isfinite(s).all() for s in (x, y) if s.dtype.kind in "fc"):
+        raise NonFiniteValue("series contain NaN or infinite values")
+    target = np.ones(len(y), dtype=bool)  # the rows whose y_t is regressed
+    starts = np.cumsum(lengths) - lengths
+    for j in range(lag):
+        target[starts[lengths > j] + j] = False
+    n = int(np.count_nonzero(target))
     dof2 = n - 2 * lag - 1
     if dof2 < 1:
         raise SeriesTooShort(f"need T - lag > 2*lag + 1 samples, got n={n} at lag={lag}")
+
+    design = np.empty((2 * lag + 1, n))  # [y_{t−1..t−L}, x_{t−1..t−L}, y_t], a variable per row
+    for j in range(lag):
+        source = target[j + 1 :]  # row t − j − 1 is a lag of target row t
+        design[j] = y[: len(y) - j - 1][source]
+        design[lag + j] = x[: len(x) - j - 1][source]
+    design[-1] = y[target]
+    mean = design.mean(axis=1)
+    design -= mean[:, None]
+    # pairwise sums over contiguous rows, in a fixed order and never through a threaded BLAS
+    cross = np.empty((len(design), len(design)))
+    product = np.empty(n)
+    for i in range(len(design)):
+        for k in range(i + 1):
+            cross[i, k] = cross[k, i] = np.multiply(design[i], design[k], out=product).sum()
 
     squares = np.diagonal(cross) + n * mean * mean
     parts = _f_parts(cross, squares, lag)
@@ -287,7 +280,7 @@ def granger_test_segments(
 
 def granger_test(x: np.ndarray, y: np.ndarray, lag: int = 1) -> CausalityResult:
     """Granger F-test at α = 0.05 of whether lagged ``x`` helps predict ``y``."""
-    return granger_test_segments([(x, y)], lag=lag)
+    return granger_test_segments(x, y, [len(y)], lag=lag)
 
 
 @dataclass

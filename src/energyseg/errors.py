@@ -51,12 +51,6 @@ def require_int(name: str, value: object, minimum: int) -> None:
         raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def require_bool(name: str, value: object) -> None:
-    """Raise :class:`InvalidConfig` unless ``value`` is ``True`` or ``False``."""
-    if type(value) is not bool:
-        raise InvalidConfig(f"{name} must be true or false, got {value!r}")
-
-
 def require_number(name: str, value: object) -> None:
     """Raise :class:`InvalidConfig` unless ``value`` is a finite int or float, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):

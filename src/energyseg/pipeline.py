@@ -46,7 +46,6 @@ from .errors import InvalidConfig, TooFewRows
 from .features import (
     FeatureMatrix,
     _standardize_in_place,
-    player_day_segments,
     pool_features,
 )
 from .records import (
@@ -441,25 +440,24 @@ def run_causality(
     with _stage("causality", out_dir, config, table) as (stage, table, write):
         cz = config.causality
         class_map, _ = segmentation_mod.assign_classes(table)
-
-        names = sorted({name for pair in cz.pairs for name in pair})
-        segments = player_day_segments(table, names)
+        starts, lengths = table.minute_runs()  # no lag spans a day boundary or a missing minute
 
         tests = []
         for label in ClassLabel:
-            players = {p for p, c in class_map.items() if c is label}
-            if not players:
+            in_class = np.array([class_map[p] is label for p in table.player_ids])
+            if not in_class.any():
                 continue
-            class_segments = [series for p, _, series in segments if p in players]
+            rows = in_class[table.player_codes]
+            runs = rows[starts]  # each run is one player's
             for cause, effect in cz.pairs:
-                pair_segments = [(series[cause], series[effect]) for series in class_segments]
                 result = causality_mod.granger_test_segments(
-                    pair_segments,
+                    table.columns[cause][rows],
+                    table.columns[effect][rows],
+                    lengths[runs],
                     lag=cz.lag,
                     alpha=cz.alpha,
                     cause=cause,
                     effect=effect,
-                    first_difference=cz.first_difference,
                 )
                 tests.append(
                     {

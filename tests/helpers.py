@@ -18,7 +18,9 @@ against; ``tables_equal`` compares two tables column by column.
 ``run_chain_loop`` steps the generator's two-state chain one minute at a
 time, the oracle for its vectorised form.
 ``granger_oracle`` fits the Granger test's two models by ``lstsq`` on one
-stacked lagged design, the reference for the F from merged cross products.
+stacked lagged design, built segment by segment, the reference for the F
+from the one-pass cross products; ``granger_f_longdouble`` recomputes that
+F with every step in extended precision.
 ``standardize_formula``, ``correlation_formula`` and
 ``scaled_deviations_formula`` make a new array per step, the results that
 the in-place forms must match bit for bit on ``awkward_matrices`` and
@@ -397,26 +399,28 @@ def t_tail_quad(x: float, df: float) -> float:
     return float(val)
 
 
-def granger_oracle(segments, lag: int, first_difference: bool = False):
+def _lagged_rows(segments, lag: int, dtype) -> np.ndarray:
+    """The stacked rows [y_{t−1..t−L}, x_{t−1..t−L}, y_t] of every segment, one per row."""
+    blocks = []
+    for x, y in segments:
+        x, y = np.asarray(x, dtype=dtype), np.asarray(y, dtype=dtype)
+        T = len(y)
+        if T > lag:
+            lags = [s[lag - j - 1 : T - j - 1] for s in (y, x) for j in range(lag)]
+            blocks.append(np.column_stack(lags + [y[lag:]]))
+    return np.vstack(blocks)
+
+
+def granger_oracle(segments, lag: int):
     """(RSS_r − RSS_u, RSS_u, RSS_r, n) of the stacked lagged design, by ``lstsq``.
 
     RSS_r is None when ``matrix_rank`` finds the unrestricted design
     [1, own lags, cross lags] collinear; n is its row count.
     """
-    y_rows, own_rows, cross_rows = [], [], []
-    for x, y in segments:
-        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        if first_difference:
-            x, y = np.diff(x), np.diff(y)
-        T = len(y)
-        if T <= lag:
-            continue
-        y_rows.append(y[lag:])
-        own_rows.append(np.column_stack([y[lag - j - 1 : T - j - 1] for j in range(lag)]))
-        cross_rows.append(np.column_stack([x[lag - j - 1 : T - j - 1] for j in range(lag)]))
-    y_t = np.concatenate(y_rows)
-    restricted = np.hstack([np.ones((len(y_t), 1)), np.vstack(own_rows)])
-    unrestricted = np.hstack([restricted, np.vstack(cross_rows)])
+    rows = _lagged_rows(segments, lag, np.float64)
+    y_t = rows[:, -1]
+    unrestricted = np.hstack([np.ones((len(y_t), 1)), rows[:, :-1]])
+    restricted = unrestricted[:, : lag + 1]
 
     def rss(design):
         resid = y_t - design @ np.linalg.lstsq(design, y_t, rcond=None)[0]
@@ -426,6 +430,27 @@ def granger_oracle(segments, lag: int, first_difference: bool = False):
         return None, None, None, len(y_t)
     rss_r, rss_u = rss(restricted), rss(unrestricted)
     return rss_r - rss_u, rss_u, rss_r, len(y_t)
+
+
+def granger_f_longdouble(segments, lag: int) -> float:
+    """The Granger F of the stacked lagged design, every step in ``np.longdouble``.
+
+    The centred cross products are factored by a scalar Cholesky in the
+    order [own, cross, y], so RSS_r − RSS_u is a sum of squares, not a
+    difference in which digits cancel.
+    """
+    rows = _lagged_rows(segments, lag, np.longdouble)
+    n, width = rows.shape
+    rows -= rows.sum(axis=0) / n
+    cross = [[(rows[:, i] * rows[:, k]).sum() for k in range(width)] for i in range(width)]
+    factor = [[np.longdouble(0)] * width for _ in range(width)]
+    for i in range(width):
+        for k in range(i + 1):
+            rest = cross[i][k] - sum(factor[i][m] * factor[k][m] for m in range(k))
+            factor[i][k] = np.sqrt(rest) if i == k else rest / factor[k][k]
+    numerator = sum(factor[-1][k] ** 2 for k in range(lag, 2 * lag))
+    rss_u = factor[-1][-1] ** 2
+    return float((numerator / lag) / (rss_u / (n - 2 * lag - 1)))
 
 
 def standardize_formula(values) -> np.ndarray:

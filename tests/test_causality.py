@@ -2,7 +2,9 @@
 
 import datetime as dt
 import io
+import json
 import math
+import warnings
 from functools import partial
 
 import mpmath
@@ -13,10 +15,18 @@ from hypothesis import strategies as st
 from mpmath.libmp import NoConvergence
 from scipy import special
 
-from helpers import f_tail_quad, granger_oracle, t_tail_quad, table_to_csv, traced_peak
+from helpers import (
+    f_tail_quad,
+    granger_f_longdouble,
+    granger_oracle,
+    t_tail_quad,
+    table_to_csv,
+    traced_peak,
+)
 
 from energyseg import causality
 from energyseg.causality import (
+    DEFAULT_CAUSALITY_PAIRS,
     CausalityResult,
     f_survival,
     granger_test,
@@ -32,8 +42,10 @@ from energyseg.errors import (
     SeriesTooShort,
     TooFewSamples,
 )
-from energyseg.features import player_day_segments
+from energyseg.config import PipelineConfig
+from energyseg.pipeline import run_causality
 from energyseg.records import ingest_csv
+from energyseg.segmentation import ClassLabel, assign_classes
 from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
 # F statistics of the default report (seed 42), all at F(1, 20143)
@@ -249,7 +261,7 @@ class TestGranger:
         with pytest.raises(NonFiniteValue):
             granger_test(np.roll(y, 1), x, lag=1)
         with pytest.raises(NonFiniteValue):
-            granger_test_segments([(y, np.roll(y, 1)), (x, y)], lag=1)
+            granger_test_segments(np.append(y, x), np.append(np.roll(y, 1), y), [100, 100])
 
     def test_lag_validation(self):
         with pytest.raises(InvalidDof):
@@ -271,7 +283,7 @@ class TestGranger:
         y = np.zeros(300)
         y[1:] = 0.5 * x[:-1] + rng.standard_normal(299)
         plain = granger_test(x, y, lag=1)
-        seg = granger_test_segments([(x, y)], lag=1, cause="hum", effect="fan")
+        seg = granger_test_segments(x, y, [300], lag=1, cause="hum", effect="fan")
         assert seg.f_statistic == plain.f_statistic
         assert seg.p_value == plain.p_value
         assert plain.alpha == seg.alpha == 0.05
@@ -279,19 +291,15 @@ class TestGranger:
 
     def test_segments_drop_boundary_samples(self):
         rng = np.random.default_rng(47)
-        segments = []
-        for _ in range(3):
-            x = rng.standard_normal(200)
-            y = np.zeros(200)
-            y[1:] = 0.7 * x[:-1] + 0.5 * rng.standard_normal(199)
-            segments.append((x, y))
-        res = granger_test_segments(segments, lag=1)
+        x = rng.standard_normal(600)
+        y = np.zeros(600)
+        y[1:] = 0.7 * x[:-1] + 0.5 * rng.standard_normal(599)
+        res = granger_test_segments(x, y, [200, 200, 200], lag=1)
         assert res.n_effective == 3 * (200 - 1)
         assert res.reject_h0 is True
-        diffed = granger_test_segments(segments, lag=1, first_difference=True)
-        assert diffed.n_effective == 3 * (199 - 1)
+        assert granger_test_segments(x, y, [0, 600, 0], lag=2).n_effective == 600 - 2
 
-    def test_deleted_csv_lines_match_segments_cut_by_hand(self):
+    def test_deleted_csv_lines_match_segments_cut_by_hand(self, tmp_path):
         table = generate_synthetic(GeneratorConfig(players_per_class=(1, 1, 0), n_days=2), seed=3)
         header, *lines = table_to_csv(table).splitlines(keepends=True)
         kept = [line for i, line in enumerate(lines) if i % 7 != 3]  # delete every 7th line
@@ -306,13 +314,20 @@ class TestGranger:
             else:
                 hand.append([i])
         assert len(hand) > len(gapped.day_runs()[0])
-        pairs = [("humidity", "status_fan"), ("status_ceiling_light", "status_desk_light")]
-        segments = player_day_segments(gapped, sorted({n for pair in pairs for n in pair}))
-        assert [len(series["humidity"]) for _, _, series in segments] == list(map(len, hand))
-        for cause, effect in pairs:
-            cut = [(series[cause], series[effect]) for _, _, series in segments]
-            by_hand = [(gapped.columns[cause][rows], gapped.columns[effect][rows]) for rows in hand]
-            assert granger_test_segments(cut) == granger_test_segments(by_hand)
+        starts, lengths = gapped.minute_runs()
+        assert starts.tolist() == [rows[0] for rows in hand]
+        assert lengths.tolist() == list(map(len, hand))
+        # the causality stage's tests against fits on each class's hand-cut runs
+        class_map, _ = assign_classes(gapped)
+        run_causality(PipelineConfig(), str(tmp_path), gapped)
+        tests = json.loads((tmp_path / "causality.json").read_text())["tests"]
+        assert len(tests) == 2 * len(DEFAULT_CAUSALITY_PAIRS)
+        for test in tests:
+            x, y = gapped.columns[test["cause"]], gapped.columns[test["effect"]]
+            runs = [rows for rows in hand if class_map[players[rows[0]]].label == test["player_type"]]
+            fields = {k: v for k, v in test.items() if k not in ("player_type", "p_display", "reject")}
+            result = CausalityResult(**fields, reject_h0=test["reject"])
+            assert_matches_oracle(result, [(x[rows], y[rows]) for rows in runs], lag=1)
 
     def test_display_p_formatting(self):
         res = CausalityResult(
@@ -327,17 +342,30 @@ class TestGranger:
         assert res2.display_p == "0.0321"
 
 
-# |package − oracle| of the numerator and of RSS_u, over RSS_r; the worst seen
-# over 3,000 random cases was 4e-13
+# |package − oracle| of the numerator RSS_r − RSS_u, read from the package's F
+# at the oracle's RSS_u, over RSS_r; the worst seen over 3,000 random cases was
+# 1.1e-13
 ORACLE_TOL = 1e-10
+
+
+def assert_matches_oracle(result: CausalityResult, segments, lag: int) -> None:
+    """``result`` is the F and p of ``granger_oracle``'s stacked ``lstsq`` fits."""
+    numerator, rss_u, rss_r, n = granger_oracle(segments, lag)
+    assert result.n_effective == n
+    if rss_r is None:  # collinear design, e.g. a 0/1 x that never changes
+        assert result.inconclusive
+        return
+    assert not result.inconclusive
+    scale = lag * rss_u / (n - 2 * lag - 1)  # F·scale is the numerator
+    assert abs(result.f_statistic * scale - numerator) <= ORACLE_TOL * rss_r
+    assert result.p_value == f_survival(result.f_statistic, lag, n - 2 * lag - 1)
 
 
 @st.composite
 def granger_cases(draw):
-    """1-30 segments of an (x, y) pair offset by up to 1e3, with lag and differencing."""
+    """1-30 runs of an (x, y) pair offset by up to 1e3, laid end to end, with a lag."""
     lag = draw(st.integers(1, 3))
     lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=30))
-    first_difference = draw(st.booleans())
     x_offset, y_offset = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
     coupling = draw(st.floats(-1.0, 1.0))
     binary_x = draw(st.booleans())  # a 0/1 status held as int8, as the table stores it
@@ -348,64 +376,79 @@ def granger_cases(draw):
         y = y_offset + rng.standard_normal(T)
         y[1:] += coupling * x[:-1]
         segments.append((x, y))
-    n = sum(max(0, T - first_difference - lag) for T in lengths)
-    return segments, lag, first_difference, n
+    x, y = (np.concatenate(series) for series in zip(*segments))
+    n = sum(max(0, T - lag) for T in lengths)
+    return x, y, lengths, segments, lag, n
 
 
 class TestMergedMoments:
-    """The F from merged per-segment cross products against stacked ``lstsq`` fits."""
+    """The F from the one pass over runs laid end to end, against stacked ``lstsq`` fits."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(granger_cases())
     def test_matches_the_stacked_oracle(self, case):
-        segments, lag, first_difference, n = case
+        x, y, lengths, segments, lag, n = case
         if n - 2 * lag - 1 < 1:
             with pytest.raises(SeriesTooShort):
-                granger_test_segments(segments, lag=lag, first_difference=first_difference)
+                granger_test_segments(x, y, lengths, lag=lag)
             return
-        result = granger_test_segments(segments, lag=lag, first_difference=first_difference)
-        numerator, rss_u, rss_r, rows = granger_oracle(segments, lag, first_difference)
-        assert result.n_effective == rows == n
-        if rss_r is None:  # collinear design, e.g. a 0/1 x that never changes
-            assert result.inconclusive
-            return
-        count, mean, cross = causality._merge(
-            causality._segment_moments(segments, lag, first_difference), 2 * lag + 1
-        )
-        squares = np.diagonal(cross) + count * mean * mean
-        got_numerator, got_rss_u = causality._f_parts(cross, squares, lag)
-        assert abs(got_numerator - numerator) <= ORACLE_TOL * rss_r
-        assert abs(got_rss_u - rss_u) <= ORACLE_TOL * rss_r
-        assert not result.inconclusive
-        f_stat = (got_numerator / lag) / (got_rss_u / (n - 2 * lag - 1))
-        assert result.f_statistic == f_stat
+        assert_matches_oracle(granger_test_segments(x, y, lengths, lag=lag), segments, lag)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(granger_cases(), st.floats(-1e3, 1e3))
     def test_degenerate_pairs_stay_inconclusive(self, case, level):
-        segments, lag, first_difference, n = case
+        x, y, lengths, _, lag, n = case
         if n - 2 * lag - 1 < 1:
             return
-        same = [(y, y) for _, y in segments]
-        constant_y = [(x, np.full(len(y), level)) for x, y in segments]
-        constant_x = [(np.full(len(x), level), y) for x, y in segments]
-        for pairs in (same, constant_y, constant_x):
-            result = granger_test_segments(pairs, lag=lag, first_difference=first_difference)
+        for pair in ((y, y), (x, np.full(len(y), level)), (np.full(len(x), level), y)):
+            result = granger_test_segments(*pair, lengths, lag=lag)
             assert result.inconclusive and not result.reject_h0 and result.p_value == 1.0
 
-    def test_memory_is_a_few_segments_whatever_their_count(self):
+    @pytest.mark.parametrize("lag,lengths", [(1, [1, 1, 1]), (3, [3, 2, 3, 1]), (2, [])])
+    def test_runs_no_longer_than_the_lag_are_too_short(self, lag, lengths):
+        series = np.arange(float(sum(lengths)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any statistic of no rows is taken
+            with pytest.raises(SeriesTooShort):
+                granger_test_segments(series, series[::-1], lengths, lag=lag)
+
+    @pytest.mark.parametrize("lengths", [[5, 4], [5, 6], [12, -2], [5.0, 5.0], [[5, 5]]])
+    def test_run_lengths_must_split_the_series(self, lengths):
+        x = np.random.default_rng(51).standard_normal(10)
+        with pytest.raises(SeriesTooShort):
+            granger_test_segments(x, np.roll(x, 1), lengths)
+
+    def test_default_class_f_is_within_1e12_of_extended_precision(self):
+        # 1e-12 tells pairwise sums (2.9e-14 at worst on this class) from a
+        # straight accumulation over the rows, such as einsum's (3.4e-11 on
+        # is_morning → status_desk_light)
+        if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("np.longdouble is no wider than float64 here")
+        table = generate_synthetic(GeneratorConfig(), seed=42)
+        class_map, _ = assign_classes(table)
+        medium = np.array([class_map[p] is ClassLabel.MEDIUM for p in table.player_ids])
+        rows = medium[table.player_codes]
+        starts, lengths = table.minute_runs()
+        lengths = lengths[rows[starts]]
+        cuts = np.cumsum(lengths)[:-1]
+        for cause, effect in DEFAULT_CAUSALITY_PAIRS:
+            x, y = table.columns[cause][rows], table.columns[effect][rows]
+            got = granger_test_segments(x, y, lengths).f_statistic
+            reference = granger_f_longdouble(list(zip(np.split(x, cuts), np.split(y, cuts))), 1)
+            assert abs(got - reference) <= 1e-12 * reference, (cause, effect, got, reference)
+
+    def test_memory_is_one_design_whatever_the_run_count(self):
         # as in the pipeline: a 0/1 cause at its stored int8 width, a float64 effect
         rng = np.random.default_rng(50)
-        segments = [
-            ((rng.random(1440) < 0.5).astype(np.int8), rng.standard_normal(1440))
-            for _ in range(30)
-        ]
-        segment_rows = 3 * 1439 * 8  # one segment's [own, cross, y] rows in float64
-        for count in (1, 30):
-            _, peak = traced_peak(
-                granger_test_segments, segments[:count], lag=1, first_difference=True
-            )
-            assert peak <= 4 * segment_rows, (count, peak)
+        x = (rng.random(45_000) < 0.5).astype(np.int8)
+        y = rng.standard_normal(45_000)
+        design = 3 * 45_000 * 8  # the [own, cross, y] rows of one run in float64
+        peaks = []
+        for runs in (1, 30, 3_000):
+            _, peak = traced_peak(granger_test_segments, x, y, [45_000 // runs] * runs)
+            peaks.append(peak)
+        assert max(peaks) <= 1.05 * min(peaks), peaks
+        assert max(peaks) <= 1.5 * design, peaks  # the design, its product row and the mask
 
 
 class TestTTest:

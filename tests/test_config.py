@@ -134,14 +134,18 @@ class TestSerialization:
             ("clustering", "pca_dim", None),
             ("clustering", "n_init", 10),
             ("synth", "clamp_points_at_zero", False),
+            ("causality", "first_difference", False),
         ],
     )
     def test_removed_option_rejected(self, tmp_path, section, key, value):
         # even at its old default: each is a constant now
         path = tmp_path / "config.json"
         path.write_text(json.dumps({section: {key: value}}))
-        with pytest.raises(InvalidConfig, match=rf"unknown {section} option\(s\): \['{key}'\]"):
+        with pytest.raises(
+            InvalidConfig, match=rf"unknown {section} option\(s\): \['{key}'\]"
+        ) as caught:
             load_config(str(path))
+        assert caught.value.exit_code == 2
 
     @pytest.mark.parametrize(
         "key,value", [("invert_rank", False), ("bucket_edges", [i / 10 for i in range(11)])]
@@ -187,9 +191,7 @@ class TestSerialization:
             {"causality": {"pairs": [["switch_freq_fan", "status_fan"]]}},
             {"causality": {"pairs": [["humidty", "status_fan"]]}},
             {"features": {"clustering_granularity": "minute", "graph_granularity": "daily"}},
-            {"causality": {"first_difference": 0}},
             {"synth": {"booster": "1.0"}},
-            {"causality": {"first_difference": "no"}},
             {"clustering": {"k": 2.7}},
             {"clustering": {"k_range": [1.5, 4.9]}},
             {"synth": {"players_per_class": [1.5, 1, 1]}},
