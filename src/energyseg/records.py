@@ -21,7 +21,7 @@ from functools import cache, reduce
 from itertools import islice
 from operator import ior, itemgetter
 from stat import S_ISREG
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -95,7 +95,7 @@ DROP_REASONS: tuple[str, ...] = (
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 _BLOCK_ROWS = 512  # physical lines parsed per ingest block: about 0.1 MB of text
-_EMIT_ROWS = 2048  # rows written per emit block, bounding the strings held
+_EMIT_ROWS = 512  # rows per emit block: its record buffer holds about 0.1 MB
 
 # One field as csv's default dialect reads it: a quote opens a quoted field
 # only at the field's start, and "" inside one is a literal quote.
@@ -555,18 +555,15 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _formatter(column: np.ndarray) -> Callable[[slice], list[str]]:
-    """A function giving the ``repr`` of each cell in a slice of ``column``.
-
-    Each distinct value is formatted once per column; a slice finds its
-    values by binary search. Floats are told apart by bit pattern, so
-    ``-0.0`` keeps its sign.
-    """
-    keys = column.view(np.int64) if column.dtype == np.float64 else column
-    # return_counts keeps np.unique on its sorting path: a bare call imports numpy.ma
-    distinct, _ = np.unique(keys, return_counts=True)
-    text = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
-    return lambda rows: text[np.searchsorted(distinct, keys[rows])].tolist()
+def _byte_table(cells: Iterable[str]) -> np.ndarray:
+    """``cells`` in UTF-8 as ``V`` items as wide as the longest, padded with 0xFF (not UTF-8)."""
+    encoded = [cell.encode() for cell in cells]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    text = np.frombuffer(b"".join(encoded), np.uint8)
+    del encoded  # before the table and its mask are made
+    table = np.full((len(lengths), max(1, lengths.max(initial=0))), 0xFF, np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = text
+    return table.view(f"V{table.shape[1]}")[:, 0]
 
 
 def emit_csv(table: DatasetTable, sink) -> None:
@@ -574,24 +571,42 @@ def emit_csv(table: DatasetTable, sink) -> None:
 
     Float cells are the ``repr`` of Python floats, int cells their ``str``;
     a player id is quoted when it holds a comma, a quote or a line break.
-    ``sink`` is a text file-like object or a path (``str``, ``bytes`` or
-    ``os.PathLike``).
+    ``sink`` is a path (``str``, ``bytes`` or ``os.PathLike``), a binary
+    file-like object or an ``io.TextIOBase``; each gets the same text. Memory:
+    a :func:`_byte_table` of each column's distinct values (by bit pattern, so
+    ``-0.0`` keeps its sign) and one ``_EMIT_ROWS``-row record buffer.
     """
     if isinstance(sink, (str, bytes, os.PathLike)):
-        with open(sink, "w", encoding="utf-8", newline="") as handle:
-            emit_csv(table, handle)
-            return
-    sink.write(",".join(CSV_COLUMNS) + "\n")
-    players = np.array([_quoted(p) for p in table.player_ids], dtype=object)
-    formats = [_formatter(table.columns[name]) for name in FIELD_COLUMNS]
+        with open(sink, "wb") as handle:
+            return emit_csv(table, handle)
+    text = isinstance(sink, io.TextIOBase)
+    sink.write(",".join(CSV_COLUMNS) + "\n" if text else ",".join(CSV_COLUMNS).encode() + b"\n")
+    # per column: its sorted distinct keys, its keys and the cell of each distinct key
+    fields = {"player_id": (np.arange(len(table.player_ids)), table.player_codes,
+                            _byte_table(_quoted(p) + "," for p in table.player_ids))}
+    for name in FIELD_COLUMNS:
+        column = table.columns[name]
+        keys = column.view(np.int64) if column.dtype == np.float64 else column
+        # return_counts keeps np.unique on its sorting path: a bare call imports numpy.ma
+        distinct, _ = np.unique(keys, return_counts=True)
+        end = "\n" if name == FIELD_COLUMNS[-1] else ","
+        cells = (repr(v) + end for v in distinct.view(column.dtype).tolist())
+        fields[name] = distinct, keys, _byte_table(cells)
+    clocks = _byte_table(f"{m // 60:02d}:{m % 60:02d}," for m in range(1440))
+    layout = [("clock", clocks.dtype)] + [(name, cells.dtype) for name, (_, _, cells) in fields.items()]
     for start in range(0, len(table), _EMIT_ROWS):
         rows = slice(start, start + _EMIT_ROWS)
-        lines = map(",".join, zip(
-            np.datetime_as_string(table.timestamps[rows], unit="m").tolist(),
-            players[table.player_codes[rows]].tolist(),
-            *(cells(rows) for cells in formats),
-        ))
-        sink.writelines(line + "\n" for line in lines)
+        day, clock = np.divmod(table.timestamps[rows].view(np.int64), 1440)
+        days, _ = np.unique(day, return_counts=True)
+        # 10 bytes for years 0-9999 and more beyond, so the day field is sized per block
+        dates = _byte_table(d + "T" for d in np.datetime_as_string(days.astype("M8[D]")).tolist())
+        block = np.empty(len(day), [("day", dates.dtype), *layout])
+        block["day"] = dates[days.searchsorted(day)]
+        block["clock"] = clocks[clock]
+        for name, (distinct, keys, cells) in fields.items():
+            block[name] = cells[distinct.searchsorted(keys[rows])]
+        data = block.tobytes().translate(None, b"\xff")  # the pad bytes dropped
+        sink.write(data.decode() if text else data)
 
 
 def require_nonempty(table: DatasetTable) -> None:

@@ -15,6 +15,8 @@ count-weighted distinct rows must match.
 The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
 one object per row, the oracle that ``DatasetTable``'s columns are checked
 against; ``tables_equal`` compares two tables column by column.
+``row_csv`` writes a table's CSV one row at a time, joining the ``repr`` of
+each cell, the reference for the bytes ``emit_csv`` gathers from its tables.
 ``run_chain_loop`` steps the generator's two-state chain one minute at a
 time, the oracle for its vectorised form.
 ``granger_oracle`` fits the Granger test's two models by ``lstsq`` on one
@@ -51,6 +53,7 @@ from energyseg.features import _BLOCK_ROWS, FeatureMatrix, standardize
 from energyseg.glasso import CvResult, NeighborhoodFit, _grid_from_max, soft_threshold
 from energyseg.records import (
     COLUMN_DTYPES,
+    CSV_COLUMNS,
     FIELD_COLUMNS,
     STATUS_COLUMNS,
     DatasetTable,
@@ -174,6 +177,23 @@ def table_to_csv(table: DatasetTable) -> str:
     buf = io.StringIO()
     emit_csv(table, buf)
     return buf.getvalue()
+
+
+def row_csv(table: DatasetTable) -> str:
+    """The CSV text of ``table`` built one row at a time, the reference for ``emit_csv``.
+
+    Each row joins its minute's ISO text, its player id (quoted when it holds
+    a comma, a quote or a line break) and the ``repr`` of each Python cell.
+    """
+    def quoted(text: str) -> str:
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+    stamps = np.datetime_as_string(table.timestamps, unit="m").tolist()
+    cells = [table.columns[name].tolist() for name in FIELD_COLUMNS]
+    rows = zip(stamps, map(quoted, table.row_players()), *cells)
+    lines = [",".join(CSV_COLUMNS)] + [",".join([stamp, player, *map(repr, values)])
+                                        for stamp, player, *values in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def fm(values, names=None, **kwargs) -> FeatureMatrix:

@@ -26,6 +26,7 @@ from helpers import (
     OccupantRecord,
     make_record,
     make_table,
+    row_csv,
     table_records,
     table_to_csv,
     tables_equal,
@@ -274,6 +275,18 @@ class TestIngestMemory:
         assert peak - held <= 0.4 * held, (peak, held)
 
 
+class TestEmitMemory:
+    def test_peak_beyond_the_table(self, tmp_path):
+        table = generate_synthetic(GeneratorConfig(players_per_class=(2, 2, 2), n_days=4), seed=42)
+        held = table.timestamps.nbytes + table.player_codes.nbytes + sum(
+            column.nbytes for column in table.columns.values()
+        )
+        _, peak = traced_peak(emit_csv, table, tmp_path / "synth.csv")
+        # the byte tables and one block's record buffer; a str per distinct
+        # cell and per-row joins took 0.50 of the table
+        assert peak <= 0.35 * held, (peak, held)
+
+
 class TestRunMemory:
     @pytest.mark.parametrize("deleted", [0.0, 0.05])
     def test_minute_runs_peak_is_that_of_day_runs(self, synth_table, deleted):
@@ -319,6 +332,22 @@ class TestEmit:
         table = make_table(small_records())
         emit_csv(table, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == table_to_csv(table)
+
+    def test_path_text_and_binary_sinks_get_the_same_bytes(self, tmp_path):
+        table = make_table([make_record(p, m) for p in ("é,1", "b") for m in range(3)])
+        emit_csv(table, tmp_path / "path.csv")
+        with open(tmp_path / "text.csv", "w", encoding="utf-8", newline="") as text_file:
+            emit_csv(table, text_file)
+        with open(tmp_path / "binary.csv", "wb") as binary_file:
+            emit_csv(table, binary_file)
+        text_stream, binary_stream = io.StringIO(), io.BytesIO()
+        emit_csv(table, text_stream)
+        emit_csv(table, binary_stream)
+        expected = row_csv(table).encode("utf-8")
+        assert binary_stream.getvalue() == text_stream.getvalue().encode("utf-8") == expected
+        for name in ("path.csv", "text.csv", "binary.csv"):
+            assert (tmp_path / name).read_bytes() == expected, name
+        assert tables_equal(ingest_csv(io.BytesIO(expected)), table)
 
 
 class TestQuotedIds:
@@ -452,6 +481,70 @@ class TestRoundTripProperties:
         shuffled = ingest_csv(io.StringIO("\n".join([header] + rows) + "\n"))
         assert tables_equal(shuffled, ingest_csv(io.StringIO(table_to_csv(table))))
         assert table_to_csv(shuffled) == table_to_csv(table)
+
+
+# floats whose text is easy to get wrong: signed zero and NaN, infinities,
+# subnormals, the extremes and values that need all 17 digits
+AWKWARD_FLOATS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324,
+                  -2.225073858507201e-308, 1.7976931348623157e308, 0.30000000000000004,
+                  1 / 3, 123456789.12345679, 1e16, 1e-05, 2.0**-1074 * 3]
+# minutes on either side of years 1970 and 9999, of year 0, and of datetime64[m]'s range
+# (its lowest int64 is NaT, which no table holds)
+AWKWARD_MINUTES = np.array(
+    ["1969-12-31T23:59", "1970-01-01T00:00", "9999-12-31T23:59", "10000-01-01T00:00",
+     "0000-01-01T00:00", "-0001-12-31T23:59", "-10000-06-15T12:30"], "datetime64[m]",
+).view(np.int64).tolist() + [np.iinfo(np.int64).min + 1, np.iinfo(np.int64).max]
+
+
+@st.composite
+def any_cell_tables(draw):
+    """A table of any cells its dtypes hold, rows in no order, at block-edge sizes.
+
+    Each column draws a few values and the rows pick among them, so blocks
+    share some cells and not others.
+    """
+    block = records._EMIT_ROWS
+    n = draw(st.sampled_from([0, 1, 2, block - 1, block, block + 1, 2 * block - 1, 2 * block + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pool(values: st.SearchStrategy, dtype) -> np.ndarray:
+        cells = np.array(draw(st.lists(values, min_size=1, max_size=5)), dtype)
+        return cells[rng.integers(0, len(cells), n)]
+
+    columns = {}
+    for name, dtype in COLUMN_DTYPES.items():
+        if dtype is np.float64:
+            values = st.floats() | st.sampled_from(AWKWARD_FLOATS)
+        else:
+            low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+            values = st.integers(low, high) | st.sampled_from([low, high, -1, 0, 1])
+        columns[name] = pool(values, dtype)
+    ids = sorted(draw(st.sets(st.text('a,"\r\n\x00 é€\U0001f600', max_size=3),
+                              min_size=1, max_size=4)))
+    return DatasetTable(
+        player_ids=tuple(ids),
+        player_codes=rng.integers(0, len(ids), n).astype(np.intp),
+        timestamps=pool(st.integers(-(2**62), 2**62) | st.sampled_from(AWKWARD_MINUTES),
+                        np.int64).view("datetime64[m]"),
+        columns=columns,
+    )
+
+
+class TestEmitMatchesRowReference:
+    @settings(deadline=None, derandomize=True)
+    @given(any_cell_tables())
+    def test_same_bytes(self, table):
+        sink = io.BytesIO()
+        emit_csv(table, sink)
+        assert sink.getvalue() == row_csv(table).encode("utf-8")
+
+    def test_a_block_of_one_day_and_of_many(self):
+        # every row in one day, and every row on a day of its own, about 11
+        # years apart, so one block holds years below and above 10000
+        for step in (1, 1440 * 4000):
+            table = make_table([make_record("p", m) for m in range(3 * records._EMIT_ROWS)])
+            table.timestamps = (np.arange(len(table)) * step).astype("datetime64[m]")
+            assert table_to_csv(table) == row_csv(table)
 
 
 def _field(cell: str) -> str:
