@@ -5,8 +5,9 @@ PCA via SVD, Lloyd k-means with k-means++ seeding, the elbow heuristic
 one labelling at a time.
 
 K-means works on the distinct rows in sorted order, each weighted by its row
-count, and draws its seeds from ``[seed, restart]``; so permuting the input
-rows permutes the assignments and nothing else.
+count, and draws each restart's seeds from its own ``features._stream`` of
+``seed``; the best fit numbers clusters by their first row. So permuting the
+input rows permutes and renumbers the assignments and nothing else.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     TooFewRows,
     require_int,
 )
-from .features import FeatureMatrix, require_finite
+from .features import FeatureMatrix, _stream, require_finite
 
 _N_INIT = 10  # k-means++ restarts per k; the fit of least inertia wins
 _VARIANCE = 0.9  # the share of the variance PCA keeps
@@ -133,23 +134,20 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _kmeans_pp(points: np.ndarray, counts: np.ndarray, k: int, rng: np.random.Generator):
-    # a uniform draw picks a row in sorted order, and ends maps it to its point
-    ends = np.cumsum(counts)
-    n = int(ends[-1])
+def _draw(mass: np.ndarray, rng) -> int:
+    """Index i with probability mass[i] / total: the first cumulative sum above u·total."""
+    ends = np.cumsum(mass)
+    return min(int(np.searchsorted(ends, rng.random() * ends[-1], side="right")), len(ends) - 1)
+
+
+def _kmeans_pp(points: np.ndarray, counts: np.ndarray, k: int, rng):
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[np.searchsorted(ends, rng.integers(n), side="right")]
-    closest = ((points - centroids[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        mass = counts * closest  # a D² draw over the rows
-        total = float(mass.sum())
-        if total <= 0.0:  # every point already holds a seed
-            idx = np.searchsorted(ends, rng.integers(n), side="right")
-        else:
-            idx = int(rng.choice(len(points), p=mass / total))
-        centroids[c] = points[idx]
-        dist = ((points - centroids[c]) ** 2).sum(axis=1)
-        np.minimum(closest, dist, out=closest)
+    closest = np.full(len(points), np.inf)
+    mass = counts  # a uniform row in sorted order, mapped to its point
+    for c in range(k):
+        centroids[c] = points[_draw(mass if mass.any() else counts, rng)]
+        np.minimum(closest, ((points - centroids[c]) ** 2).sum(axis=1), out=closest)
+        mass = counts * closest  # a D² draw over the rows, uniform once every point holds a seed
     return centroids
 
 
@@ -183,8 +181,9 @@ def minibatch_kmeans(
     """Best-of-``_N_INIT`` Lloyd k-means (named for the mini-batch solver it replaced).
 
     Lloyd runs on the distinct rows weighted by their row counts, so without
-    repeated rows it is Lloyd on the rows, bit for bit. ``distinct`` is
-    :func:`_distinct_rows` of the same rows, for callers that fit several k.
+    repeated rows it is Lloyd on the rows, bit for bit. Ids rise with each
+    cluster's first row, empty clusters last, whichever restart wins. ``distinct``
+    is :func:`_distinct_rows` of the same rows, for callers that fit several k.
     """
     values = _as_values(matrix)
     config = config or ClusteringConfig()
@@ -197,14 +196,17 @@ def minibatch_kmeans(
     counts = np.bincount(inverse).astype(np.float64)
     weighted = points * counts[:, None]
     fits = (
-        _run_lloyd(points, counts, weighted, k, config.max_iters, np.random.default_rng([seed, r]))
+        _run_lloyd(points, counts, weighted, k, config.max_iters, _stream(seed, f"k-means {r}"))
         for r in range(_N_INIT)
     )
     centroids, point_assignments, inertia, iterations, converged = min(fits, key=lambda f: f[2])
+    # the old ids in order of each cluster's first row, empty clusters last
+    starts = [first[point_assignments == c].min(initial=n) for c in range(k)]
+    order = np.argsort(starts, kind="stable")
     return ClusterModel(
         k=k,
-        centroids=centroids,
-        assignments=point_assignments[inverse],
+        centroids=centroids[order],
+        assignments=np.argsort(order)[point_assignments][inverse],
         inertia=inertia,
         seed=seed,
         iterations=iterations,

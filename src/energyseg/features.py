@@ -11,6 +11,7 @@ granularities:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -140,6 +141,14 @@ def require_finite(values: np.ndarray) -> None:
     for start in range(0, len(values), _BLOCK_ROWS):
         if not np.isfinite(values[start : start + _BLOCK_ROWS]).all():
             raise NonFiniteValue("matrix contains NaN or infinite entries")
+
+
+def _stream(seed: int, stream: str) -> random.Random:
+    """Python's MT19937 for one use of ``seed``, seeded with the string ``"<seed>:<stream>"``.
+
+    An int's digits hold no ``:``, so no two (seed, stream) pairs share a generator.
+    """
+    return random.Random(f"{seed}:{stream}")
 
 
 def raw_columns(

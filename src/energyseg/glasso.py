@@ -52,7 +52,7 @@ from .errors import (
     require_int,
     require_number,
 )
-from .features import FeatureMatrix, require_finite
+from .features import FeatureMatrix, _stream, require_finite
 
 GRID_SIZE = 10
 GRID_RATIO = 100.0  # lambda_max / lambda_min
@@ -337,13 +337,15 @@ def _systems(
 def _fold_grams(values: np.ndarray, folds: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Each fold's held-out Gram and row count: a contiguous split of a shuffle drawn from ``seed``.
 
+    The shuffle sorts the rows by 64-bit keys from the ``"folds"`` stream of ``seed``.
     Cross-validation's one pass over the rows; everything after it reads these Grams.
     Memory: one fold's rows at a time, gathered into one buffer.
     """
     n = len(values)
     if folds > n:
         raise TooFewRows(f"need folds <= {n} rows, got {folds}")
-    splits = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    keys = np.frombuffer(_stream(seed, "folds").randbytes(8 * n), dtype="<u8")
+    splits = np.array_split(np.argsort(keys), folds)
     grams = np.empty((folds, values.shape[1], values.shape[1]))
     held_out = np.empty((len(splits[0]), values.shape[1]))  # the largest fold's rows, reused
     for f, rows in enumerate(splits):

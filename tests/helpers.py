@@ -11,7 +11,10 @@ reference for the errors read from the held-out Grams. The
 full N×N silhouette pass (``streamed_silhouette``) is the one the
 distinct-row silhouette must match bit for bit on rows without repeats,
 and Lloyd on every row (``row_kmeans``) the one that k-means on
-count-weighted distinct rows must match.
+count-weighted distinct rows must match; its draws bisect running sums of
+Python floats and its ids come from a scan of the labels in row order
+(``first_row_ids``). ``fold_rows`` sorts the rows by their keys as Python
+ints, the reference for the CV fold split.
 The row view (``OccupantRecord``, ``make_table``, ``table_records``) holds
 one object per row, the oracle that ``DatasetTable``'s columns are checked
 against; ``tables_equal`` compares two tables column by column.
@@ -34,8 +37,11 @@ returns its peak bytes, for the memory gates.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import io
+import itertools
+import random
 import tracemalloc
 from dataclasses import dataclass
 from math import copysign
@@ -49,7 +55,7 @@ from scipy import integrate, special
 from energyseg import clustering
 from energyseg.clustering import ClusterModel
 from energyseg.errors import DegenerateColumn, SingleCluster, TooFewRows
-from energyseg.features import _BLOCK_ROWS, FeatureMatrix, standardize
+from energyseg.features import _BLOCK_ROWS, FeatureMatrix, _stream, standardize
 from energyseg.glasso import CvResult, NeighborhoodFit, _grid_from_max, soft_threshold
 from energyseg.records import (
     COLUMN_DTYPES,
@@ -324,18 +330,24 @@ def streamed_silhouette(matrix, assignments):
     return float(per_sample.mean()), per_sample
 
 
-def _row_kmeans_pp(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _row_draw(mass: np.ndarray, rng: random.Random) -> int:
+    """Row i with probability mass[i] / total: bisection of the running sums, clamped."""
+    ends = list(itertools.accumulate(mass.tolist()))
+    return min(bisect.bisect_right(ends, rng.random() * ends[-1]), len(ends) - 1)
+
+
+def _row_kmeans_pp(values: np.ndarray, k: int, rng: random.Random) -> np.ndarray:
     n = values.shape[0]
     centroids = np.empty((k, values.shape[1]))
-    first = int(rng.integers(n))
+    first = _row_draw(np.ones(n), rng)
     centroids[0] = values[first]
     closest = ((values - centroids[0]) ** 2).sum(axis=1)
     for c in range(1, k):
         total = float(closest.sum())
         if total <= 0.0:
-            idx = int(rng.integers(n))
+            idx = _row_draw(np.ones(n), rng)
         else:
-            idx = int(rng.choice(n, p=closest / total))
+            idx = _row_draw(closest, rng)
         centroids[c] = values[idx]
         dist = ((values - centroids[c]) ** 2).sum(axis=1)
         np.minimum(closest, dist, out=closest)
@@ -347,7 +359,7 @@ def _row_squared_distances(values: np.ndarray, centroids: np.ndarray) -> np.ndar
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _row_lloyd(values: np.ndarray, k: int, max_iters: int, rng: np.random.Generator):
+def _row_lloyd(values: np.ndarray, k: int, max_iters: int, rng: random.Random):
     centroids = _row_kmeans_pp(values, k, rng)
     sq = _row_squared_distances(values, centroids)
     assignments = np.argmin(sq, axis=1)
@@ -367,26 +379,38 @@ def _row_lloyd(values: np.ndarray, k: int, max_iters: int, rng: np.random.Genera
     return centroids, assignments, inertia, iterations, converged
 
 
+def first_row_ids(assignments, k: int) -> tuple[np.ndarray, list[int]]:
+    """Labels renumbered in the order they first appear in the rows, unused ones last.
+
+    Also returns the old label of each new one, the order to put centroids in.
+    """
+    order = list(dict.fromkeys(np.asarray(assignments).tolist()))
+    order += [c for c in range(k) if c not in order]
+    new = {old: i for i, old in enumerate(order)}
+    return np.array([new[a] for a in np.asarray(assignments).tolist()], dtype=np.intp), order
+
+
 def row_kmeans(values, k: int, max_iters: int = 200, seed: int = 0) -> ClusterModel:
     """Best-of-``clustering._N_INIT`` Lloyd k-means on every row, in sorted row order.
 
-    Each restart draws k-means++ seeds over the rows from ``[seed, restart]``
+    Restart r draws k-means++ seeds over the rows from ``_stream(seed, "k-means r")``
     and moves every centroid to its members' mean with an N×k×d distance
-    temporary per step. On rows without repeats, :func:`minibatch_kmeans`
-    must reproduce it bit for bit.
+    temporary per step. The best fit's ids are :func:`first_row_ids`. On rows
+    without repeats, :func:`minibatch_kmeans` must reproduce it bit for bit.
     """
     values = np.asarray(values, dtype=np.float64)
     order = np.lexsort(values.T[::-1])
     canonical = values[order]
     best = None
     for restart in range(clustering._N_INIT):
-        fit = _row_lloyd(canonical, k, max_iters, np.random.default_rng([seed, restart]))
+        fit = _row_lloyd(canonical, k, max_iters, _stream(seed, f"k-means {restart}"))
         if best is None or fit[2] < best[2]:
             best = fit
     centroids, canonical_assignments, inertia, iterations, converged = best
     assignments = np.empty(len(values), dtype=np.int64)
     assignments[order] = canonical_assignments
-    return ClusterModel(k, centroids, assignments, inertia, seed, iterations, converged)
+    assignments, ids = first_row_ids(assignments, k)
+    return ClusterModel(k, centroids[ids], assignments, inertia, seed, iterations, converged)
 
 
 def f_tail_quad(x: float, d1: float, d2: float) -> float:
@@ -718,8 +742,14 @@ def _gram_descent(
 
 
 def fold_rows(n: int, folds: int, seed: int) -> list[np.ndarray]:
-    """Held-out row indices of each fold: a contiguous split of one shuffle drawn from ``seed``."""
-    return np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    """Held-out row indices of each fold: a contiguous split of one shuffle drawn from ``seed``.
+
+    The shuffle sorts the rows by one little-endian 64-bit key each, read from
+    ``n`` × 8 bytes of the ``"folds"`` stream.
+    """
+    data = _stream(seed, "folds").randbytes(8 * n)
+    keys = [int.from_bytes(data[8 * i : 8 * i + 8], "little") for i in range(n)]
+    return np.array_split(np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp), folds)
 
 
 def row_scored_errors(values, s, folds, betas) -> np.ndarray:

@@ -770,6 +770,35 @@ def test_run_loads_no_numpy_ma(tmp_path):
     assert out.stdout.splitlines()[-1] == "False"
 
 
+def test_analysis_loads_no_numpy_random():
+    # numpy.random and the secrets -> hashlib -> OpenSSL chain it imports
+    # cost about 5.6 MB resident; k-means seeds and CV folds come from
+    # Python's random, so only synthesis may load it
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    probe = "import sys, numpy\nprint('numpy.random' in sys.modules)"
+    eager = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    if eager.stdout.strip() == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from energyseg.clustering import elbow_curve, minibatch_kmeans\n"
+        "from energyseg.features import FeatureMatrix, standardize\n"
+        "from energyseg.glasso import graphical_lasso\n"
+        "values = np.sin(np.arange(240.0).reshape(60, 4) * [1.0, 1.7, 2.3, 3.1])\n"
+        "minibatch_kmeans(values, 3, seed=1)\n"
+        "elbow_curve(values, (1, 4), seed=1)\n"
+        "graphical_lasso(standardize(FeatureMatrix(values, ('a', 'b', 'c', 'd'))), seed=1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_import_loads_no_scipy():
     probe = (
         "import sys, energyseg.cli\n"

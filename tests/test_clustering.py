@@ -8,7 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_silhouette, gaussian_blobs, row_kmeans, streamed_silhouette, traced_peak
+from helpers import (
+    brute_silhouette,
+    first_row_ids,
+    gaussian_blobs,
+    row_kmeans,
+    streamed_silhouette,
+    traced_peak,
+)
 
 from energyseg import clustering
 from energyseg.clustering import (
@@ -27,7 +34,13 @@ from energyseg.errors import (
     SingleCluster,
     TooFewRows,
 )
-from energyseg.features import DEFAULT_CLUSTERING_FEATURES, FeatureSpec, pool_features, standardize
+from energyseg.features import (
+    DEFAULT_CLUSTERING_FEATURES,
+    FeatureSpec,
+    _stream,
+    pool_features,
+    standardize,
+)
 from energyseg.synthetic import GeneratorConfig, generate_synthetic
 
 
@@ -160,9 +173,8 @@ class TestMinibatchKmeans:
         base = minibatch_kmeans(data, k=2, seed=3)
         perm = rng.permutation(len(data))
         shuffled = minibatch_kmeans(data[perm], k=2, seed=3)
-        assert np.array_equal(
-            np.asarray(shuffled.assignments), np.asarray(base.assignments)[perm]
-        )
+        expected, _ = first_row_ids(base.assignments[perm], 2)
+        assert np.array_equal(shuffled.assignments, expected)
 
     def test_diagnostics(self):
         rng = np.random.default_rng(62)
@@ -204,6 +216,55 @@ class TestMinibatchKmeans:
             assert (model.inertia, model.iterations) == (oracle.inertia, oracle.iterations)
         with pytest.raises(KTooLarge):
             minibatch_kmeans(data, k=7)
+
+    def test_ids_follow_first_rows_whichever_restart_wins(self):
+        # three far blobs: every restart reaches one partition, under its own labels
+        rng = np.random.default_rng(73)
+        data, _ = gaussian_blobs(rng, [(0, 0), (40, 0), (0, 40)], 20, scale=0.5)
+        data = data[rng.permutation(len(data))]
+        ones = np.ones(len(data))
+        raw = [
+            clustering._run_lloyd(data, ones, data, 3, 200, _stream(seed, "k-means 0"))[1]
+            for seed in range(6)
+        ]
+        # the streams' raw labels differ, so only the renumbering makes the fits agree
+        assert len({first_row_ids(a, 3)[0].tobytes() for a in raw}) == 1
+        assert len({a.tobytes() for a in raw}) > 1
+        models = [minibatch_kmeans(data, k=3, seed=seed) for seed in range(6)]
+        for model in models[1:]:
+            assert np.array_equal(model.assignments, models[0].assignments)
+            assert np.allclose(model.centroids, models[0].centroids, rtol=0.0, atol=1e-12)
+        starts = [int(np.flatnonzero(models[0].assignments == c)[0]) for c in range(3)]
+        assert starts == sorted(starts) and starts[0] == 0
+
+    def test_empty_clusters_take_the_last_ids(self):
+        data = np.repeat(np.array([[2.0, 3.0], [0.0, 1.0]]), 3, axis=0)
+        for seed in range(4):
+            model = minibatch_kmeans(data, k=4, seed=seed)
+            assert model.assignments.tolist() == [0, 0, 0, 1, 1, 1]
+            assert model.centroids[:2].tolist() == [[2.0, 3.0], [0.0, 1.0]]
+
+
+class TestDraws:
+    def test_d2_draw_frequencies(self):
+        # point i is drawn with probability mass_i / total: a chi-square bound at a fixed seed
+        mass = np.array([0.0, 1.0, 2.5, 0.0, 0.5, 4.0, 2.0])
+        rng = _stream(0, "chi-square")
+        draws = 20_000
+        seen = np.bincount([clustering._draw(mass, rng) for _ in range(draws)], minlength=len(mass))
+        expected = draws * mass / mass.sum()
+        assert seen[mass == 0.0].sum() == 0
+        live = mass > 0.0
+        chi2 = float((((seen - expected) ** 2)[live] / expected[live]).sum())
+        assert chi2 < 20.5  # the 0.999 quantile of chi-square with 4 degrees of freedom
+
+    def test_draw_over_counts_is_a_uniform_row(self):
+        # u·n falls in row floor(u·n), and the counts' running sums map that row to its point
+        counts = np.array([3.0, 1.0, 2.0])
+        for seed in range(50):
+            u = _stream(seed, "x").random()
+            row = int(u * 6)
+            assert clustering._draw(counts, _stream(seed, "x")) == [0, 0, 0, 1, 2, 2][row]
 
 
 # small integer coordinates make duplicate rows and distance ties common
@@ -253,8 +314,10 @@ class TestKmeansProperties:
         perm = np.array(rnd.sample(range(len(data)), len(data)))
         base = minibatch_kmeans(data, k=k, seed=seed)
         shuffled = minibatch_kmeans(data[perm], k=k, seed=seed)
-        assert np.array_equal(shuffled.assignments, base.assignments[perm])
-        assert np.array_equal(shuffled.centroids, base.centroids)
+        # the same fit, its ids renumbered by the shuffled rows
+        expected, ids = first_row_ids(base.assignments[perm], k)
+        assert np.array_equal(shuffled.assignments, expected)
+        assert np.array_equal(shuffled.centroids, base.centroids[ids])
         assert shuffled.inertia == base.inertia
         assert (shuffled.iterations, shuffled.converged) == (base.iterations, base.converged)
 

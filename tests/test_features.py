@@ -32,6 +32,7 @@ from energyseg.features import (
     _BLOCK_ROWS,
     _scaled_deviations,
     _standardize_in_place,
+    _stream,
     ALL_FEATURES,
     DAILY_POOLED_FEATURES,
     DEFAULT_CLUSTERING_FEATURES,
@@ -303,6 +304,30 @@ class TestRequireFinite:
         values = np.ones((20_000, 6))
         _, peak = traced_peak(require_finite, values)
         assert peak <= 64 * 1024, peak
+
+
+class TestStreams:
+    @settings(deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-(2**70), 2**70), st.text(max_size=6)),
+            min_size=2,
+            max_size=40,
+            unique=True,
+        )
+    )
+    def test_distinct_pairs_give_distinct_first_draws(self, pairs):
+        assert len({_stream(seed, name).random() for seed, name in pairs}) == len(pairs)
+
+    def test_pairs_that_share_a_spelling_or_an_abs_stay_apart(self):
+        # "1:2:x" against "12:x", and seeds that an int seed would fold by abs
+        pairs = [(1, "2:x"), (12, "x"), (1, "2"), (12, ""), (-1, "x"), (1, "x"), (0, "x")]
+        assert len({_stream(seed, name).random() for seed, name in pairs}) == len(pairs)
+
+    def test_the_package_streams_are_distinct(self):
+        names = [f"k-means {r}" for r in range(10)] + ["folds"]
+        draws = {_stream(seed, name).random() for seed in range(100) for name in names}
+        assert len(draws) == 100 * len(names)
 
 
 class TestSegmentsAndColumns:

@@ -402,18 +402,18 @@ class TestGraphicalLasso:
     def test_one_fold_split_per_graph(self, monkeypatch):
         matrix = chain_matrix(96, n=300, p=6)
         draws = []
-        default_rng = np.random.default_rng
+        stream = glasso_mod._stream
 
-        def spy(seed):
-            draws.append(seed)
-            return default_rng(seed)
+        def spy(seed, name):
+            draws.append((seed, name))
+            return stream(seed, name)
 
-        monkeypatch.setattr(np.random, "default_rng", spy)
+        monkeypatch.setattr(glasso_mod, "_stream", spy)
         graphical_lasso(matrix, seed=7)
-        assert draws == [7]
+        assert draws == [(7, "folds")]
         # no vertex has a penalty grid: no split is drawn, so 3 rows and 5 folds do not raise
         graph = graphical_lasso(fm(np.zeros((3, 3)), standardized=True))
-        assert draws == [7] and graph.edges == ()
+        assert draws == [(7, "folds")] and graph.edges == ()
 
     def test_partial_correlation_symmetry_bounds(self):
         graph = graphical_lasso(chain_matrix(87, n=500))
@@ -534,6 +534,25 @@ def _awkward_matrices(draw):
         tol=draw(st.sampled_from([1e-6, 1e-3, 1e-10])),
     )
     return matrix, config
+
+
+class TestFoldSplit:
+    @settings(deadline=None, derandomize=True)
+    @given(n=st.integers(2, 60), folds=st.integers(2, 10), seed=st.integers(0, 2**40))
+    def test_balanced_permutation_of_seed_and_n(self, n, folds, seed):
+        assume(folds <= n)
+        # identity rows: fold f's held-out Gram has a 1 on the diagonal at each row it holds out
+        grams, sizes = glasso_mod._fold_grams(np.eye(n), folds, seed)
+        held = np.diagonal(grams, axis1=1, axis2=2)
+        assert np.array_equal(held.sum(axis=0), np.ones(n))
+        assert sizes.sum() == n and sizes.max() - sizes.min() <= 1
+        assert np.array_equal(sizes, np.count_nonzero(held, axis=1))
+        split = fold_rows(n, folds, seed)
+        assert [set(np.flatnonzero(h)) for h in held] == [set(rows) for rows in split]
+        # any other columns of the same height see the same rows in the same order
+        values = np.cos(np.arange(3.0 * n).reshape(n, 3))
+        grams, _ = glasso_mod._fold_grams(values, folds, seed)
+        assert np.array_equal(grams, [values[rows].T @ values[rows] for rows in split])
 
 
 class TestGramPathProperties:
